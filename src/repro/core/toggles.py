@@ -1,13 +1,19 @@
 """One registry for every process-global A/B toggle.
 
-The repo's optimization toggles (``set_route_model``,
-``set_decision_cache``, ``set_batched_evaluation``,
-``set_incremental_simulation``, ``set_memoization``,
-``set_worker_shipping``) are module globals scattered over four
-modules.  Each one is cheap and fork-friendly, but together they form
-shared mutable state that leaks: a test or fuzz iteration that flips a
-toggle and raises leaves every later test running under a
-configuration nobody asked for.
+Two toggles exist, and each selects between two genuinely different
+algorithms that must agree — the semantic oracles the differential
+fuzzer compares:
+
+* ``incremental_simulation`` (:func:`repro.batfish.bgpsim.
+  set_incremental_simulation`): re-converge only the dependency cone of
+  the changed routers, or re-run the whole BGP simulation;
+* ``memoization`` (:func:`repro.symbolic.memo.set_memoization`): answer
+  repeated symbolic questions from the memo caches, or recompute them.
+
+They are module globals in two modules.  Each one is cheap and
+fork-friendly, but together they form shared mutable state that leaks:
+a test or fuzz iteration that flips a toggle and raises leaves every
+later test running under a configuration nobody asked for.
 
 This module gives that state one name.  Every toggle is registered
 here with its getter, setter, and default, so callers can snapshot the
@@ -20,7 +26,7 @@ the fuzz harness wraps every toggle-combination run in
 
 Imports of the toggle-owning modules are deferred until first use so
 this module can live in :mod:`repro.core` without creating an import
-cycle (``repro.experiments.campaign`` imports ``repro.core``).
+cycle.
 """
 
 from __future__ import annotations
@@ -53,12 +59,8 @@ class _ToggleSpec:
 # explicit contract: if a module ever ships with a different initial
 # value, the hygiene fixture fails loudly instead of blessing it.
 DEFAULTS: Dict[str, Any] = {
-    "route_model": "v2",
-    "decision_cache": True,
-    "batched_evaluation": True,
     "incremental_simulation": True,
     "memoization": True,
-    "worker_shipping": "coords",
 }
 
 _SPECS: Optional[Dict[str, _ToggleSpec]] = None
@@ -68,22 +70,9 @@ def _specs() -> Dict[str, _ToggleSpec]:
     global _SPECS
     if _SPECS is None:
         from ..batfish import bgpsim
-        from ..experiments import campaign
-        from ..netmodel import route
         from ..symbolic import memo
 
         _SPECS = {
-            "route_model": _ToggleSpec(
-                route.route_model, route.set_route_model, "v2"
-            ),
-            "decision_cache": _ToggleSpec(
-                bgpsim.decision_cache_enabled, bgpsim.set_decision_cache, True
-            ),
-            "batched_evaluation": _ToggleSpec(
-                bgpsim.batched_evaluation_enabled,
-                bgpsim.set_batched_evaluation,
-                True,
-            ),
             "incremental_simulation": _ToggleSpec(
                 bgpsim.incremental_simulation_enabled,
                 bgpsim.set_incremental_simulation,
@@ -91,9 +80,6 @@ def _specs() -> Dict[str, _ToggleSpec]:
             ),
             "memoization": _ToggleSpec(
                 memo.memoization_enabled, memo.set_memoization, True
-            ),
-            "worker_shipping": _ToggleSpec(
-                campaign.worker_shipping, campaign.set_worker_shipping, "coords"
             ),
         }
         assert set(_SPECS) == set(DEFAULTS)
@@ -163,7 +149,7 @@ def preserved() -> Iterator[Dict[str, Any]]:
 def scoped(**overrides: Any) -> Iterator[Dict[str, Any]]:
     """Run a block under the given toggle overrides, then restore.
 
-    ``with toggles.scoped(route_model="v1", memoization=False): ...``
+    ``with toggles.scoped(incremental_simulation=False): ...``
     """
     with preserved() as saved:
         apply(overrides)

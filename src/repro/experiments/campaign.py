@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import time
 import traceback
@@ -59,6 +58,7 @@ from ..obs import (
     tracing_enabled,
     write_trace,
 )
+from ..symbolic.memo import memo_totals
 from ..topology.families import FAMILIES
 
 __all__ = [
@@ -80,11 +80,9 @@ __all__ = [
     "service_journals",
     "campaign_lint",
     "set_campaign_lint",
-    "set_worker_shipping",
     "summary_from_journal",
     "summary_from_journals",
     "topology_seed",
-    "worker_shipping",
 ]
 
 # v2 added the grid's scenario keys to the header; v3 added the
@@ -95,10 +93,12 @@ __all__ = [
 # record's flat metrics delta (``metrics`` — the repro.obs registry
 # series the scenario moved); v7 adds the static-analysis columns
 # (``lint_findings``/``lint_high``) to rows of ``--lint`` campaigns
-# (absent — not null — on rows of campaigns that did not lint).
-# Folding stays bidirectionally tolerant: unknown row fields are
-# dropped, missing ones take their dataclass defaults.
-JOURNAL_VERSION = 7
+# (absent — not null — on rows of campaigns that did not lint); v8
+# drops the flat named counters (``cache_hits`` … ``routes_reused``)
+# that duplicated ``metrics`` — pre-v6 records without ``metrics`` fold
+# them into it.  Folding stays bidirectionally tolerant: unknown row
+# fields are dropped, missing ones take their dataclass defaults.
+JOURNAL_VERSION = 8
 
 # Named behavior profiles a scenario can select.  Names (not objects)
 # travel through the grid so scenarios stay trivially picklable.
@@ -112,44 +112,6 @@ PROFILES: Dict[str, BehaviorProfile] = {
 }
 
 
-# -- the worker-shipping A/B toggle --------------------------------------------
-#
-# How a campaign hands scenarios to pool workers.  "coords" (the
-# default) ships only the Scenario coordinate tuple and lets each
-# worker regenerate its network locally — generation is byte-
-# deterministic, so the worker's configs are identical to the parent's,
-# and the task payload stays a few hundred bytes no matter the topology
-# size.  "config" restores the heavyweight mode: the parent
-# materializes every network and pickles it into the task payload,
-# which is what campaigns effectively did when results carried whole
-# configs.  Both modes must be observationally identical — the
-# worker-shipping differential tests assert it.
-
-_SHIP_MODE = "coords"
-
-
-def set_worker_shipping(mode: str) -> None:
-    """Select the campaign worker payload: ``"coords"`` or ``"config"``.
-
-    ``coords`` ships scenario coordinates and regenerates networks in
-    the worker (cheap payloads, fork-inherited warm simulation states);
-    ``config`` materializes networks in the parent and pickles them to
-    workers (the legacy heavy mode, kept for A/B comparison — mirrors
-    ``set_route_model`` / ``set_incremental_simulation``).
-    """
-    if mode not in ("coords", "config"):
-        raise ValueError(
-            f"unknown worker shipping mode {mode!r} "
-            f"(expected coords or config)"
-        )
-    global _SHIP_MODE
-    _SHIP_MODE = mode
-
-
-def worker_shipping() -> str:
-    return _SHIP_MODE
-
-
 # -- the campaign lint axis ----------------------------------------------------
 #
 # With linting on, every successful scenario also runs the static
@@ -157,7 +119,7 @@ def worker_shipping() -> str:
 # finding counts in its result row (journal v7).  A module global —
 # not a Scenario field — so scenario keys (and therefore resume
 # identity) are unchanged; pool workers receive it via _init_worker,
-# exactly like the optimization toggles.
+# exactly like the A/B toggles.
 
 _LINT_ENABLED = False
 
@@ -170,47 +132,6 @@ def set_campaign_lint(enabled: bool) -> None:
 
 def campaign_lint() -> bool:
     return _LINT_ENABLED
-
-
-_LOGGER = logging.getLogger(__name__)
-
-# Scenario keys whose parent-side generation failure was already logged,
-# so a grid that repeats a bad coordinate does not flood the log.
-_SHIPPING_FAILURES_LOGGED: set = set()
-
-
-def _materialize_for_shipping(scenario: Scenario):
-    """Parent-side network generation for config-shipping mode.
-
-    Returns ``None`` when generation fails with the *expected* bad-
-    coordinate error (``ValueError`` — unknown family, unsatisfiable
-    role spec, malformed knob string): the worker then regenerates from
-    coordinates and hits the same deterministic exception inside
-    :func:`run_scenario`'s error handling, producing the identical
-    error row a coords-mode campaign would journal.  Anything else is a
-    real bug in generation and propagates — this used to swallow every
-    exception, silently downgrading crashes to per-scenario error rows.
-    """
-    from .no_transit import materialize_network
-
-    try:
-        return materialize_network(
-            scenario.family,
-            scenario.size,
-            roles=scenario.roles,
-            topo=scenario.topo,
-            topology_seed=topology_seed(scenario),
-            place=scenario.place,
-        )
-    except ValueError as exc:
-        key = scenario.key()
-        if key not in _SHIPPING_FAILURES_LOGGED:
-            _SHIPPING_FAILURES_LOGGED.add(key)
-            _LOGGER.warning(
-                "config-shipping generation failed for %s: %s "
-                "(worker will journal the error row)", key, exc,
-            )
-        return None
 
 
 @dataclass(frozen=True)
@@ -442,10 +363,9 @@ def run_scenario(scenario: Scenario, network=None) -> ScenarioResult:
     """Execute one scenario through the full synthesis loop.
 
     ``network`` is an optional pre-materialized network for the same
-    coordinates (config-shipping mode); without it the network is
-    regenerated here from the scenario coordinates (coords mode) —
-    generation is byte-deterministic, so both paths run on identical
-    configs.
+    coordinates; without it the network is regenerated here from the
+    scenario coordinates — generation is byte-deterministic, so both
+    paths run on identical configs.
 
     Never raises: failures come back as error rows so one broken
     scenario cannot take down a whole campaign (or its worker pool).
@@ -553,39 +473,15 @@ class CompletedScenario:
     route-datapath counters, phase timers).  These numbers are
     operational (they depend on what the worker process happened to
     have cached or converged already), so they live here and in the
-    journal — never in the deterministic summary outputs.  The legacy
-    named fields are views over ``metrics`` kept for journal and
-    reporting compatibility.  ``spans`` carries the scenario's Chrome
-    trace events when tracing is on — live-run payload only, never
-    journaled.
+    journal — never in the deterministic summary outputs.  ``spans``
+    carries the scenario's Chrome trace events when tracing is on —
+    live-run payload only, never journaled.
     """
 
     key: str
     row: ScenarioResult
-    cache_hits: int = 0
-    cache_misses: int = 0
-    sim_full_runs: int = 0
-    sim_incremental_runs: int = 0
-    sim_full_evals: int = 0
-    sim_incremental_evals: int = 0
-    routes_built: int = 0
-    routes_reused: int = 0
     metrics: Dict[str, float] = field(default_factory=dict)
     spans: List[dict] = field(default_factory=list)
-
-
-def _memo_totals(metrics: Dict[str, float]) -> Tuple[int, int]:
-    """Aggregate ``(hits, misses)`` over every ``memo.*`` series."""
-    hits = 0
-    misses = 0
-    for name, value in metrics.items():
-        if not name.startswith("memo."):
-            continue
-        if name.endswith(".hits"):
-            hits += int(value)
-        elif name.endswith(".misses"):
-            misses += int(value)
-    return hits, misses
 
 
 #: Scenarios currently executing in this process.  A level, not an
@@ -601,8 +497,7 @@ def execute_scenario(scenario: Scenario, network=None) -> CompletedScenario:
     simulation states), route-datapath traffic (builder freezes vs
     no-change reuses), and per-phase wall-clock.
 
-    ``network`` carries a parent-materialized network in config-shipping
-    mode; coords mode leaves it ``None`` and regenerates in-worker."""
+    ``network`` is passed through to :func:`run_scenario`."""
     before = counters_snapshot()
     _INFLIGHT.inc()
     try:
@@ -612,24 +507,8 @@ def execute_scenario(scenario: Scenario, network=None) -> CompletedScenario:
         _INFLIGHT.dec()
     metrics = metrics_delta(before, counters_snapshot())
     spans = drain_events() if tracing_enabled() else []
-    cache_hits, cache_misses = _memo_totals(metrics)
     return CompletedScenario(
-        key=scenario.key(),
-        row=row,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
-        sim_full_runs=int(metrics.get("sim.full_converge.count", 0)),
-        sim_incremental_runs=int(
-            metrics.get("sim.incremental_converge.count", 0)
-        ),
-        sim_full_evals=int(metrics.get("sim.full_evaluations", 0)),
-        sim_incremental_evals=int(
-            metrics.get("sim.incremental_evaluations", 0)
-        ),
-        routes_built=int(metrics.get("route.routes_built", 0)),
-        routes_reused=int(metrics.get("route.routes_reused", 0)),
-        metrics=metrics,
-        spans=spans,
+        key=scenario.key(), row=row, metrics=metrics, spans=spans
     )
 
 
@@ -659,19 +538,7 @@ def _journal_line(completed: CompletedScenario) -> str:
         # row-shape-identical to v6.
         row.pop("lint_findings", None)
         row.pop("lint_high", None)
-    record = {
-        "kind": "result",
-        "key": completed.key,
-        "row": row,
-        "cache_hits": completed.cache_hits,
-        "cache_misses": completed.cache_misses,
-        "sim_full_runs": completed.sim_full_runs,
-        "sim_incremental_runs": completed.sim_incremental_runs,
-        "sim_full_evals": completed.sim_full_evals,
-        "sim_incremental_evals": completed.sim_incremental_evals,
-        "routes_built": completed.routes_built,
-        "routes_reused": completed.routes_reused,
-    }
+    record = {"kind": "result", "key": completed.key, "row": row}
     if completed.metrics:
         # The full registry delta (v6); trace spans are deliberately
         # NOT journaled — they are live-run payload only.
@@ -714,6 +581,38 @@ def _open_journal(path: Path, append: bool) -> TextIO:
 # million-row journal is pure overhead — the known field set only
 # changes when ScenarioResult itself does.
 _RESULT_FIELDS = frozenset(spec.name for spec in fields(ScenarioResult))
+
+# Pre-v6 journal lines carry flat named counters instead of a metrics
+# delta; folding maps each onto the registry series it stands for.
+# Their memo totals were never attributed to a cache.
+_LEGACY_COUNTERS = {
+    "cache_hits": "memo.unattributed.hits",
+    "cache_misses": "memo.unattributed.misses",
+    "sim_full_runs": "sim.full_converge.count",
+    "sim_incremental_runs": "sim.incremental_converge.count",
+    "sim_full_evals": "sim.full_evaluations",
+    "sim_incremental_evals": "sim.incremental_evaluations",
+    "routes_built": "route.routes_built",
+    "routes_reused": "route.routes_reused",
+}
+
+
+def _record_metrics(record: dict) -> Dict[str, float]:
+    """A journal record's metrics delta.  Raises ``TypeError`` or
+    ``ValueError`` on a pre-v6 counter that is not a number."""
+    raw_metrics = record.get("metrics")
+    if isinstance(raw_metrics, dict):
+        return {
+            name: value
+            for name, value in raw_metrics.items()
+            if isinstance(name, str) and isinstance(value, (int, float))
+        }
+    metrics: Dict[str, float] = {}
+    for legacy, series in _LEGACY_COUNTERS.items():
+        value = int(record.get(legacy) or 0)
+        if value:
+            metrics[series] = value
+    return metrics
 
 
 def _scan_journal(
@@ -768,17 +667,6 @@ def _scan_journal(
             # Tolerate journals from other versions: older rows simply
             # lack newer defaulted fields (e.g. pre-v5 ``trace``), newer
             # rows may carry fields this build does not know.
-            raw_metrics = record.get("metrics")
-            metrics = (
-                {
-                    name: value
-                    for name, value in raw_metrics.items()
-                    if isinstance(name, str)
-                    and isinstance(value, (int, float))
-                }
-                if isinstance(raw_metrics, dict)
-                else {}
-            )
             try:
                 completed[key] = CompletedScenario(
                     key=key,
@@ -787,19 +675,7 @@ def _scan_journal(
                         for name, value in row_fields.items()
                         if name in known
                     }),
-                    metrics=metrics,
-                    cache_hits=int(record.get("cache_hits") or 0),
-                    cache_misses=int(record.get("cache_misses") or 0),
-                    sim_full_runs=int(record.get("sim_full_runs") or 0),
-                    sim_incremental_runs=int(
-                        record.get("sim_incremental_runs") or 0
-                    ),
-                    sim_full_evals=int(record.get("sim_full_evals") or 0),
-                    sim_incremental_evals=int(
-                        record.get("sim_incremental_evals") or 0
-                    ),
-                    routes_built=int(record.get("routes_built") or 0),
-                    routes_reused=int(record.get("routes_reused") or 0),
+                    metrics=_record_metrics(record),
                 )
             except (TypeError, ValueError):
                 continue
@@ -824,8 +700,8 @@ def _summarize(
     total: int,
     resumed: int,
 ) -> "CampaignSummary":
-    """Build a summary from completed records, folding their per-scenario
-    cache and simulation accounting (shared by live runs and --report)."""
+    """Build a summary from completed records, merging their per-scenario
+    metric deltas (shared by live runs and --report)."""
     return CampaignSummary(
         rows=[record.row for record in ordered],
         workers=workers,
@@ -833,18 +709,6 @@ def _summarize(
         total_scenarios=total,
         resumed=resumed,
         metrics=metrics_merge({}, *(record.metrics for record in ordered)),
-        cache_hits=sum(record.cache_hits for record in ordered),
-        cache_misses=sum(record.cache_misses for record in ordered),
-        sim_full_runs=sum(record.sim_full_runs for record in ordered),
-        sim_incremental_runs=sum(
-            record.sim_incremental_runs for record in ordered
-        ),
-        sim_full_evals=sum(record.sim_full_evals for record in ordered),
-        sim_incremental_evals=sum(
-            record.sim_incremental_evals for record in ordered
-        ),
-        routes_built=sum(record.routes_built for record in ordered),
-        routes_reused=sum(record.routes_reused for record in ordered),
     )
 
 
@@ -986,17 +850,9 @@ class CampaignSummary:
     total_scenarios: Optional[int] = None  # grid size; None -> len(rows)
     resumed: int = 0  # rows recovered from the journal, not re-run
     # The merged registry delta over every row (per-cache memo traffic,
-    # phase timers, ...).  Render-only, like every counter below: never
-    # part of to_dict/write_json/write_csv.
+    # phase timers, ...).  Render-only, like every counter view below:
+    # never part of to_dict/write_json/write_csv.
     metrics: Dict[str, float] = field(default_factory=dict)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    sim_full_runs: int = 0
-    sim_incremental_runs: int = 0
-    sim_full_evals: int = 0
-    sim_incremental_evals: int = 0
-    routes_built: int = 0
-    routes_reused: int = 0
 
     @property
     def errors(self) -> List[ScenarioResult]:
@@ -1009,6 +865,41 @@ class CampaignSummary:
     @property
     def incomplete(self) -> bool:
         return len(self.rows) < self.total
+
+    def _count(self, series: str) -> int:
+        return int(self.metrics.get(series, 0))
+
+    @property
+    def cache_hits(self) -> int:
+        return memo_totals(self.metrics)[0]
+
+    @property
+    def cache_misses(self) -> int:
+        return memo_totals(self.metrics)[1]
+
+    @property
+    def sim_full_runs(self) -> int:
+        return self._count("sim.full_converge.count")
+
+    @property
+    def sim_incremental_runs(self) -> int:
+        return self._count("sim.incremental_converge.count")
+
+    @property
+    def sim_full_evals(self) -> int:
+        return self._count("sim.full_evaluations")
+
+    @property
+    def sim_incremental_evals(self) -> int:
+        return self._count("sim.incremental_evaluations")
+
+    @property
+    def routes_built(self) -> int:
+        return self._count("route.routes_built")
+
+    @property
+    def routes_reused(self) -> int:
+        return self._count("route.routes_reused")
 
     @property
     def cache_hit_rate(self) -> Optional[float]:
@@ -1184,7 +1075,8 @@ class CampaignSummary:
         """Per-cache ``(name, hits, misses)`` from the merged metrics —
         aggregated across every worker process, unlike the historical
         parent-only ``cache_stats()`` view (worker caches were silently
-        lost).  Empty for pre-v6 journals, which carried only totals."""
+        lost).  Pre-v6 journals carried only totals, which fold into
+        one ``unattributed`` entry."""
         caches: Dict[str, Dict[str, int]] = {}
         for name, value in self.metrics.items():
             if not name.startswith("memo."):
@@ -1356,16 +1248,14 @@ def _init_worker(
     tracing: bool = False,
     lint: bool = False,
 ) -> None:
-    """Propagate the parent's optimization toggles into a pool worker.
+    """Propagate the parent's A/B toggles into a pool worker.
 
     Module globals do not survive the spawn/forkserver start methods,
     so the executor replays a full :func:`repro.core.toggles.snapshot`
     — every registered toggle, so a toggle added to the registry is
-    propagated automatically.  (The previous hand-picked argument list
-    silently dropped ``batched_evaluation``: workers of a
-    ``--no-batch`` campaign ran with batching enabled.)  ``tracing``
-    mirrors the parent's trace-capture flag so worker spans come home
-    in each :class:`CompletedScenario`.
+    propagated automatically.  ``tracing`` mirrors the parent's
+    trace-capture flag so worker spans come home in each
+    :class:`CompletedScenario`.
     """
     from ..core import toggles
 
@@ -1457,18 +1347,11 @@ def run_campaign(
             # always orders by the grid that last owned the journal.
             _append(handle, _journal_header(grid))
     try:
-        # Config-shipping materializes every pending network in the
-        # parent and ships it in the task payload; coords mode ships
-        # nothing but the Scenario itself.  The serial path follows the
-        # same rule so workers=1 exercises whichever mode is selected.
-        ship_config = _SHIP_MODE == "config"
+        # Workers receive only the Scenario coordinates and regenerate
+        # its network locally (generation is byte-deterministic).
         if workers <= 1 or len(pending) <= 1:
             for scenario in pending:
-                network = (
-                    _materialize_for_shipping(scenario) if ship_config
-                    else None
-                )
-                record = execute_scenario(scenario, network)
+                record = execute_scenario(scenario)
                 completed[record.key] = record
                 trace_events.extend(record.spans)
                 if handle is not None:
@@ -1482,12 +1365,7 @@ def run_campaign(
             abandoned = False
             try:
                 outstanding = {
-                    executor.submit(
-                        execute_scenario,
-                        scenario,
-                        _materialize_for_shipping(scenario) if ship_config
-                        else None,
-                    )
+                    executor.submit(execute_scenario, scenario)
                     for scenario in pending
                 }
                 while outstanding:
@@ -1538,9 +1416,8 @@ def run_campaign(
         if handle is not None:
             handle.close()
         if tracing:
-            # Parent-side spans (config-shipping generation etc.) join
-            # the worker payloads; one merged trace survives even an
-            # interrupted campaign.
+            # Parent-side spans join the worker payloads; one merged
+            # trace survives even an interrupted campaign.
             trace_events.extend(drain_events())
             set_tracing(was_tracing)
             write_trace(str(trace_path), trace_events)

@@ -93,9 +93,9 @@ def materialize_network(
 
     This is the single point where (family, size, roles, knobs, seed,
     placement) coordinates become a concrete ``StarNetwork`` /
-    ``GeneratedNetwork`` — byte-deterministic, so callers are free to
-    materialize either in the parent process (config-shipping) or in a
-    campaign worker (coordinate-shipping) and get identical configs.
+    ``GeneratedNetwork`` — byte-deterministic, so a campaign worker
+    given only the coordinates rebuilds exactly the configs any other
+    process would.
     """
     if family == "star":
         # The star keeps its dedicated generator (hub-policy layout),
@@ -156,8 +156,8 @@ def run_no_transit_experiment(
     placement: ``seeded`` or ``degree``) shape what gets placed on it.
 
     Pass ``network`` (a pre-materialized :func:`materialize_network`
-    result for the same coordinates) to skip generation — the campaign's
-    config-shipping mode uses this to run on a parent-built network.
+    result for the same coordinates) to skip generation and run on a
+    network the caller already built.
     """
     if network is None:
         with span("generate", family=family, size=router_count):

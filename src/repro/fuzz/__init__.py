@@ -1,20 +1,20 @@
 """Differential fuzzing of the simulator/verifier toggle surface.
 
-The repo carries five independent A/B toggles (route model v1/v2, the
-best-path decision cache, batched route-map evaluation, incremental
-re-simulation, symbolic memoization) and nine topology-family cells.
-Every fast path must be observationally identical to the legacy path —
-the hand-written differential suites spot-check that contract; this
-package fuzzes it continuously:
+The repo carries two independent A/B toggles — incremental BGP
+re-simulation and symbolic memoization — and nine topology-family
+cells.  Each toggle selects between two genuinely different
+algorithms, and the fast one must be observationally identical to the
+reference one — the hand-written differential suites spot-check that
+contract; this package fuzzes it continuously:
 
 * :mod:`scenarios` generates seeded random (family, size, roles, topo
   knobs, placement, policy-edit sequence) scenarios;
 * :mod:`oracle` runs one scenario under a toggle combination and
   records canonical observations (per-step RIBs, invariant violations
-  with witnesses, global verdicts, memo traffic);
-* :mod:`harness` drives the loop: every combination (or a pairwise
-  covering subset) against the all-legacy baseline, streaming results
-  through the campaign's JSONL journal substrate;
+  with witnesses, global verdicts);
+* :mod:`harness` drives the loop: all four combinations against the
+  both-off baseline, streaming results through the campaign's JSONL
+  journal substrate;
 * :mod:`shrink` delta-debugs a mismatch down to a minimal repro;
 * :mod:`corpus` serializes shrunk repros into ``tests/fuzz_corpus/``,
   where a pytest harness replays every file as a tier-1 differential
@@ -23,13 +23,7 @@ package fuzzes it continuously:
 
 from .corpus import load_repro, replay_record, repro_filename, write_repro
 from .harness import FuzzConfig, FuzzSummary, run_fuzz, run_fuzz_iteration
-from .oracle import (
-    LEGACY_BASELINE,
-    all_combos,
-    diff_observations,
-    observe,
-    pairwise_combos,
-)
+from .oracle import BASELINE, all_combos, diff_observations, observe
 from .scenarios import FuzzEdit, FuzzScenario, scenario_at
 from .shrink import shrink_scenario
 
@@ -38,12 +32,11 @@ __all__ = [
     "FuzzEdit",
     "FuzzScenario",
     "FuzzSummary",
-    "LEGACY_BASELINE",
+    "BASELINE",
     "all_combos",
     "diff_observations",
     "load_repro",
     "observe",
-    "pairwise_combos",
     "replay_record",
     "repro_filename",
     "run_fuzz",

@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from .oracle import diff_memo_traffic, diff_observations, observe
+from .oracle import diff_observations, observe
 from .scenarios import FuzzScenario
 
 __all__ = [
@@ -30,24 +30,25 @@ __all__ = [
     "write_repro",
 ]
 
-CORPUS_VERSION = 1
+# v2: combinations name only the two registered toggles
+# (incremental_simulation, memoization), and the ``check`` kind is gone
+# — every record compares observations against the baseline.
+CORPUS_VERSION = 2
 
 
 def make_record(
     scenario: FuzzScenario,
     combo: Dict[str, Any],
     baseline: Dict[str, Any],
-    kind: str,
     mismatch: str,
     fuzz_seed: Optional[int] = None,
     index: Optional[int] = None,
 ) -> dict:
-    """One corpus record.  ``kind`` is ``"semantic"`` (observation vs
-    baseline) or ``"memo"`` (route-model partner memo traffic)."""
+    """One corpus record: ``combo``'s observation of ``scenario``
+    diverged from ``baseline``'s."""
     record = {
         "kind": "fuzz_repro",
         "version": CORPUS_VERSION,
-        "check": kind,
         "scenario": scenario.to_dict(),
         "combo": combo,
         "baseline": baseline,
@@ -67,7 +68,6 @@ def repro_filename(record: dict) -> str:
             "scenario": record["scenario"],
             "combo": record["combo"],
             "baseline": record["baseline"],
-            "check": record["check"],
         },
         sort_keys=True,
     )
@@ -98,17 +98,14 @@ def replay_record(record: dict) -> Optional[str]:
     """Re-run a corpus record's comparison from scratch.
 
     Returns ``None`` when the paths agree (the bug stays fixed) or the
-    divergence description when they do not.
+    divergence description when they do not.  A record naming a toggle
+    the registry does not know (e.g. one retired since capture) raises
+    ``ValueError`` naming it.
     """
     scenario = FuzzScenario.from_dict(record["scenario"])
-    combo = record["combo"]
-    baseline = record["baseline"]
-    if record.get("check") == "memo":
-        return diff_memo_traffic(
-            observe(scenario, baseline), observe(scenario, combo)
-        )
     return diff_observations(
-        observe(scenario, baseline), observe(scenario, combo)
+        observe(scenario, record["baseline"]),
+        observe(scenario, record["combo"]),
     )
 
 

@@ -1,11 +1,10 @@
 """The fuzz loop: scenarios × toggle combinations, against the baseline.
 
 Each iteration derives its scenario purely from ``(fuzz_seed, index)``
-(see :mod:`repro.fuzz.scenarios`), observes it under the all-legacy
-baseline and under every other toggle combination — all 32, or the
-pairwise covering subset — and reports the first divergence.  A
-divergence is delta-debugged down to a minimal scenario and returned
-as a ready-to-serialize corpus record.
+(see :mod:`repro.fuzz.scenarios`), observes it under the both-off
+baseline and under the three other toggle combinations, and reports
+the first divergence.  A divergence is delta-debugged down to a
+minimal scenario and returned as a ready-to-serialize corpus record.
 
 Results stream through the campaign's JSONL journal substrate: every
 finished iteration is appended and flushed, ``resume=True`` folds the
@@ -26,15 +25,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core import toggles
 from .corpus import make_record, write_repro
-from .oracle import (
-    LEGACY_BASELINE,
-    all_combos,
-    diff_memo_traffic,
-    diff_observations,
-    memo_partner,
-    observe,
-    pairwise_combos,
-)
+from .oracle import BASELINE, all_combos, diff_observations, observe
 from .scenarios import FuzzScenario, scenario_at
 from .shrink import shrink_scenario
 
@@ -54,9 +45,11 @@ __all__ = [
 # violated invariant or failed global check), ``lint_findings``/
 # ``lint_high`` (analyzer counts over the final edited configs), and
 # ``recall_gap`` (simulator says broken, analyzer found nothing — a
-# journaled hole in the lint rule set).  Folding stays tolerant in
+# journaled hole in the lint rule set).  v3 drops the ``pairs`` header
+# field and the per-row ``check`` kind (every combination always runs,
+# and every mismatch is a semantic one).  Folding stays tolerant in
 # both directions.
-FUZZ_JOURNAL_VERSION = 2
+FUZZ_JOURNAL_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -73,13 +66,9 @@ class FuzzConfig:
     fuzz_seed: int = 0
     iterations: Optional[int] = None
     budget_s: Optional[float] = None
-    pairs: bool = False
     workers: int = 1
     corpus_dir: "Path | str" = Path("tests/fuzz_corpus")
     planted: Tuple[str, ...] = ()
-
-    def combos(self) -> List[Dict[str, Any]]:
-        return pairwise_combos() if self.pairs else all_combos()
 
 
 @dataclass(frozen=True)
@@ -89,7 +78,6 @@ class FuzzIterationResult:
     index: int
     key: str
     ok: bool
-    check: Optional[str] = None  # "semantic" | "memo" when not ok
     combo: Optional[Dict[str, Any]] = None
     mismatch: Optional[str] = None
     repro: Optional[dict] = None  # shrunk corpus record, ready to write
@@ -131,34 +119,19 @@ def _planted_scope(planted: Sequence[str]):
 def run_fuzz_iteration(
     fuzz_seed: int,
     index: int,
-    combos: Optional[Sequence[Dict[str, Any]]] = None,
-    pairs: bool = False,
     planted: Sequence[str] = (),
 ) -> FuzzIterationResult:
     """Fuzz one index: observe under every combination, diff against
     the baseline, shrink the first divergence.  Deterministic — the
     same arguments produce the same result in any process."""
     with _planted_scope(planted):
-        return _fuzz_index(fuzz_seed, index, combos=combos, pairs=pairs)
+        return _fuzz_index(fuzz_seed, index)
 
 
-def _fuzz_index(
-    fuzz_seed: int,
-    index: int,
-    combos: Optional[Sequence[Dict[str, Any]]] = None,
-    pairs: bool = False,
-) -> FuzzIterationResult:
+def _fuzz_index(fuzz_seed: int, index: int) -> FuzzIterationResult:
     scenario = scenario_at(fuzz_seed, index)
-    combo_list = [
-        dict(combo)
-        for combo in (
-            combos
-            if combos is not None
-            else (pairwise_combos() if pairs else all_combos())
-        )
-    ]
     try:
-        baseline_obs = observe(scenario, LEGACY_BASELINE)
+        baseline_obs = observe(scenario, BASELINE)
     except Exception as exc:
         return FuzzIterationResult(
             index=index,
@@ -169,30 +142,14 @@ def _fuzz_index(
     broken, lint_findings, lint_high, recall_gap = _lint_cross_check(
         scenario, baseline_obs
     )
-    cache: Dict[str, dict] = {}
-
-    def observed(combo: Dict[str, Any]) -> dict:
-        cache_key = json.dumps(combo, sort_keys=True)
-        if cache_key not in cache:
-            cache[cache_key] = observe(scenario, combo)
-        return cache[cache_key]
-
-    failure: Optional[Tuple[str, Dict[str, Any], Dict[str, Any], str]] = None
-    for combo in combo_list:
-        if combo == LEGACY_BASELINE:
+    failure: Optional[Tuple[Dict[str, Any], str]] = None
+    for combo in all_combos():
+        if combo == BASELINE:
             continue
-        mismatch = diff_observations(baseline_obs, observed(combo))
+        mismatch = diff_observations(baseline_obs, observe(scenario, combo))
         if mismatch is not None:
-            failure = ("semantic", combo, dict(LEGACY_BASELINE), mismatch)
+            failure = (combo, mismatch)
             break
-        partner = memo_partner(combo)
-        if partner is not None and partner in combo_list:
-            memo_mismatch = diff_memo_traffic(
-                observed(partner), observed(combo)
-            )
-            if memo_mismatch is not None:
-                failure = ("memo", combo, partner, memo_mismatch)
-                break
     if failure is None:
         return FuzzIterationResult(
             index=index,
@@ -204,40 +161,23 @@ def _fuzz_index(
             recall_gap=recall_gap,
         )
 
-    check, combo, against, mismatch = failure
+    combo, mismatch = failure
 
-    def still_fails(candidate: FuzzScenario) -> bool:
-        if check == "memo":
-            return (
-                diff_memo_traffic(
-                    observe(candidate, against), observe(candidate, combo)
-                )
-                is not None
-            )
-        return (
-            diff_observations(
-                observe(candidate, against), observe(candidate, combo)
-            )
-            is not None
+    def divergence(candidate: FuzzScenario) -> Optional[str]:
+        return diff_observations(
+            observe(candidate, BASELINE), observe(candidate, combo)
         )
 
-    shrunk = shrink_scenario(scenario, still_fails)
-    final_mismatch = mismatch
+    shrunk = shrink_scenario(
+        scenario, lambda candidate: divergence(candidate) is not None
+    )
     if shrunk != scenario:
-        if check == "memo":
-            final_mismatch = diff_memo_traffic(
-                observe(shrunk, against), observe(shrunk, combo)
-            )
-        else:
-            final_mismatch = diff_observations(
-                observe(shrunk, against), observe(shrunk, combo)
-            )
+        mismatch = divergence(shrunk) or mismatch
     record = make_record(
         shrunk,
         combo,
-        against,
-        check,
-        final_mismatch or mismatch,
+        dict(BASELINE),
+        mismatch,
         fuzz_seed=fuzz_seed,
         index=index,
     )
@@ -245,9 +185,8 @@ def _fuzz_index(
         index=index,
         key=scenario.key(),
         ok=False,
-        check=check,
         combo=combo,
-        mismatch=final_mismatch or mismatch,
+        mismatch=mismatch,
         repro=record,
         broken=broken,
         lint_findings=lint_findings,
@@ -323,14 +262,13 @@ def lint_scenario(scenario: FuzzScenario):
 # -- the fuzz journal ----------------------------------------------------------
 
 
-def _fuzz_header(config: FuzzConfig, combos: int) -> str:
+def _fuzz_header(config: FuzzConfig) -> str:
     return json.dumps(
         {
             "kind": "fuzz",
             "version": FUZZ_JOURNAL_VERSION,
             "fuzz_seed": config.fuzz_seed,
-            "pairs": config.pairs,
-            "combos": combos,
+            "combos": len(all_combos()),
         },
         sort_keys=True,
     )
@@ -343,7 +281,6 @@ def _fuzz_line(result: FuzzIterationResult) -> str:
             "index": result.index,
             "key": result.key,
             "ok": result.ok,
-            "check": result.check,
             "combo": result.combo,
             "mismatch": result.mismatch,
             "repro": result.repro,
@@ -387,7 +324,6 @@ def fold_fuzz_journal(path: "Path | str") -> Dict[int, FuzzIterationResult]:
                 index=index,
                 key=key,
                 ok=bool(record.get("ok")),
-                check=record.get("check"),
                 combo=record.get("combo"),
                 mismatch=record.get("mismatch"),
                 repro=record.get("repro"),
@@ -439,8 +375,8 @@ class FuzzSummary:
             elif not result.ok:
                 lines.append(
                     f"  [{result.index:>4}] FAIL {result.key}\n"
-                    f"         {result.check} mismatch under "
-                    f"{result.combo}:\n         {result.mismatch}"
+                    f"         mismatch under {result.combo}:\n"
+                    f"         {result.mismatch}"
                 )
             if result.recall_gap:
                 lines.append(
@@ -500,7 +436,6 @@ def _run_fuzz_loop(
     from ..experiments.campaign import _append, _open_journal
 
     started = time.perf_counter()
-    combos = config.combos()
     journal = Path(journal_path) if journal_path is not None else None
     if resume and journal is None:
         raise ValueError("resume=True requires a journal_path")
@@ -517,7 +452,7 @@ def _run_fuzz_loop(
         # fragment the crash left behind.
         handle = _open_journal(journal, append=appending)
         if not appending:
-            _append(handle, _fuzz_header(config, len(combos)))
+            _append(handle, _fuzz_header(config))
 
     def budget_left() -> bool:
         return (
@@ -542,10 +477,7 @@ def _run_fuzz_loop(
                 if index not in completed:
                     record_result(
                         run_fuzz_iteration(
-                            config.fuzz_seed,
-                            index,
-                            combos=combos,
-                            planted=config.planted,
+                            config.fuzz_seed, index, planted=config.planted
                         )
                     )
                     ran += 1
@@ -569,7 +501,6 @@ def _run_fuzz_loop(
                             run_fuzz_iteration,
                             config.fuzz_seed,
                             index,
-                            combos=combos,
                             planted=config.planted,
                         )
                         for index in pending
@@ -591,7 +522,6 @@ def _run_fuzz_loop(
                                 run_fuzz_iteration,
                                 config.fuzz_seed,
                                 claim,
-                                combos=combos,
                                 planted=config.planted,
                             )
                             for claim in wave

@@ -4,124 +4,45 @@ An *observation* is a plain JSON-able structure capturing everything
 the conformance contract promises is toggle-independent: after every
 policy edit, the full RIB of every router (attributes, provenance
 path), the local-invariant violations with their witness routes, and
-the global no-transit verdict with per-role breakdowns.  Symbolic memo
-traffic is captured alongside — canonical memo keys make the hit/miss
-pattern datapath-independent, so it is compared between route-model
-partners that share every other toggle.
+the global no-transit verdict with per-role breakdowns.
 
-The all-legacy baseline (:data:`LEGACY_BASELINE`) is the oracle every
-other combination is compared against; a fast path may only ship while
-it is provably equivalent to the path it wants to retire.
+The both-off baseline (:data:`BASELINE`: full re-simulation, no
+memoization) is the oracle every other combination is compared
+against; the incremental and memoized algorithms are only trustworthy
+while they stay observationally equivalent to it.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..core import toggles
 from .edits import apply_edit_op, resolve_router
 from .scenarios import FuzzScenario
 
 __all__ = [
-    "ALL_NEW",
-    "FUZZ_FACTORS",
-    "LEGACY_BASELINE",
+    "BASELINE",
     "all_combos",
-    "diff_memo_traffic",
     "diff_observations",
-    "memo_partner",
     "observe",
-    "pairwise_combos",
 ]
 
-# The fuzzed toggle axes, in canonical order.  ``worker_shipping`` is a
-# campaign-transport toggle with no per-scenario semantics, so it is
-# covered by its own differential suite, not fuzzed here.
-FUZZ_FACTORS: Tuple[Tuple[str, Tuple[Any, ...]], ...] = (
-    ("route_model", ("v1", "v2")),
-    ("decision_cache", (False, True)),
-    ("batched_evaluation", (False, True)),
-    ("incremental_simulation", (False, True)),
-    ("memoization", (False, True)),
-)
-
-LEGACY_BASELINE: Dict[str, Any] = {
-    "route_model": "v1",
-    "decision_cache": False,
-    "batched_evaluation": False,
+#: The baseline every other combination is compared against.
+BASELINE: Dict[str, Any] = {
     "incremental_simulation": False,
     "memoization": False,
 }
 
-ALL_NEW: Dict[str, Any] = {
-    "route_model": "v2",
-    "decision_cache": True,
-    "batched_evaluation": True,
-    "incremental_simulation": True,
-    "memoization": True,
-}
-
-
 def all_combos() -> List[Dict[str, Any]]:
-    """Every toggle combination (32), in a fixed enumeration order
-    starting from the all-legacy baseline."""
-    names = [name for name, _values in FUZZ_FACTORS]
+    """Every combination of the registered toggles (4), in a fixed
+    enumeration order starting from the both-off baseline."""
+    names = list(BASELINE)
     return [
         dict(zip(names, values))
-        for values in itertools.product(
-            *(values for _name, values in FUZZ_FACTORS)
-        )
+        for values in itertools.product((False, True), repeat=len(names))
     ]
-
-
-def pairwise_combos() -> List[Dict[str, Any]]:
-    """A deterministic pairwise-covering subset of the combinations.
-
-    Greedy cover: starts from the baseline and the all-new corner,
-    then repeatedly adds the enumeration-order-first combination that
-    covers the most uncovered factor-value pairs.  Every pair of
-    (factor, value) settings appears in at least one returned
-    combination — the cheap mode for time-budgeted nightly runs.
-    """
-    candidates = all_combos()
-    names = [name for name, _values in FUZZ_FACTORS]
-
-    def pairs_of(combo: Dict[str, Any]) -> set:
-        return {
-            (a, combo[a], b, combo[b])
-            for a, b in itertools.combinations(names, 2)
-        }
-
-    needed = set()
-    for combo in candidates:
-        needed |= pairs_of(combo)
-    chosen = [dict(LEGACY_BASELINE), dict(ALL_NEW)]
-    covered = pairs_of(LEGACY_BASELINE) | pairs_of(ALL_NEW)
-    while needed - covered:
-        best = max(
-            candidates,
-            key=lambda combo: len(pairs_of(combo) - covered),
-        )
-        chosen.append(dict(best))
-        covered |= pairs_of(best)
-    return chosen
-
-
-def memo_partner(combo: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    """The combination whose memo traffic must equal this one's.
-
-    Canonical memo keys make cache traffic independent of the route
-    model, so a memoized v2 combination is compared against its v1
-    twin (every other toggle equal).  ``None`` when no comparison
-    applies (memoization off, or already the v1 side).
-    """
-    if not combo.get("memoization") or combo.get("route_model") != "v2":
-        return None
-    partner = dict(combo)
-    partner["route_model"] = "v1"
-    return partner
 
 
 def _canonical_route(route) -> list:
@@ -188,7 +109,7 @@ def observe(scenario: FuzzScenario, combo: Dict[str, Any]) -> dict:
     from ..experiments.no_transit import materialize_network
     from ..lightyear import no_transit_invariants
     from ..lightyear.compose import reset_simulation_states
-    from ..symbolic.memo import cache_totals, reset_caches
+    from ..symbolic.memo import reset_caches
     from ..topology.reference import build_reference_configs
 
     with toggles.scoped(**combo):
@@ -205,7 +126,6 @@ def observe(scenario: FuzzScenario, combo: Dict[str, Any]) -> dict:
         topology = network.topology
         configs = build_reference_configs(topology)
         invariants = no_transit_invariants(topology)
-        hits_before, misses_before = cache_totals()
         state = SimulationState()
         state.converge(copy.deepcopy(configs))
         steps = [
@@ -220,13 +140,8 @@ def observe(scenario: FuzzScenario, combo: Dict[str, Any]) -> dict:
                 {"applied": [router, edit.op, applied]}
                 | _step_observation(state, configs, topology, invariants)
             )
-        hits_after, misses_after = cache_totals()
         reset_simulation_states()
-        return {
-            "scenario": scenario.key(),
-            "steps": steps,
-            "memo": [hits_after - hits_before, misses_after - misses_before],
-        }
+        return {"scenario": scenario.key(), "steps": steps}
 
 
 def _first_rib_divergence(base: dict, other: dict) -> str:
@@ -246,8 +161,7 @@ def _first_rib_divergence(base: dict, other: dict) -> str:
 
 def diff_observations(baseline: dict, other: dict) -> Optional[str]:
     """The first semantic divergence between two observations, or
-    ``None`` when they agree (memo traffic is compared separately —
-    see :func:`diff_memo_traffic`)."""
+    ``None`` when they agree."""
     base_steps, other_steps = baseline["steps"], other["steps"]
     if len(base_steps) != len(other_steps):
         return (
@@ -275,13 +189,4 @@ def diff_observations(baseline: dict, other: dict) -> Optional[str]:
                 f"step {index}: global verdict diverged "
                 f"({left['global']} vs {right['global']})"
             )
-    return None
-
-
-def diff_memo_traffic(left: dict, right: dict) -> Optional[str]:
-    """Memo hit/miss divergence between two route-model partner runs."""
-    if left["memo"] != right["memo"]:
-        return (
-            f"memo traffic diverged: v1 {left['memo']} vs v2 {right['memo']}"
-        )
     return None

@@ -28,9 +28,7 @@ from .route import (
     Protocol,
     Route,
     reset_route_stats,
-    route_model,
     route_totals,
-    set_route_model,
 )
 from .routebuilder import RouteBuilder
 from .routing_policy import (
@@ -111,7 +109,5 @@ __all__ = [
     "path_through",
     "permit_all",
     "reset_route_stats",
-    "route_model",
     "route_totals",
-    "set_route_model",
 ]

@@ -1,19 +1,17 @@
-"""The transactional, mutating side of the route datapath (v2).
+"""The transactional, mutating side of the route datapath.
 
 A :class:`RouteBuilder` is a scratch route: it is seeded from an
 immutable :class:`~repro.netmodel.route.Route`, accumulates any number
 of attribute changes in place, and :meth:`~RouteBuilder.freeze`-s back
 into a canonical (interned) ``Route`` exactly once.  Policy evaluation
-drives it transactionally — ``RouteMapClause`` set chains,
-``PreparedRouteMap.apply``, and the whole export pipeline of
-``bgpsim._advertise`` (export map → AS prepend → next-hop rewrite →
-import map) thread a single builder, so one session export allocates
-one ``Route`` where the v1 ``with_*`` path allocated one per attribute.
+drives it transactionally — ``RouteMapClause`` set chains and the whole
+export pipeline of ``bgpsim._advertise`` (export map → AS prepend →
+next-hop rewrite → import map) thread a single builder, so one session
+export allocates one ``Route`` rather than one per attribute.
 
-Builders duck-type the readable surface of a ``Route`` (``prefix``,
+Builders expose the readable surface of a ``Route`` (``prefix``,
 ``med``, ``local_pref``, ``origin``, ``protocol``, ``next_hop``,
-``as_path``, ``communities``), so match conditions evaluate against the
-builder's *current* state without materializing an intermediate route;
+``as_path``, ``communities``) as the transaction's *current* state;
 ``as_path`` and ``communities`` materialize lazily and are cached until
 the next mutation.
 """
@@ -82,7 +80,7 @@ class RouteBuilder:
         self._communities: Optional[FrozenSet[Community]] = None
         self._dirty = False
 
-    # -- the readable Route surface (duck-typed for match conditions) --------
+    # -- the readable Route surface ------------------------------------------
 
     @property
     def prefix(self):

@@ -22,7 +22,7 @@ from .aspath import AsPathAccessList
 from .communities import Community, CommunityList
 from .ip import Ipv4Address, PrefixRange
 from .prefixlist import PrefixList
-from .route import Protocol, Route, route_model_is_v2
+from .route import Protocol, Route
 from .routebuilder import RouteBuilder
 
 __all__ = [
@@ -282,21 +282,13 @@ class MatchProtocol(MatchCondition):
 class SetAction:
     """Base class for attribute transformations.
 
-    The primary API is transactional: :meth:`apply_to` records the
-    change on a shared :class:`~repro.netmodel.routebuilder.
-    RouteBuilder`, so a clause's whole set chain freezes one route.
-    :meth:`apply` is the deprecated piecemeal form (one builder and one
-    ``Route`` per action) kept as the v1 datapath for A/B benchmarks.
+    :meth:`apply_to` records the change on a shared
+    :class:`~repro.netmodel.routebuilder.RouteBuilder`, so a clause's
+    whole set chain freezes one route.
     """
 
     def apply_to(self, builder: RouteBuilder) -> None:
         raise NotImplementedError
-
-    def apply(self, route: Route) -> Route:
-        """Deprecated: one-action-one-copy (the v1 datapath)."""
-        builder = RouteBuilder(route)
-        self.apply_to(builder)
-        return builder.freeze()
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -396,12 +388,7 @@ class RouteMapClause:
     term_name: Optional[str] = None
 
     def fires(self, route: Route, context: PolicyContext) -> bool:
-        """True when every match condition accepts the route.
-
-        ``route`` may be a :class:`~repro.netmodel.routebuilder.
-        RouteBuilder` — builders duck-type the readable route surface,
-        so conditions see the transaction's current state.
-        """
+        """True when every match condition accepts the route."""
         try:
             return all(
                 condition.matches(route, context)
@@ -412,7 +399,7 @@ class RouteMapClause:
             raise
 
     def apply_sets(self, builder: RouteBuilder) -> None:
-        """Record every set action on the shared builder (v2 datapath)."""
+        """Record every set action on the shared builder."""
         for set_action in self.sets:
             set_action.apply_to(builder)
 
@@ -476,53 +463,12 @@ class RouteMap:
                     return PolicyResult(Action.DENY, route, clause.seq)
                 if not clause.sets:
                     return PolicyResult(Action.PERMIT, route, clause.seq)
-                if route_model_is_v2():
-                    # Transactional: the whole set chain accumulates
-                    # into one builder, frozen exactly once.
-                    builder = RouteBuilder(route)
-                    clause.apply_sets(builder)
-                    return PolicyResult(
-                        Action.PERMIT, builder.freeze(), clause.seq
-                    )
-                transformed = route
-                for set_action in clause.sets:
-                    transformed = set_action.apply(transformed)
-                return PolicyResult(Action.PERMIT, transformed, clause.seq)
+                # Transactional: the whole set chain accumulates into
+                # one builder, frozen exactly once.
+                builder = RouteBuilder(route)
+                clause.apply_sets(builder)
+                return PolicyResult(Action.PERMIT, builder.freeze(), clause.seq)
         return PolicyResult(Action.DENY, route, None)
-
-    def find_clause(
-        self, route: Route, context: PolicyContext
-    ) -> Optional[RouteMapClause]:
-        """The first clause whose matches accept the route, or ``None``
-        (the implicit deny).  ``route`` may be a builder; matching
-        never mutates, so callers can decide *whether* a transaction is
-        needed before allocating one (v2's advertise fast path)."""
-        try:
-            for clause in self.clauses:
-                if clause.fires(route, context):
-                    return clause
-            return None
-        except PolicyEvaluationError as exc:
-            exc.annotate(
-                router=getattr(context, "hostname", None),
-                route_map=self.name,
-            )
-            raise
-
-    def apply(self, builder: RouteBuilder, context: PolicyContext) -> Action:
-        """Evaluate against a shared builder's current state (v2 API).
-
-        Match conditions read the builder's live attributes; on a
-        permit, the firing clause's set chain is recorded on the same
-        builder and *no route is allocated* — the caller freezes once
-        at the end of its transaction.  Deny (explicit or implicit)
-        leaves the builder untouched.
-        """
-        clause = self.find_clause(builder, context)
-        if clause is None or clause.action is Action.DENY:
-            return Action.DENY
-        clause.apply_sets(builder)
-        return Action.PERMIT
 
     def prepare(self, context: PolicyContext) -> "PreparedRouteMap":
         """Bind the map to a context once for batch evaluation.
@@ -630,39 +576,20 @@ class PreparedRouteMap:
 
     def evaluate(self, route: Route) -> PolicyResult:
         """Identical outcome to ``RouteMap.evaluate`` on the bound context."""
-        try:
-            return self._evaluate(route)
-        except PolicyEvaluationError as exc:
-            exc.annotate(router=self._router, route_map=self.name)
-            raise
-
-    def _evaluate(self, route: Route) -> PolicyResult:
-        for clause, matchers in self._clauses:
-            fired = True
-            for matcher in matchers:  # plain loop: no genexpr frames
-                if not matcher(route):
-                    fired = False
-                    break
-            if not fired:
-                continue
-            if clause.action is Action.DENY:
-                return PolicyResult(Action.DENY, route, clause.seq)
-            if not clause.sets:
-                return PolicyResult(Action.PERMIT, route, clause.seq)
-            if route_model_is_v2():
-                builder = RouteBuilder(route)
-                clause.apply_sets(builder)
-                return PolicyResult(Action.PERMIT, builder.freeze(), clause.seq)
-            transformed = route
-            for set_action in clause.sets:
-                transformed = set_action.apply(transformed)
-            return PolicyResult(Action.PERMIT, transformed, clause.seq)
-        return PolicyResult(Action.DENY, route, None)
+        clause = self.find_clause(route)
+        if clause is None:
+            return PolicyResult(Action.DENY, route, None)
+        if clause.action is Action.DENY or not clause.sets:
+            return PolicyResult(clause.action, route, clause.seq)
+        builder = RouteBuilder(route)
+        clause.apply_sets(builder)
+        return PolicyResult(Action.PERMIT, builder.freeze(), clause.seq)
 
     def find_clause(self, route: Route) -> Optional[RouteMapClause]:
-        """The first clause whose bound matchers accept the route (or a
-        builder), or ``None`` for the implicit deny.  Matching never
-        mutates — see :meth:`RouteMap.find_clause`."""
+        """The first clause whose bound matchers accept the route, or
+        ``None`` for the implicit deny.  Matching never
+        mutates, so callers can decide *whether* a transaction is needed
+        before allocating one (``bgpsim._advertise``'s fast path)."""
         try:
             for clause, matchers in self._clauses:
                 fired = True
@@ -676,19 +603,6 @@ class PreparedRouteMap:
         except PolicyEvaluationError as exc:
             exc.annotate(router=self._router, route_map=self.name)
             raise
-
-    def apply(self, builder: RouteBuilder) -> Action:
-        """Transactional form of :meth:`evaluate` (v2 API).
-
-        Bound matchers read the builder's live attributes; a permit
-        records the firing clause's sets on the same builder.  Mirrors
-        :meth:`RouteMap.apply` on the bound context.
-        """
-        clause = self.find_clause(builder)
-        if clause is None or clause.action is Action.DENY:
-            return Action.DENY
-        clause.apply_sets(builder)
-        return Action.PERMIT
 
 
 def _undefined_raiser(

@@ -48,6 +48,7 @@ from ..experiments.campaign import (
 )
 from ..obs import merge as metrics_merge
 from ..obs import render_prometheus, sanitize_metric_name
+from ..symbolic.memo import memo_totals
 from .spec import CampaignSpec, shard_scenarios, spec_fingerprint
 from .worker import worker_main
 
@@ -62,14 +63,7 @@ MANIFEST_FILENAME = "manifest.jsonl"
 def _metric_summary(metrics: Dict[str, float]) -> Dict[str, Any]:
     """A compact per-worker digest of a cumulative registry snapshot,
     small enough to inline in ``/healthz`` and ``repro status``."""
-    cache_hits = 0
-    cache_misses = 0
-    for name, value in metrics.items():
-        if name.startswith("memo."):
-            if name.endswith(".hits"):
-                cache_hits += int(value)
-            elif name.endswith(".misses"):
-                cache_misses += int(value)
+    cache_hits, cache_misses = memo_totals(metrics)
     return {
         "scenarios": int(metrics.get("phase.scenario.count", 0)),
         "scenario_time_s": round(

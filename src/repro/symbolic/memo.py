@@ -27,6 +27,7 @@ __all__ = [
     "MemoCache",
     "cache_stats",
     "cache_totals",
+    "memo_totals",
     "memoization_enabled",
     "reset_caches",
     "set_memoization",
@@ -136,4 +137,19 @@ def cache_totals() -> Tuple[int, int]:
     by_name = {cache.name: cache for cache in _REGISTRY}
     hits = sum(cache.hits for cache in by_name.values())
     misses = sum(cache.misses for cache in by_name.values())
+    return hits, misses
+
+
+def memo_totals(metrics: Dict[str, float]) -> Tuple[int, int]:
+    """Aggregate ``(hits, misses)`` over every ``memo.<name>.*`` series
+    of a metrics mapping (a registry snapshot or delta)."""
+    hits = 0
+    misses = 0
+    for name, value in metrics.items():
+        if not name.startswith("memo."):
+            continue
+        if name.endswith(".hits"):
+            hits += int(value)
+        elif name.endswith(".misses"):
+            misses += int(value)
     return hits, misses

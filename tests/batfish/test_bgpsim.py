@@ -4,6 +4,7 @@
 from repro.batfish import BgpSimulation
 from repro.cisco import generate_cisco, parse_cisco
 from repro.netmodel import Community, Prefix
+from repro.netmodel.aspath import AsPath
 
 
 def _parse_all(texts):
@@ -171,31 +172,33 @@ class TestBestPath:
         )
         high = RibEntry(
             route=Route(
-                prefix=Prefix.parse("9.0.0.0/8"), local_pref=200
-            ).with_as_prepended(1).with_as_prepended(2),
+                prefix=Prefix.parse("9.0.0.0/8"),
+                local_pref=200,
+                as_path=AsPath.of((2, 1)),
+            ),
             learned_from="y",
             origin_router="y",
         )
-        assert BgpSimulation._better(high, low)
-        assert not BgpSimulation._better(low, high)
+        assert high.decision_key < low.decision_key
+        assert not low.decision_key < high.decision_key
 
     def test_shorter_as_path_wins(self):
         from repro.batfish.bgpsim import RibEntry
         from repro.netmodel import Route
 
         short = RibEntry(
-            route=Route(prefix=Prefix.parse("9.0.0.0/8")).with_as_prepended(1),
+            route=Route(prefix=Prefix.parse("9.0.0.0/8"), as_path=AsPath.of((1,))),
             learned_from="x",
             origin_router="x",
         )
         long = RibEntry(
-            route=Route(prefix=Prefix.parse("9.0.0.0/8"))
-            .with_as_prepended(1)
-            .with_as_prepended(2),
+            route=Route(
+                prefix=Prefix.parse("9.0.0.0/8"), as_path=AsPath.of((2, 1))
+            ),
             learned_from="y",
             origin_router="y",
         )
-        assert BgpSimulation._better(short, long)
+        assert short.decision_key < long.decision_key
 
     def test_lower_med_wins(self):
         from repro.batfish.bgpsim import RibEntry
@@ -211,4 +214,4 @@ class TestBestPath:
             learned_from="y",
             origin_router="y",
         )
-        assert BgpSimulation._better(cheap, costly)
+        assert cheap.decision_key < costly.decision_key

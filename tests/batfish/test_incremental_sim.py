@@ -16,11 +16,9 @@ import pytest
 from repro.batfish.bgpsim import (
     BgpSimulation,
     SimulationState,
-    batched_evaluation_enabled,
     incremental_simulation_enabled,
     reset_sim_stats,
     rib_snapshots,
-    set_batched_evaluation,
     set_incremental_simulation,
     sim_totals,
 )
@@ -367,22 +365,8 @@ class TestRoledDifferential:
 
 
 class TestBatchedEvaluation:
-    """Per-session batched policy evaluation must never change a RIB."""
-
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_batched_equals_per_entry(self, family):
-        _topology, configs = _network(family)
-        assert batched_evaluation_enabled()
-        batched = BgpSimulation(copy.deepcopy(configs))
-        batched.run()
-        set_batched_evaluation(False)
-        try:
-            per_entry = BgpSimulation(copy.deepcopy(configs))
-            per_entry.run()
-        finally:
-            set_batched_evaluation(True)
-        assert rib_snapshots(batched) == rib_snapshots(per_entry)
-        assert batched.evaluations == per_entry.evaluations
+    """Per-session prepared (batched) policy evaluation must behave
+    exactly like route-by-route evaluation."""
 
     def test_undefined_list_behaves_lazily_like_evaluate(self):
         """A clause referencing an undefined list must only reject the

@@ -3,88 +3,90 @@
 import pytest
 
 from repro.batfish.bgpsim import (
-    batched_evaluation_enabled,
-    decision_cache_enabled,
     incremental_simulation_enabled,
-    set_decision_cache,
+    set_incremental_simulation,
 )
 from repro.core import toggles
-from repro.netmodel.route import route_model
 from repro.symbolic.memo import memoization_enabled
 
 
 class TestSnapshot:
+    def test_registry_is_exactly_the_two_oracles(self):
+        assert toggles.toggle_names() == [
+            "incremental_simulation",
+            "memoization",
+        ]
+
     def test_snapshot_covers_every_default(self):
         assert set(toggles.snapshot()) == set(toggles.DEFAULTS)
 
-    def test_defaults_are_the_all_new_configuration(self):
+    def test_defaults_are_the_all_on_configuration(self):
         assert toggles.DEFAULTS == {
-            "route_model": "v2",
-            "decision_cache": True,
-            "batched_evaluation": True,
             "incremental_simulation": True,
             "memoization": True,
-            "worker_shipping": "coords",
         }
 
     def test_snapshot_reflects_live_state(self):
-        set_decision_cache(False)
+        set_incremental_simulation(False)
         try:
-            assert toggles.snapshot()["decision_cache"] is False
+            assert toggles.snapshot()["incremental_simulation"] is False
         finally:
-            set_decision_cache(True)
+            set_incremental_simulation(True)
 
 
 class TestApply:
     def test_apply_roundtrip(self):
         before = toggles.snapshot()
-        toggles.apply({"route_model": "v1", "memoization": False})
+        toggles.apply({"memoization": False})
         try:
-            assert route_model() == "v1"
             assert not memoization_enabled()
+            assert incremental_simulation_enabled()
         finally:
             toggles.apply(before)
-        assert route_model() == "v2"
         assert memoization_enabled()
 
     def test_apply_rejects_unknown_names_before_touching_anything(self):
         before = toggles.snapshot()
         with pytest.raises(ValueError, match="unknown toggle"):
-            toggles.apply({"route_model": "v1", "no_such_toggle": True})
+            toggles.apply({"memoization": False, "no_such_toggle": True})
         assert toggles.snapshot() == before
 
+    def test_retired_toggles_are_unknown(self):
+        with pytest.raises(ValueError, match="route_model"):
+            toggles.apply({"route_model": "v1"})
+
     def test_restore_defaults(self):
-        toggles.apply({"decision_cache": False, "route_model": "v1"})
+        toggles.apply({"incremental_simulation": False, "memoization": False})
         toggles.restore_defaults()
         assert toggles.snapshot() == dict(toggles.DEFAULTS)
 
 
 class TestScopes:
     def test_scoped_applies_and_restores(self):
-        with toggles.scoped(incremental_simulation=False, route_model="v1"):
+        with toggles.scoped(incremental_simulation=False, memoization=False):
             assert not incremental_simulation_enabled()
-            assert route_model() == "v1"
+            assert not memoization_enabled()
         assert incremental_simulation_enabled()
-        assert route_model() == "v2"
+        assert memoization_enabled()
 
     def test_scoped_restores_on_exception(self):
         with pytest.raises(RuntimeError):
-            with toggles.scoped(batched_evaluation=False):
-                assert not batched_evaluation_enabled()
+            with toggles.scoped(memoization=False):
+                assert not memoization_enabled()
                 raise RuntimeError("boom")
-        assert batched_evaluation_enabled()
+        assert memoization_enabled()
 
     def test_preserved_restores_manual_flips(self):
         with toggles.preserved():
-            set_decision_cache(False)
-            assert not decision_cache_enabled()
-        assert decision_cache_enabled()
+            set_incremental_simulation(False)
+            assert not incremental_simulation_enabled()
+        assert incremental_simulation_enabled()
 
     def test_deviations_names_the_leak(self):
-        set_decision_cache(False)
+        set_incremental_simulation(False)
         try:
             leaks = toggles.deviations()
         finally:
-            set_decision_cache(True)
-        assert leaks == [("decision_cache", False, True)]
+            set_incremental_simulation(True)
+        assert leaks == [("incremental_simulation", False, True)]
         assert toggles.deviations() == []

@@ -7,10 +7,9 @@ crash is kept, a :class:`CampaignInterrupted` names the ``--resume``
 invocation, and the resumed campaign converges to artifacts
 byte-identical to an uninterrupted run.
 
-Crash injection is a pickle bomb: with ``--ship config`` the parent
-materializes the task payload, so a monkeypatched
-``_materialize_for_shipping`` can return an object whose unpickling in
-the worker SIGKILLs (or hangs) that process — deterministic under any
+Crash injection is a pickle bomb: the victim grid entry is replaced by
+a stand-in with the same scenario key whose unpickling in the worker
+SIGKILLs (or hangs) that process — deterministic under any
 multiprocessing start method, no signal/timing races.
 """
 
@@ -27,7 +26,6 @@ from repro.experiments.campaign import (
     build_grid,
     fold_journal,
     run_campaign,
-    set_worker_shipping,
 )
 
 GRID_ARGS = dict(families=["chain", "star"], sizes=[4], seeds=2)
@@ -52,67 +50,51 @@ def _hang_self():
 
 
 class _Bomb:
-    """Unpickling this in a worker runs ``payload()`` there."""
+    """A grid entry with the victim scenario's key; unpickling it in a
+    worker runs ``payload()`` there."""
 
-    def __init__(self, payload):
+    def __init__(self, scenario, payload):
+        self._key = scenario.key()
         self.payload = payload
+
+    def key(self):
+        return self._key
 
     def __reduce__(self):
         return (self.payload, ())
 
 
-@pytest.fixture(autouse=True)
-def _restore_coords():
-    yield
-    set_worker_shipping("coords")
-
-
-def _arm(monkeypatch, victim_key, payload):
-    """Ship a bomb for the victim scenario, real payloads otherwise."""
-    real = campaign_module._materialize_for_shipping
-    set_worker_shipping("config")
-
-    def materialize(scenario):
-        if scenario.key() == victim_key:
-            return _Bomb(payload)
-        return real(scenario)
-
-    monkeypatch.setattr(
-        campaign_module, "_materialize_for_shipping", materialize
-    )
+def _armed(grid, payload):
+    """The grid with its last scenario replaced by a bomb.  The last
+    scenario is dequeued after earlier ones with workers=2, so rows
+    exist in the journal by the time it goes off."""
+    return [*grid[:-1], _Bomb(grid[-1], payload)]
 
 
 class TestBrokenPool:
-    def test_journaled_rows_survive_a_dead_worker(
-        self, tmp_path, monkeypatch
-    ):
+    def test_journaled_rows_survive_a_dead_worker(self, tmp_path):
         """The satellite fix: BrokenProcessPoolError no longer aborts
         the grid — journaled work is kept and the error is resumable."""
         grid = _grid()
         journal = tmp_path / "crash.jsonl"
-        # The last grid scenario is dequeued after earlier ones with
-        # workers=2, so rows exist in the journal by the time it kills.
         victim = grid[-1].key()
-        _arm(monkeypatch, victim, _kill_self)
         with pytest.raises(CampaignInterrupted) as excinfo:
-            run_campaign(grid, workers=2, journal_path=journal)
+            run_campaign(
+                _armed(grid, _kill_self), workers=2, journal_path=journal
+            )
         assert "--resume" in str(excinfo.value)
         assert str(journal) in str(excinfo.value)
         folded = fold_journal(journal)
         assert folded, "journaled rows were lost with the pool"
         assert victim not in folded
 
-    def test_resume_after_crash_converges_byte_identically(
-        self, tmp_path, monkeypatch
-    ):
+    def test_resume_after_crash_converges_byte_identically(self, tmp_path):
         grid = _grid()
         journal = tmp_path / "crash.jsonl"
-        _arm(monkeypatch, grid[-1].key(), _kill_self)
         with pytest.raises(CampaignInterrupted):
-            run_campaign(grid, workers=2, journal_path=journal)
-        # Disarm: back to coordinate shipping, nothing monkeypatched
-        # matters because coords mode never calls materialize.
-        set_worker_shipping("coords")
+            run_campaign(
+                _armed(grid, _kill_self), workers=2, journal_path=journal
+            )
         resumed = run_campaign(
             grid, workers=2, journal_path=journal, resume=True
         )
@@ -122,25 +104,20 @@ class TestBrokenPool:
             baseline, tmp_path, "baseline"
         )
 
-    def test_crash_without_journal_explains_the_loss(
-        self, tmp_path, monkeypatch
-    ):
-        grid = _grid()
-        _arm(monkeypatch, grid[-1].key(), _kill_self)
+    def test_crash_without_journal_explains_the_loss(self):
         with pytest.raises(CampaignInterrupted) as excinfo:
-            run_campaign(grid, workers=2)
+            run_campaign(_armed(_grid(), _kill_self), workers=2)
         message = str(excinfo.value)
         assert "no journal" in message
         assert "--journal" in message
 
-    def test_interrupted_error_carries_progress(
-        self, tmp_path, monkeypatch
-    ):
+    def test_interrupted_error_carries_progress(self, tmp_path):
         grid = _grid()
         journal = tmp_path / "crash.jsonl"
-        _arm(monkeypatch, grid[-1].key(), _kill_self)
         with pytest.raises(CampaignInterrupted) as excinfo:
-            run_campaign(grid, workers=2, journal_path=journal)
+            run_campaign(
+                _armed(grid, _kill_self), workers=2, journal_path=journal
+            )
         error = excinfo.value
         assert error.journal == journal
         assert error.total == len(grid)
@@ -148,19 +125,20 @@ class TestBrokenPool:
 
 
 class TestStalledPool:
-    def test_hung_worker_raises_stalled_instead_of_hanging(
-        self, tmp_path, monkeypatch
-    ):
+    def test_hung_worker_raises_stalled_instead_of_hanging(self, tmp_path):
         """One sleeping worker must not stall the grid forever: the
         per-wait timeout raises CampaignStalled (a CampaignInterrupted,
         so the same --resume guidance applies) and the pool is killed
         rather than joined."""
-        grid = _grid()
         journal = tmp_path / "stall.jsonl"
-        _arm(monkeypatch, grid[-1].key(), _hang_self)
         started = time.monotonic()
         with pytest.raises(CampaignStalled) as excinfo:
-            run_campaign(grid, workers=2, journal_path=journal, timeout=3.0)
+            run_campaign(
+                _armed(_grid(), _hang_self),
+                workers=2,
+                journal_path=journal,
+                timeout=3.0,
+            )
         # well under the 600s hang: the pool was killed, not joined
         assert time.monotonic() - started < 60
         assert "--resume" in str(excinfo.value)
@@ -176,10 +154,16 @@ class TestStalledPool:
             "--families", "chain,star", "--sizes", "4", "--seeds", "2",
         ]
         journal = tmp_path / "stall.jsonl"
-        _arm(monkeypatch, _grid()[-1].key(), _hang_self)
+        real_build_grid = campaign_module.build_grid
+        monkeypatch.setattr(
+            campaign_module,
+            "build_grid",
+            lambda *args, **kwargs: _armed(
+                real_build_grid(*args, **kwargs), _hang_self
+            ),
+        )
         code = main([
             "campaign", *grid_flags, "--workers", "2", "--timeout", "3",
-            "--ship", "config",  # the CLI resets ship mode; re-arm it
             "--journal", str(journal), "--json", "-",
         ])
         assert code == 3

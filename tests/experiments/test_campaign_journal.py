@@ -20,8 +20,12 @@ from repro.experiments.campaign import (
     execute_scenario,
     fold_journal,
     run_campaign,
+    run_scenario,
     Scenario,
+    summary_from_journal,
 )
+from repro.experiments.no_transit import materialize_network
+from repro.symbolic.memo import memo_totals
 
 GRID_ARGS = dict(families=["chain", "star"], sizes=[4], seeds=2)
 
@@ -71,6 +75,7 @@ class TestJournal:
         run_campaign(_grid(), workers=1, journal_path=journal)
         lines = journal.read_text().splitlines()
         record = json.loads(lines[-1])
+        del record["metrics"]  # a pre-v6 line: flat named counters
         record["cache_hits"] = None
         record["cache_misses"] = "garbage"
         with journal.open("a") as handle:
@@ -79,6 +84,49 @@ class TestJournal:
         # null coerces to 0; the unparseable record is skipped, keeping
         # the earlier good record for that key.
         assert folded[record["key"]].row.family == record["row"]["family"]
+
+    def test_pre_v6_lines_fold_to_the_same_summary_counts(self, tmp_path):
+        """A pre-v6 line carries flat named counters instead of a
+        metrics delta; folding maps them onto the same series, so the
+        summary's counter views are unchanged."""
+        journal = tmp_path / "campaign.jsonl"
+        live = run_campaign(_grid(), workers=1, journal_path=journal)
+        legacy = tmp_path / "legacy.jsonl"
+        lines = []
+        for line in journal.read_text().splitlines():
+            record = json.loads(line)
+            metrics = record.pop("metrics", None)
+            if metrics is not None:
+                hits, misses = memo_totals(metrics)
+                record.update(
+                    cache_hits=hits,
+                    cache_misses=misses,
+                    sim_full_runs=metrics.get("sim.full_converge.count", 0),
+                    sim_incremental_runs=metrics.get(
+                        "sim.incremental_converge.count", 0
+                    ),
+                    sim_full_evals=metrics.get("sim.full_evaluations", 0),
+                    sim_incremental_evals=metrics.get(
+                        "sim.incremental_evaluations", 0
+                    ),
+                    routes_built=metrics.get("route.routes_built", 0),
+                    routes_reused=metrics.get("route.routes_reused", 0),
+                )
+            lines.append(json.dumps(record))
+        legacy.write_text("\n".join(lines) + "\n")
+        report = summary_from_journal(legacy)
+        counters = (
+            "cache_hits", "cache_misses", "sim_full_runs",
+            "sim_incremental_runs", "sim_full_evals",
+            "sim_incremental_evals", "routes_built", "routes_reused",
+        )
+        assert live.cache_hits + live.cache_misses > 0
+        assert live.sim_full_runs + live.sim_incremental_runs > 0
+        for name in counters:
+            assert getattr(report, name) == getattr(live, name), name
+        assert report.cache_breakdown() == [
+            ("unattributed", live.cache_hits, live.cache_misses)
+        ]
 
     def test_resume_requires_journal(self):
         with pytest.raises(ValueError, match="journal_path"):
@@ -273,7 +321,29 @@ class TestExecuteScenario:
         assert isinstance(record, CompletedScenario)
         assert record.key == scenario.key()
         assert record.row.verified
-        assert record.cache_hits >= 0 and record.cache_misses >= 0
+        hits, misses = memo_totals(record.metrics)
+        assert hits + misses > 0
+
+    def test_network_is_the_second_positional_parameter(self):
+        """``execute_scenario(scenario, network)`` — the seam wrappers
+        forward positionally — with ``None`` regenerating in place."""
+        scenario = Scenario(family="ring", size=4, seed=0)
+        record = execute_scenario(scenario, None)
+        assert record.key == scenario.key()
+        assert record.row.verified
+
+    def test_run_scenario_network_param_matches_regeneration(self):
+        """run_scenario on a pre-materialized network must produce the
+        same row (wall-clock aside) as coordinate regeneration."""
+        scenario = Scenario(family="star", size=5, seed=0)
+        network = materialize_network(scenario.family, scenario.size)
+        rows = [run_scenario(scenario), run_scenario(scenario, network)]
+        dicts = []
+        for row in rows:
+            record = dict(vars(row))
+            record.pop("duration_s")
+            dicts.append(record)
+        assert dicts[0] == dicts[1]
 
     def test_summary_aggregates_cache_traffic(self, tmp_path):
         summary = run_campaign(_grid(), workers=1)

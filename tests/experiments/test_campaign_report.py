@@ -330,40 +330,24 @@ class TestServiceDirectoryExpansion:
 
 
 class TestWorkerToggles:
-    def test_initializer_propagates_optimization_toggles(self):
+    def test_initializer_propagates_toggles(self):
         """Pool workers must inherit the parent's toggles even under
         spawn/forkserver start methods, where module globals reset."""
-        from repro.batfish.bgpsim import (
-            batched_evaluation_enabled,
-            incremental_simulation_enabled,
-        )
+        from repro.batfish.bgpsim import incremental_simulation_enabled
         from repro.core import toggles
         from repro.experiments.campaign import _init_worker
-        from repro.netmodel.route import route_model
         from repro.symbolic.memo import memoization_enabled
 
-        legacy = {
-            "route_model": "v1",
-            "decision_cache": False,
-            "batched_evaluation": False,
-            "incremental_simulation": False,
-            "memoization": False,
-            "worker_shipping": "config",
-        }
         try:
-            _init_worker(legacy)
+            _init_worker(
+                {"incremental_simulation": False, "memoization": False}
+            )
             assert not memoization_enabled()
             assert not incremental_simulation_enabled()
-            # batched_evaluation was silently dropped by the old
-            # hand-picked initializer argument list.
-            assert not batched_evaluation_enabled()
-            assert route_model() == "v1"
         finally:
             _init_worker(toggles.DEFAULTS)
         assert memoization_enabled()
         assert incremental_simulation_enabled()
-        assert batched_evaluation_enabled()
-        assert route_model() == "v2"
 
     def test_initializer_covers_every_registered_toggle(self):
         """The snapshot the executor ships must name every toggle in

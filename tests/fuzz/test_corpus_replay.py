@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import toggles
 from repro.fuzz.corpus import corpus_files, load_repro, replay_record
 from repro.fuzz.harness import lint_scenario
 from repro.fuzz.scenarios import FuzzScenario
@@ -43,9 +44,9 @@ def test_corpus_file_replays_green(path):
 def test_corpus_file_is_well_formed(path):
     record = load_repro(path)
     assert record["kind"] == "fuzz_repro"
-    assert record["check"] in ("semantic", "memo")
     assert record["mismatch"]  # what the fuzzer saw at capture time
     assert set(record["combo"]) == set(record["baseline"])
+    assert sorted(record["combo"]) == sorted(toggles.toggle_names())
 
 
 @pytest.mark.parametrize(
@@ -63,3 +64,21 @@ def test_corpus_file_lint_is_deterministic(path):
     assert first.to_dict() == second.to_dict()
     assert first.render_text() == second.render_text()
     assert [f.sort_key() for f in first] == [f.sort_key() for f in second]
+
+
+def test_cli_replay_reports_a_retired_toggle_per_file(tmp_path, capsys):
+    """A record naming a toggle the registry no longer knows is a
+    per-file replay failure that names the toggle — not a traceback."""
+    import json
+
+    from repro.cli import main
+
+    record = load_repro(FILES[0])
+    for side in ("combo", "baseline"):
+        record[side] = {**record[side], "route_model": "v1"}
+    (tmp_path / "stale.json").write_text(json.dumps(record))
+    assert main(["fuzz", "--replay", "--corpus", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL stale.json" in out
+    assert "route_model" in out
+    assert "1 failure(s)" in out

@@ -2,11 +2,11 @@
 shrinking, journaling, and worker-count determinism.
 
 The planted-bug tests are the harness's acceptance contract: a fuzzer
-is only trustworthy if, handed a known historical bug (the legacy
-comparator's arrival-order tie fall-through, re-enabled behind the
-hidden ``legacy-tiebreak`` flag), it finds the divergence, shrinks it,
-and emits a corpus record that fails while the bug is planted and
-passes the moment it is fixed.
+is only trustworthy if, handed a known historical bug (a decision key
+without its ``(asns, path)`` tail, so ties fall back to arrival order —
+re-enabled behind the hidden ``short-decision-key`` flag), it finds the
+divergence, shrinks it, and emits a corpus record that fails while the
+bug is planted and passes the moment it is fixed.
 """
 
 import json
@@ -23,27 +23,27 @@ from repro.fuzz.harness import (
     run_fuzz_iteration,
 )
 
-# The first planted-bug hit in seed 55's scenario sequence sits at
-# index 1, so two iterations exercise a clean index and a finding one.
+# The planted-bug hit in seed 55's scenario sequence sits at index 1
+# (the only hit among indices 0-1 of seeds 0-79), so two iterations
+# exercise a clean index and a finding one.
 PLANTED_SEED = 55
 PLANTED_ITERATIONS = 2
+PLANTED = ("short-decision-key",)
 
 
 class TestRunFuzzIteration:
     def test_clean_iteration_is_ok(self):
-        result = run_fuzz_iteration(0, 0, pairs=True)
+        result = run_fuzz_iteration(0, 0)
         assert result.ok
         assert result.repro is None
         assert result.error is None
 
     def test_unknown_planted_bug_is_rejected(self):
         with pytest.raises(ValueError, match="unknown planted bug"):
-            run_fuzz_iteration(0, 0, pairs=True, planted=("no-such-bug",))
+            run_fuzz_iteration(0, 0, planted=("no-such-bug",))
 
     def test_planted_state_is_restored_even_after_a_find(self):
-        result = run_fuzz_iteration(
-            PLANTED_SEED, 1, pairs=True, planted=("legacy-tiebreak",)
-        )
+        result = run_fuzz_iteration(PLANTED_SEED, 1, planted=PLANTED)
         assert not result.ok
         assert _planted_bugs() == frozenset()
         assert toggles.deviations() == []
@@ -52,26 +52,26 @@ class TestRunFuzzIteration:
 class TestPlantedBugContract:
     @pytest.fixture(scope="class")
     def finding(self):
-        return run_fuzz_iteration(
-            PLANTED_SEED, 1, pairs=True, planted=("legacy-tiebreak",)
-        )
+        return run_fuzz_iteration(PLANTED_SEED, 1, planted=PLANTED)
 
     def test_planted_bug_is_found(self, finding):
         assert not finding.ok
-        assert finding.check == "semantic"
+        assert finding.combo["incremental_simulation"]
         assert finding.repro is not None
         assert finding.mismatch and "diverged" in finding.mismatch
 
     def test_shrinker_minimized_the_scenario(self, finding):
-        """The generated scenario at (55, 1) carries several edits; the
-        planted tie bug needs none of them, so the shrunk repro must be
-        strictly smaller than the original."""
+        """The generated scenario at (55, 1) carries four edits on an
+        8-router network; the planted tie bug needs one policy edit
+        (incremental re-simulation only runs after an edit) on a
+        7-router one, so the shrunk repro is strictly smaller."""
         from repro.fuzz.scenarios import scenario_at
 
         original = scenario_at(PLANTED_SEED, 1)
-        assert original.edits  # there was something to shrink away
+        assert len(original.edits) > 1  # there was something to shrink away
         shrunk = finding.repro["scenario"]
-        assert shrunk["edits"] == []
+        assert len(shrunk["edits"]) == 1
+        assert shrunk["size"] < original.size
         assert shrunk["roles"] == "default"
         assert shrunk["topo"] == "default"
         assert shrunk["place"] == "default"
@@ -80,13 +80,13 @@ class TestPlantedBugContract:
     def test_corpus_record_fails_planted_and_passes_fixed(self, finding):
         """The acceptance criterion: the emitted corpus file fails
         before the fix (bug planted) and passes after (bug unplanted —
-        the shipped comparator carries the total tie-break)."""
+        the shipped decision key carries the total tie-break)."""
         record = finding.repro
-        _plant_bug("legacy-tiebreak", True)
+        _plant_bug("short-decision-key", True)
         try:
             assert replay_record(record) is not None
         finally:
-            _plant_bug("legacy-tiebreak", False)
+            _plant_bug("short-decision-key", False)
         assert replay_record(record) is None
 
     def test_repro_filename_is_content_addressed(self, finding):
@@ -104,16 +104,12 @@ class TestRunFuzz:
     def test_journal_resume_skips_completed_indices(self, tmp_path):
         journal = tmp_path / "fuzz.jsonl"
         corpus = tmp_path / "corpus"
-        config = FuzzConfig(
-            fuzz_seed=0, iterations=2, pairs=True, corpus_dir=corpus
-        )
+        config = FuzzConfig(fuzz_seed=0, iterations=2, corpus_dir=corpus)
         first = run_fuzz(config, journal_path=journal, resume=False)
         assert len(first.results) == 2
         lines_before = journal.read_text().count("\n")
         resumed = run_fuzz(
-            FuzzConfig(
-                fuzz_seed=0, iterations=3, pairs=True, corpus_dir=corpus
-            ),
+            FuzzConfig(fuzz_seed=0, iterations=3, corpus_dir=corpus),
             journal_path=journal,
             resume=True,
         )
@@ -137,10 +133,9 @@ class TestRunFuzz:
                 FuzzConfig(
                     fuzz_seed=PLANTED_SEED,
                     iterations=PLANTED_ITERATIONS,
-                    pairs=True,
                     workers=workers,
                     corpus_dir=corpus,
-                    planted=("legacy-tiebreak",),
+                    planted=PLANTED,
                 ),
                 journal_path=journal,
                 resume=False,

@@ -2,14 +2,8 @@
 
 import json
 
-from repro.fuzz.oracle import (
-    ALL_NEW,
-    FUZZ_FACTORS,
-    LEGACY_BASELINE,
-    all_combos,
-    memo_partner,
-    pairwise_combos,
-)
+from repro.core import toggles
+from repro.fuzz.oracle import BASELINE, all_combos
 from repro.fuzz.scenarios import FuzzScenario, scenario_at
 
 
@@ -47,33 +41,12 @@ class TestScenarioAt:
 
 class TestCombos:
     def test_all_combos_is_the_full_matrix(self):
+        """Every on/off combination of the two registered toggles, the
+        both-off baseline first."""
         combos = all_combos()
-        assert len(combos) == 2 ** len(FUZZ_FACTORS) == 32
-        assert len({json.dumps(c, sort_keys=True) for c in combos}) == 32
-        assert LEGACY_BASELINE in combos
-        assert ALL_NEW in combos
-
-    def test_pairwise_covers_every_factor_value_pair(self):
-        import itertools
-
-        chosen = pairwise_combos()
-        assert LEGACY_BASELINE in chosen
-        assert ALL_NEW in chosen
-        assert len(chosen) < 32  # it must actually be a subset
-        names = [name for name, _values in FUZZ_FACTORS]
-        values = dict(FUZZ_FACTORS)
-        covered = {
-            (a, combo[a], b, combo[b])
-            for combo in chosen
-            for a, b in itertools.combinations(names, 2)
-        }
-        for a, b in itertools.combinations(names, 2):
-            for va in values[a]:
-                for vb in values[b]:
-                    assert (a, va, b, vb) in covered, (a, va, b, vb)
-
-    def test_memo_partner_is_the_v1_twin(self):
-        assert memo_partner(ALL_NEW) == {**ALL_NEW, "route_model": "v1"}
-        assert memo_partner(LEGACY_BASELINE) is None
-        assert memo_partner({**ALL_NEW, "memoization": False}) is None
-        assert memo_partner({**ALL_NEW, "route_model": "v1"}) is None
+        assert len(combos) == 4
+        assert len({json.dumps(c, sort_keys=True) for c in combos}) == 4
+        assert combos[0] == BASELINE
+        assert not any(BASELINE.values())
+        for combo in combos:
+            assert list(combo) == toggles.toggle_names()

@@ -55,12 +55,6 @@ class TestUnpreparedPath:
             config.route_maps["BROKEN"].evaluate(_route(), config)
         _assert_full_site(info.value)
 
-    def test_find_clause_names_the_site(self):
-        config = _broken_config()
-        with pytest.raises(PolicyEvaluationError) as info:
-            config.route_maps["BROKEN"].find_clause(_route(), config)
-        _assert_full_site(info.value)
-
 
 class TestPreparedPath:
     def test_prepared_evaluate_names_the_site(self):
