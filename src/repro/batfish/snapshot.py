@@ -67,13 +67,16 @@ class Snapshot:
         """Parse and add (or replace) one config file."""
         self.texts[filename] = text
         vendor = detect_vendor(text)
+        default_hostname = Path(filename).stem
         if vendor is Vendor.JUNIPER:
             result = parse_juniper(text, filename=filename)
+            if not result.config.hostname:
+                result.config.hostname = default_hostname
         else:
-            result = parse_cisco(text, filename=filename)
+            result = parse_cisco(
+                text, filename=filename, default_hostname=default_hostname
+            )
         config = result.config
-        if not config.hostname:
-            config.hostname = Path(filename).stem
         self.configs[filename] = config
         self.warnings[filename] = list(result.warnings)
         return config

@@ -16,26 +16,27 @@ __all__ = ["ConfigLine", "tokenize"]
 
 @dataclass(frozen=True)
 class ConfigLine:
-    """One meaningful line of an IOS config."""
+    """One meaningful line of an IOS config.
+
+    ``tokens`` keep their source case (names are case-sensitive);
+    ``folded`` holds the same tokens lower-cased once, for keyword
+    compares (IOS keywords are case-insensitive).
+    """
 
     number: int
     indent: int
     text: str
     tokens: Tuple[str, ...]
+    folded: Tuple[str, ...]
 
     @property
     def keyword(self) -> str:
-        """The first token, lower-cased (IOS keywords are case-insensitive)."""
-        return self.tokens[0].lower() if self.tokens else ""
+        """The first token, lower-cased."""
+        return self.folded[0] if self.folded else ""
 
     def starts_with(self, *words: str) -> bool:
-        """True if the line's leading tokens equal ``words`` (case-insensitive)."""
-        if len(self.tokens) < len(words):
-            return False
-        return all(
-            token.lower() == word.lower()
-            for token, word in zip(self.tokens, words)
-        )
+        """True if the line's leading tokens equal the lower-case ``words``."""
+        return self.folded[: len(words)] == words
 
 
 def tokenize(text: str) -> List[ConfigLine]:
@@ -49,12 +50,14 @@ def tokenize(text: str) -> List[ConfigLine]:
         if not stripped or stripped.startswith("!") or stripped.startswith("#"):
             continue
         indent = len(raw) - len(raw.lstrip(" "))
+        tokens = tuple(stripped.split())
         lines.append(
             ConfigLine(
                 number=number,
                 indent=indent,
                 text=stripped,
-                tokens=tuple(stripped.split()),
+                tokens=tokens,
+                folded=tuple(map(str.lower, tokens)),
             )
         )
     return lines

@@ -15,6 +15,7 @@ output for this case "is not informative enough" for GPT-4 to self-fix).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,6 +44,7 @@ from ..netmodel.routing_policy import (
     SetMed,
     SetNextHop,
 )
+from ..symbolic.memo import MemoCache, memoization_enabled
 from .lexer import ConfigLine, tokenize
 
 __all__ = ["CiscoParseResult", "parse_cisco"]
@@ -76,10 +78,31 @@ class CiscoParseResult:
         return self.diagnostics.warnings
 
 
-def parse_cisco(text: str, filename: str = "<cisco>") -> CiscoParseResult:
-    """Parse IOS config text into a :class:`RouterConfig`."""
-    parser = _CiscoParser(filename)
-    return parser.parse(text)
+# A VPP loop re-parses the same draft text many times (a correction
+# the model declines re-sends an unchanged draft).  The bound keeps the
+# memo to the drafts of a few recent scenarios.
+_PARSE_MEMO = MemoCache("cisco-parse", max_entries=128)
+
+
+def parse_cisco(
+    text: str, filename: str = "<cisco>", default_hostname: str = ""
+) -> CiscoParseResult:
+    """Parse IOS config text into a :class:`RouterConfig`.
+
+    ``default_hostname`` names the router when the text has no
+    ``hostname`` line.  Results are memoized on all three arguments;
+    every call returns a fresh copy, so callers may mutate it.
+    """
+    key = (text, filename, default_hostname)
+    hit, cached = _PARSE_MEMO.lookup(key)
+    if hit:
+        return copy.deepcopy(cached)
+    result = _CiscoParser(filename).parse(text)
+    if not result.config.hostname:
+        result.config.hostname = default_hostname
+    if memoization_enabled():
+        _PARSE_MEMO.store(key, copy.deepcopy(result))
+    return result
 
 
 class _CiscoParser:
@@ -267,7 +290,7 @@ class _CiscoParser:
         except AddressError as exc:
             self.diagnostics.warn(line.number, line.text, str(exc))
             return
-        rest = [token.lower() for token in line.tokens[2:]]
+        rest = line.folded[2:]
         neighbor = bgp.get_neighbor(ip)
         if rest[0] == "remote-as" and len(line.tokens) >= 4:
             remote_as = _parse_int(self, line, line.tokens[3])
@@ -287,7 +310,7 @@ class _CiscoParser:
             )
             neighbor = bgp.add_neighbor(BgpNeighbor(ip=ip, remote_as=0))
         if rest[0] == "route-map" and len(line.tokens) >= 5:
-            direction = line.tokens[4].lower()
+            direction = line.folded[4]
             name = line.tokens[3]
             if direction == "in":
                 neighbor.import_policy = name
@@ -316,7 +339,7 @@ class _CiscoParser:
 
     def _parse_bgp_network(self, line: ConfigLine, bgp) -> None:
         try:
-            if len(line.tokens) >= 4 and line.tokens[2].lower() == "mask":
+            if len(line.tokens) >= 4 and line.folded[2] == "mask":
                 prefix = Prefix.from_address_mask(line.tokens[1], line.tokens[3])
             elif "/" in line.tokens[1]:
                 prefix = Prefix.parse(line.tokens[1])
@@ -329,7 +352,7 @@ class _CiscoParser:
         bgp.announce(prefix)
 
     def _parse_redistribute(self, line: ConfigLine, bgp) -> None:
-        protocol_name = line.tokens[1].lower() if len(line.tokens) > 1 else ""
+        protocol_name = line.folded[1] if len(line.tokens) > 1 else ""
         try:
             protocol = Protocol(protocol_name)
         except ValueError:
@@ -338,7 +361,7 @@ class _CiscoParser:
             )
             return
         route_map = None
-        tokens = [token.lower() for token in line.tokens]
+        tokens = line.folded
         if "route-map" in tokens:
             position = tokens.index("route-map")
             if position + 1 < len(line.tokens):
@@ -390,7 +413,7 @@ class _CiscoParser:
             self._context = None
             return
         name = line.tokens[1]
-        action_token = line.tokens[2].lower()
+        action_token = line.folded[2]
         if action_token not in ("permit", "deny"):
             self.diagnostics.warn(
                 line.number, line.text, f"invalid route-map action {line.tokens[2]!r}"
@@ -428,7 +451,6 @@ class _CiscoParser:
         )
 
     def _parse_match(self, line: ConfigLine, clause: RouteMapClause) -> None:
-        tokens = [token.lower() for token in line.tokens]
         if line.starts_with("match", "ip", "address", "prefix-list") and len(line.tokens) >= 5:
             clause.matches.append(MatchPrefixList(line.tokens[4]))
             return
@@ -462,12 +484,12 @@ class _CiscoParser:
             clause.matches.append(MatchAsPathList(line.tokens[2]))
             return
         self.diagnostics.warn(
-            line.number, line.text, f"unsupported match condition: {' '.join(tokens[1:])}"
+            line.number, line.text, f"unsupported match condition: {' '.join(line.folded[1:])}"
         )
 
     def _parse_set(self, line: ConfigLine, clause: RouteMapClause) -> None:
         if line.starts_with("set", "community") and len(line.tokens) >= 3:
-            additive = line.tokens[-1].lower() == "additive"
+            additive = line.folded[-1] == "additive"
             value_tokens = line.tokens[2 : len(line.tokens) - (1 if additive else 0)]
             communities = []
             for token in value_tokens:
@@ -664,7 +686,7 @@ class _CiscoParser:
             self.diagnostics.warn(line.number, line.text, "as-path access-list is incomplete")
             return
         name = line.tokens[3]
-        action = line.tokens[4].lower()
+        action = line.folded[4]
         if action not in ("permit", "deny"):
             self.diagnostics.warn(
                 line.number, line.text, "as-path access-list requires permit or deny"

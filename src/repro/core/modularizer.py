@@ -15,8 +15,10 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..lightyear.invariants import no_transit_invariants
+from ..topology.families import is_hub_star
 from ..topology.generator import ingress_community
 from ..topology.model import Topology
+from ..topology.roles import RoleAssignment
 
 __all__ = ["Modularizer"]
 
@@ -28,10 +30,21 @@ _GLOBAL_POLICY = (
 
 
 class Modularizer:
-    """Decomposes the network-wide task into per-router prompts/specs."""
+    """Decomposes the network-wide task into per-router prompts/specs.
+
+    The topology's role assignment and no-transit invariants are derived
+    once, here; every per-router prompt and spec slices them.
+    """
 
     def __init__(self, topology: Topology) -> None:
         self._topology = topology
+        self._hub_star = is_hub_star(topology)
+        # The star's hub policy is positional; only border families
+        # resolve roles.
+        self._roles: Optional[RoleAssignment] = (
+            None if self._hub_star else RoleAssignment.from_topology(topology)
+        )
+        self._invariants = no_transit_invariants(topology)
 
     # -- prompts ------------------------------------------------------------
 
@@ -81,10 +94,7 @@ class Modularizer:
         return " ".join(sentences)
 
     def _local_policy_text(self, router_name: str) -> str:
-        from ..topology.families import is_hub_star
-        from ..topology.roles import RoleAssignment
-
-        if is_hub_star(self._topology):
+        if self._hub_star:
             if router_name != "R1":
                 return ""
             clauses = []
@@ -106,7 +116,8 @@ class Modularizer:
                 "Local policy for R1: " + "; ".join(clauses) + "; and "
                 + filters + "."
             )
-        roles = RoleAssignment.from_topology(self._topology)
+        roles = self._roles
+        assert roles is not None
         mine = roles.attachments_of(router_name)
         if not mine:
             return ""
@@ -147,7 +158,6 @@ class Modularizer:
         """The per-router slice of the global spec for the semantic
         verifier (on the hub R1 for the star; on each ISP-attached
         border router for the other families)."""
-        invariants = no_transit_invariants(self._topology)
         if router_name is None:
-            return invariants
-        return [item for item in invariants if item.router == router_name]
+            return list(self._invariants)
+        return [item for item in self._invariants if item.router == router_name]

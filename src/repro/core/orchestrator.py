@@ -336,12 +336,12 @@ class SynthesisOrchestrator:
 
     def _next_finding(self, router_name: str, text: str) -> Optional[Finding]:
         """Syntax, then topology, then semantic — §4.1's three classes."""
-        parsed = parse_cisco(text, filename=f"{router_name}.cfg")
+        parsed = parse_cisco(
+            text, filename=f"{router_name}.cfg", default_hostname=router_name
+        )
         if parsed.warnings:
             return finding_from_warning(parsed.warnings[0], router=router_name)
         config = parsed.config
-        if not config.hostname:
-            config.hostname = router_name
         spec = self._topology.router(router_name)
         issues = verify_topology(config, spec)
         if issues:

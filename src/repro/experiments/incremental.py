@@ -206,8 +206,7 @@ def run_incremental_policy_experiment(
         text = model.send(prompt)
     verified = _next_finding(text, invariants) is None
     # Even in the no-recheck control, report whether no-transit survived.
-    config = parse_cisco(text).config
-    config.hostname = "R1"
+    config = parse_cisco(text, default_hostname="R1").config
     surviving_violations = verify_invariants({"R1": config}, old_invariants)
     if not recheck_old_invariants and surviving_violations:
         verified = False  # shipped broken: the point of the control
@@ -236,12 +235,10 @@ def run_incremental_policy_experiment(
 
 
 def _next_finding(text: str, invariants: List[object]) -> Optional[Finding]:
-    parsed = parse_cisco(text, filename="R1.cfg")
+    parsed = parse_cisco(text, filename="R1.cfg", default_hostname="R1")
     if parsed.warnings:
         return finding_from_warning(parsed.warnings[0], router="R1")
-    config = parsed.config
-    config.hostname = "R1"
-    violations = verify_invariants({"R1": config}, invariants)
+    violations = verify_invariants({"R1": parsed.config}, invariants)
     if violations:
         return Finding(
             category=ErrorCategory.SEMANTIC,

@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ErrorCategory
 from ..netmodel.device import RouterConfig
+from ..symbolic.memo import memoization_enabled
 
 __all__ = ["DraftState", "Fault", "FaultTargetError"]
 
@@ -74,9 +75,17 @@ class Fault:
 class DraftState:
     """A draft configuration: pristine reference plus active faults.
 
-    Rendering deep-copies the reference, applies every active fault's IR
-    transform, renders text, then applies text transforms (for errors —
-    like invalid syntax — that the IR cannot express).
+    Rendering copies the reference's mutable containers (its immutable
+    value leaves are shared, see
+    :class:`~repro.netmodel.value.ImmutableValue`), applies every active
+    fault's IR transform in injection order, renders text, then applies
+    text transforms (for errors — like invalid syntax — that the IR
+    cannot express) in the same order.
+
+    Text transforms need not commute, so the rendered text is memoized
+    on the *ordered* tuple of active faults (faults compare by value,
+    transforms included, so a different fault under a reused key never
+    hits another fault's text).
     """
 
     def __init__(
@@ -88,6 +97,7 @@ class DraftState:
         self._renderer = renderer
         self._active: Dict[str, Fault] = {}
         self._fixed: List[Fault] = []
+        self._renders: Dict[Tuple[Fault, ...], str] = {}
 
     # -- fault management ------------------------------------------------------
 
@@ -131,9 +141,13 @@ class DraftState:
         return config
 
     def render(self) -> str:
-        config = self.current_config()
-        text = self._renderer(config)
-        for fault in self._active.values():
-            if fault.text_transform is not None:
-                text = fault.text_transform(text)
+        key = tuple(self._active.values())
+        text = self._renders.get(key) if memoization_enabled() else None
+        if text is None:
+            text = self._renderer(self.current_config())
+            for fault in self._active.values():
+                if fault.text_transform is not None:
+                    text = fault.text_transform(text)
+            if memoization_enabled():
+                self._renders[key] = text
         return text

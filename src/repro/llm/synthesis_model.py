@@ -9,12 +9,14 @@ initial draft (§4.2's before/after).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..cisco import generate_cisco
+from ..netmodel.device import RouterConfig
 from ..topology.model import Topology
 from ..topology.reference import build_reference_configs
 from .behavior import BehaviorProfile
+from .faults import Fault
 from .simulated import SimulatedGPT4
 from .synthesis_faults import (
     IIP_SUPPRESSED_FAULTS,
@@ -39,30 +41,16 @@ def make_synthesis_model(
     references = build_reference_configs(topology)
     if router_name not in references:
         raise KeyError(f"unknown router {router_name!r}")
-    catalog = synthesis_fault_catalog(topology)
     if fault_keys is None:
-        from ..topology.families import is_hub_star
-
-        assignment = (
-            default_fault_assignment(len(topology.routers))
-            if is_hub_star(topology)
-            else border_fault_assignment(topology)
-        )
-        fault_keys = assignment.get(router_name, [])
-    active_iips = set(iip_ids)
-    filtered = [
-        key
-        for key in fault_keys
-        if IIP_SUPPRESSED_FAULTS.get(key) not in active_iips
-    ]
-    return SimulatedGPT4(
-        catalog=catalog,
-        reference=references[router_name],
-        renderer=generate_cisco,
-        initial_fault_keys=filtered,
-        side_pool_keys=SYNTHESIS_SIDE_POOL,
-        seed=seed + _router_seed_offset(router_name),
-        profile=profile,
+        fault_keys = _default_assignment(topology).get(router_name, [])
+    return _session(
+        router_name,
+        references[router_name],
+        synthesis_fault_catalog(topology),
+        fault_keys,
+        set(iip_ids),
+        seed,
+        profile,
     )
 
 
@@ -73,20 +61,62 @@ def make_synthesis_models(
     profile: Optional[BehaviorProfile] = None,
     assignment: Optional[Dict[str, List[str]]] = None,
 ) -> Dict[str, SimulatedGPT4]:
-    """One session per router, keyed by router name."""
-    iips = list(iip_ids)
+    """One session per router, keyed by router name.
+
+    The reference configs and the fault catalog are built once for the
+    topology and shared by every session (a session never mutates
+    either: drafts copy their reference before faulting it).
+    """
+    references = build_reference_configs(topology)
+    catalog = synthesis_fault_catalog(topology)
+    active_iips = set(iip_ids)
+    defaults: Optional[Dict[str, List[str]]] = None
     models: Dict[str, SimulatedGPT4] = {}
     for name in topology.router_names():
         fault_keys = assignment.get(name) if assignment is not None else None
-        models[name] = make_synthesis_model(
-            name,
-            topology,
-            iip_ids=iips,
-            seed=seed,
-            profile=profile,
-            fault_keys=fault_keys,
+        if fault_keys is None:
+            if defaults is None:
+                defaults = _default_assignment(topology)
+            fault_keys = defaults.get(name, [])
+        models[name] = _session(
+            name, references[name], catalog, fault_keys, active_iips, seed,
+            profile,
         )
     return models
+
+
+def _default_assignment(topology: Topology) -> Dict[str, List[str]]:
+    from ..topology.families import is_hub_star
+
+    if is_hub_star(topology):
+        return default_fault_assignment(len(topology.routers))
+    return border_fault_assignment(topology)
+
+
+def _session(
+    router_name: str,
+    reference: RouterConfig,
+    catalog: Dict[str, Fault],
+    fault_keys: Sequence[str],
+    active_iips: Set[str],
+    seed: int,
+    profile: Optional[BehaviorProfile],
+) -> SimulatedGPT4:
+    """The session for one router; IIP-suppressed faults are dropped."""
+    filtered = [
+        key
+        for key in fault_keys
+        if IIP_SUPPRESSED_FAULTS.get(key) not in active_iips
+    ]
+    return SimulatedGPT4(
+        catalog=catalog,
+        reference=reference,
+        renderer=generate_cisco,
+        initial_fault_keys=filtered,
+        side_pool_keys=SYNTHESIS_SIDE_POOL,
+        seed=seed + _router_seed_offset(router_name),
+        profile=profile,
+    )
 
 
 def _router_seed_offset(router_name: str) -> int:

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .ip import AddressError, Ipv4Address, Prefix, PrefixRange
+from .value import ImmutableValue
 
 __all__ = ["AccessList", "AclEntry"]
 
 
 @dataclass(frozen=True)
-class AclEntry:
+class AclEntry(ImmutableValue):
     """One permit/deny line of a standard ACL."""
 
     action: str

@@ -12,11 +12,13 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from .value import ImmutableValue
+
 __all__ = ["AsPath", "AsPathAccessList", "AsPathEntry", "EMPTY_AS_PATH"]
 
 
 @dataclass(frozen=True)
-class AsPath:
+class AsPath(ImmutableValue):
     """A sequence of AS numbers, most recent hop first.
 
     Canonical instances are *interned*: :meth:`of` (and every transform
@@ -85,7 +87,7 @@ def _translate_cisco_regex(pattern: str) -> str:
 
 
 @dataclass(frozen=True)
-class AsPathEntry:
+class AsPathEntry(ImmutableValue):
     """One permit/deny regex line of an AS-path access list."""
 
     action: str

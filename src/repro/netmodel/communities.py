@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
+from .value import ImmutableValue
+
 __all__ = [
     "Community",
     "CommunityList",
@@ -28,7 +30,7 @@ class CommunityError(ValueError):
 
 
 @dataclass(frozen=True, order=True)
-class Community:
+class Community(ImmutableValue):
     """A standard BGP community ``asn:value``.
 
     >>> Community.parse("100:1")
@@ -82,7 +84,7 @@ def intern_communities(
 
 
 @dataclass(frozen=True)
-class CommunityListEntry:
+class CommunityListEntry(ImmutableValue):
     """One ``permit``/``deny`` line of a community list.
 
     ``communities`` may contain several values; Cisco semantics require a

@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, List
 
+from .value import ImmutableValue
+
 __all__ = [
     "AddressError",
     "Ipv4Address",
@@ -36,7 +38,7 @@ def _mask(length: int) -> int:
 
 
 @dataclass(frozen=True, order=True)
-class Ipv4Address:
+class Ipv4Address(ImmutableValue):
     """A single IPv4 address stored as a 32-bit integer.
 
     >>> Ipv4Address.parse("10.0.0.1").value
@@ -70,7 +72,7 @@ class Ipv4Address:
 
 
 @dataclass(frozen=True, order=True)
-class Prefix:
+class Prefix(ImmutableValue):
     """An IPv4 prefix: a network address and a prefix length.
 
     The network address is canonicalized (host bits cleared) at
@@ -169,7 +171,7 @@ class Prefix:
 
 
 @dataclass(frozen=True, order=True)
-class PrefixRange:
+class PrefixRange(ImmutableValue):
     """A prefix plus a permitted range of more-specific lengths.
 
     Models Cisco ``ip prefix-list ... permit 1.2.3.0/24 ge 24 le 32`` and

@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .ip import Prefix, PrefixRange
+from .value import ImmutableValue
 
 __all__ = ["PrefixList", "PrefixListEntry"]
 
 
 @dataclass(frozen=True)
-class PrefixListEntry:
+class PrefixListEntry(ImmutableValue):
     """One sequenced permit/deny line of a prefix list."""
 
     seq: int

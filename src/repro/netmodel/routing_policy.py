@@ -24,6 +24,7 @@ from .ip import Ipv4Address, PrefixRange
 from .prefixlist import PrefixList
 from .route import Protocol, Route
 from .routebuilder import RouteBuilder
+from .value import ImmutableValue
 
 __all__ = [
     "Action",
@@ -137,7 +138,7 @@ class PolicyContext(TypingProtocol):
 
 
 @dataclass(frozen=True)
-class MatchCondition:
+class MatchCondition(ImmutableValue):
     """Base class for match conditions; subclasses are frozen dataclasses."""
 
     def matches(self, route: Route, context: PolicyContext) -> bool:
@@ -279,7 +280,7 @@ class MatchProtocol(MatchCondition):
 
 
 @dataclass(frozen=True)
-class SetAction:
+class SetAction(ImmutableValue):
     """Base class for attribute transformations.
 
     :meth:`apply_to` records the change on a shared

@@ -1,5 +1,7 @@
 """Tests for the Cisco IOS parser."""
 
+import pytest
+
 from repro.cisco import parse_cisco
 from repro.netmodel import (
     Action,
@@ -326,3 +328,99 @@ class TestWarningsAndMisplacement:
     def test_clean_parse_has_no_warnings(self, source_config):
         # The bundled experiment config parses clean (fixture exercises it).
         assert source_config.hostname == "as100border1"
+
+
+# Every keyword of KEYWORD_CASE_TEXT; names, addresses and values keep
+# their case in every variant, so the IR must come out identical.
+_KEYWORDS = frozenset(
+    """hostname interface ip address ospf cost description shutdown no
+    router bgp router-id neighbor remote-as route-map in out send-community
+    next-hop-self network mask redistribute connected synchronization
+    prefix-list seq permit deny ge le community-list standard expanded
+    as-path access-list host any match community set additive metric
+    local-preference next-hop prepend routing exit""".split()
+)
+
+KEYWORD_CASE_TEXT = """\
+hostname Edge1
+interface eth0/0
+ description Link to ISP
+ ip address 2.0.0.1 255.255.255.0
+ ip ospf cost 5
+ shutdown
+ no shutdown
+ip prefix-list OWN seq 5 permit 2.0.0.0/16 ge 24 le 28
+ip prefix-list OWN deny 0.0.0.0/0 le 32
+ip community-list standard TAGS permit 100:1 100:2
+ip community-list expanded RX deny _100:.*_
+ip as-path access-list 1 permit ^200_
+access-list 10 permit host 2.0.0.9
+access-list 10 deny any
+route-map To_ISP permit 10
+ match ip address prefix-list OWN
+ match community TAGS
+ set community 100:7 additive
+ set local-preference 200
+ set metric 50
+route-map To_ISP deny 20
+ match as-path 1
+ set ip next-hop 2.0.0.2
+ set as-path prepend 100 100
+router bgp 100
+ bgp router-id 1.1.1.1
+ no synchronization
+ neighbor 2.0.0.2 remote-as 200
+ neighbor 2.0.0.2 route-map To_ISP out
+ neighbor 2.0.0.2 send-community
+ neighbor 2.0.0.2 next-hop-self
+ network 2.0.0.0 mask 255.255.255.0
+ redistribute connected route-map To_ISP
+ip routing
+exit
+neighbor 9.9.9.9 remote-as 1
+"""
+
+
+def _recase(text, recase):
+    return "\n".join(
+        " ".join(
+            recase(token) if token in _KEYWORDS else token
+            for token in line.split(" ")
+        )
+        for line in text.split("\n")
+    )
+
+
+class TestKeywordCase:
+    """IOS keywords are case-insensitive: ``ROUTER BGP 1``,
+    ``IP PREFIX-LIST ...`` and ``Route-Map ...`` parse like lower case."""
+
+    @pytest.mark.parametrize(
+        "recase",
+        [str.upper, str.title, lambda token: token[:1].upper() + token[1:]],
+        ids=["upper", "title", "capitalized"],
+    )
+    def test_recased_keywords_parse_to_the_same_ir(self, recase):
+        variant = _recase(KEYWORD_CASE_TEXT, recase)
+        assert variant != KEYWORD_CASE_TEXT
+        lower = _parse(KEYWORD_CASE_TEXT)
+        recased = _parse(variant)
+        assert recased.config == lower.config
+        assert [(w.line, w.comment) for w in recased.warnings] == [
+            (w.line, w.comment) for w in lower.warnings
+        ]
+        assert len(lower.warnings) == 3
+
+    def test_fixture_covers_every_statement_kind(self):
+        upper = _recase(KEYWORD_CASE_TEXT, str.upper)
+        assert "ROUTER BGP 100" in upper and "IP PREFIX-LIST OWN" in upper
+        assert "Route-Map To_ISP" in _recase(KEYWORD_CASE_TEXT, str.title)
+        config = _parse(KEYWORD_CASE_TEXT).config
+        assert config.hostname == "Edge1"
+        assert [c.seq for c in config.route_maps["To_ISP"].clauses] == [10, 20]
+        assert len(config.route_maps["To_ISP"].clauses[0].sets) == 3
+        assert config.bgp.neighbors and config.bgp.redistributions
+        assert set(config.prefix_lists) == {"OWN"}
+        assert set(config.community_lists) == {"TAGS", "RX"}
+        assert set(config.as_path_lists) == {"1"}
+        assert set(config.access_lists) == {"10"}
