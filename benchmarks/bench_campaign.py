@@ -2,8 +2,9 @@
 
 Two comparisons on the same deterministic scenario grids:
 
-* serial vs a 4-worker process pool (wall-clock ratio tracks the core
-  count; row-level results are identical either way);
+* serial vs 4 workers on the campaign scheduler (wall-clock ratio
+  tracks the core count, less about a second of worker start-up;
+  row-level results are identical either way);
 * `CandidateUniverse`/verdict memoization off vs on over a mesh grid —
   the ROADMAP's dominant cost — reporting the cache hit rate alongside
   the speedup.

@@ -34,8 +34,9 @@ artifacts) from an existing journal without running anything — repeat
 the flag to merge several campaigns into one cross-campaign summary
 (duplicate scenario keys resolved last-flag-wins); a ``--report``
 argument may also be a campaign-service directory, which expands to
-its manifest plus shard journals; ``--timeout SECONDS`` aborts a
-parallel run (resumably) when no scenario completes for that long;
+its manifest plus shard journals; a parallel run retries a unit whose
+worker dies or — with ``--timeout SECONDS`` — makes no progress for
+that long, and exits 3 (resumably) once a unit exhausts 2 retries;
 ``--no-incremental-sim`` disables warm incremental BGP re-simulation
 (an A/B comparison against full re-simulation).
 ``--trace out.json`` (``campaign`` and ``synthesize``) writes a
@@ -266,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "parallel runs only: if no scenario completes for SECONDS, "
-            "kill the pool and raise a resumable error instead of letting "
-            "one hung worker stall the grid forever"
+            "parallel runs only: kill and retry a worker that makes no "
+            "progress for SECONDS; a unit that still hangs after 2 "
+            "retries ends the run resumably (exit 3)"
         ),
     )
     campaign.add_argument(
@@ -329,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=60.0,
         metavar="SECONDS",
         help=(
-            "kill and replace a worker silent for SECONDS with a unit in "
-            "flight (0 disables hang detection; hard death is always "
-            "detected)"
+            "kill and replace a worker that makes no progress for SECONDS "
+            "with a unit in flight (0 disables hang detection; hard death "
+            "is always detected)"
         ),
     )
 
@@ -777,8 +778,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             trace_path=args.trace,
         )
     except CampaignInterrupted as exc:
-        # The pool died or stalled mid-grid.  Everything journaled so
-        # far survives; the message names the --resume invocation.
+        # A unit exhausted its retries.  Everything journaled so far
+        # survives; the message names the --resume invocation.
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

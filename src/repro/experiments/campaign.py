@@ -4,15 +4,17 @@ The paper closes by noting that "much further testing in more complex
 use cases is needed".  This module industrializes that testing: it
 enumerates a scenario grid — topology family × size × seed ×
 behavior profile × IIP ablation — and executes every scenario through
-the full Verified Prompt Programming loop, optionally fanned out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` worker pool.  Each
-scenario is seeded deterministically from its own coordinates, so a
-campaign's results are identical whether it runs serially or on any
-number of workers.
+the full Verified Prompt Programming loop, inline or — with
+``workers > 1`` — on the campaign service's scheduler
+(:class:`repro.service.scheduler.CampaignService`), the same engine
+behind ``repro serve``.  Each scenario is seeded deterministically from
+its own coordinates, so a campaign's results are identical whether it
+runs serially or on any number of workers.
 
 Execution streams: as each scenario completes, its result is appended
 (and flushed) to a JSONL *campaign journal*, so a crashed or killed
-grid loses at most the scenarios in flight.  The final
+grid loses at most the scenarios in flight, and a parallel run retries
+a unit whose worker died or hung before giving up on it.  The final
 :class:`CampaignSummary` is reconstructed by folding over the journal,
 and ``resume=True`` skips scenario keys the journal already holds — an
 interrupted campaign picks up where it left off and produces final
@@ -39,8 +41,6 @@ import math
 import time
 import traceback
 import zlib
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TextIO
@@ -118,8 +118,7 @@ PROFILES: Dict[str, BehaviorProfile] = {
 # policy analyzer over the final synthesized drafts and records the
 # finding counts in its result row (journal v7).  A module global —
 # not a Scenario field — so scenario keys (and therefore resume
-# identity) are unchanged; pool workers receive it via _init_worker,
-# exactly like the A/B toggles.
+# identity) are unchanged; parallel workers receive it in each task.
 
 _LINT_ENABLED = False
 
@@ -368,7 +367,7 @@ def run_scenario(scenario: Scenario, network=None) -> ScenarioResult:
     paths run on identical configs.
 
     Never raises: failures come back as error rows so one broken
-    scenario cannot take down a whole campaign (or its worker pool).
+    scenario cannot take down a whole campaign (or its worker).
     """
     from .no_transit import run_no_transit_experiment
 
@@ -687,11 +686,6 @@ def fold_journal(path: "Path | str") -> Dict[str, CompletedScenario]:
     return _scan_journal(path)[0]
 
 
-def _journal_grid_keys(path: "Path | str") -> Optional[List[str]]:
-    """The grid's scenario keys from the journal's *last* header."""
-    return _scan_journal(path)[1]
-
-
 def _summarize(
     ordered: List[CompletedScenario],
     *,
@@ -762,13 +756,6 @@ def summary_from_journals(paths: Sequence["Path | str"]) -> "CampaignSummary":
         total=len(ordered_keys),
         resumed=len(ordered),
     )
-
-
-def _fold_for_grid(
-    journal: Path, key_set: "set[str]"
-) -> Dict[str, CompletedScenario]:
-    """The journal's records restricted to this grid's scenario keys."""
-    return _scan_journal(journal, key_set)[0]
 
 
 def service_journals(path: "Path | str") -> List[Path]:
@@ -1182,12 +1169,13 @@ class CampaignSummary:
 
 
 class CampaignInterrupted(RuntimeError):
-    """A campaign stopped early, but every finished row is journaled.
+    """A parallel campaign gave up on a unit, but every finished row is
+    journaled.
 
-    Raised instead of letting a raw :class:`BrokenProcessPool` (or a
-    stall) discard the run: the journal keeps everything that
-    completed, and the message tells the operator how to continue
-    (``--resume <journal>``).
+    Raised once a unit's worker died on every attempt its retry budget
+    allows, after every other unit has finished: the journal keeps
+    everything that completed, and the message tells the operator how
+    to continue (``--resume <journal>``).
     """
 
     def __init__(
@@ -1204,7 +1192,8 @@ class CampaignInterrupted(RuntimeError):
 
 
 class CampaignStalled(CampaignInterrupted):
-    """No scenario completed within the per-completion timeout."""
+    """A unit's worker made no progress within the timeout on its last
+    attempt and was killed."""
 
 
 def _interrupted_message(
@@ -1222,48 +1211,6 @@ def _interrupted_message(
     )
 
 
-def _shutdown_broken_pool(executor: ProcessPoolExecutor) -> None:
-    """Tear down a pool we are abandoning: kill any worker still
-    running (a hung worker would block a plain shutdown forever), then
-    reap.  The kill must come first — ``shutdown()`` drops the
-    executor's process references even with ``wait=False``, so there
-    is nothing left to kill afterwards."""
-    processes = dict(getattr(executor, "_processes", None) or {})
-    for process in processes.values():
-        try:
-            process.kill()
-        except Exception:  # already gone
-            pass
-    executor.shutdown(wait=True, cancel_futures=True)
-
-
-def _toggle_snapshot() -> Dict[str, object]:
-    from ..core import toggles
-
-    return toggles.snapshot()
-
-
-def _init_worker(
-    toggle_values: Dict[str, object],
-    tracing: bool = False,
-    lint: bool = False,
-) -> None:
-    """Propagate the parent's A/B toggles into a pool worker.
-
-    Module globals do not survive the spawn/forkserver start methods,
-    so the executor replays a full :func:`repro.core.toggles.snapshot`
-    — every registered toggle, so a toggle added to the registry is
-    propagated automatically.  ``tracing`` mirrors the parent's
-    trace-capture flag so worker spans come home in each
-    :class:`CompletedScenario`.
-    """
-    from ..core import toggles
-
-    toggles.apply(toggle_values)
-    set_tracing(tracing)
-    set_campaign_lint(lint)
-
-
 def run_campaign(
     scenarios: Iterable[Scenario],
     workers: int = 1,
@@ -1273,7 +1220,7 @@ def run_campaign(
     timeout: Optional[float] = None,
     trace_path: "Path | str | None" = None,
 ) -> CampaignSummary:
-    """Run every scenario, serially or over a process pool.
+    """Run every scenario, inline or on ``workers`` worker processes.
 
     Per-scenario seeding is position-independent and summary rows are
     ordered by grid position, so ``workers`` only affects wall-clock.
@@ -1285,14 +1232,16 @@ def run_campaign(
     ``limit`` caps how many pending scenarios run (the deterministic
     way to interrupt a campaign mid-grid).
 
-    A worker crash (:class:`BrokenProcessPool`) no longer aborts the
-    grid with a raw traceback: every row journaled before the crash is
-    kept, and a :class:`CampaignInterrupted` naming ``--resume`` is
-    raised.  ``timeout`` bounds how long the parallel loop waits for
-    the *next* completion — one hung worker raises
-    :class:`CampaignStalled` (and is killed) instead of stalling the
-    grid forever.  The serial path runs scenarios inline and cannot
-    preempt them, so ``timeout`` only applies with ``workers > 1``.
+    With ``workers > 1`` the grid runs on the campaign service's
+    scheduler over a temporary state directory.  A unit whose worker
+    dies — or, with ``timeout``, makes no progress for that many
+    seconds and is killed — is resubmitted up to the service's retry
+    budget (2 resubmissions); journaled scenarios are never re-run.
+    Only a unit that exhausts its budget stops the campaign: once every
+    other unit has finished, :class:`CampaignInterrupted` (or
+    :class:`CampaignStalled` for a stall kill) names ``--resume``.  The
+    serial path runs scenarios inline and cannot preempt them, so
+    ``timeout`` only applies with ``workers > 1``.
 
     ``trace_path`` enables span tracing for the run (parent *and*
     workers) and writes one merged Chrome trace-event JSON file there —
@@ -1346,72 +1295,54 @@ def run_campaign(
             # grid appends a new one, so offline --report reconstruction
             # always orders by the grid that last owned the journal.
             _append(handle, _journal_header(grid))
+
+    def record_completion(record: CompletedScenario) -> None:
+        completed[record.key] = record
+        trace_events.extend(record.spans)
+        if handle is not None:
+            _append(handle, _journal_line(record))
+
     try:
         # Workers receive only the Scenario coordinates and regenerate
         # its network locally (generation is byte-deterministic).
         if workers <= 1 or len(pending) <= 1:
             for scenario in pending:
-                record = execute_scenario(scenario)
-                completed[record.key] = record
-                trace_events.extend(record.spans)
-                if handle is not None:
-                    _append(handle, _journal_line(record))
+                record_completion(execute_scenario(scenario))
         else:
-            executor = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(_toggle_snapshot(), tracing, _LINT_ENABLED),
-            )
-            abandoned = False
-            try:
-                outstanding = {
-                    executor.submit(execute_scenario, scenario)
-                    for scenario in pending
-                }
-                while outstanding:
-                    done, outstanding = wait(
-                        outstanding,
-                        timeout=timeout,
-                        return_when=FIRST_COMPLETED,
+            import tempfile
+
+            from ..service.scheduler import CampaignService
+
+            with tempfile.TemporaryDirectory(prefix="repro-campaign-") as tmp:
+                service = CampaignService(
+                    tmp, workers=min(workers, len(pending)),
+                    stall_timeout_s=timeout,
+                )
+                service.start()
+                try:
+                    state = service.submit_grid(
+                        pending, trace=tracing, lint=_LINT_ENABLED
                     )
-                    if not done:
-                        raise CampaignStalled(
-                            _interrupted_message(
-                                f"no scenario completed within "
-                                f"{timeout:g}s (hung worker?)",
-                                journal, len(completed), len(grid),
-                            ),
-                            journal=journal,
-                            completed=len(completed),
-                            total=len(grid),
-                        )
-                    for future in done:
-                        # A worker that died hard (SIGKILL, OOM, C-level
-                        # crash) surfaces here as BrokenProcessPool.
-                        record = future.result()
-                        completed[record.key] = record
-                        trace_events.extend(record.spans)
-                        if handle is not None:
-                            _append(handle, _journal_line(record))
-            except BrokenProcessPool as exc:
-                abandoned = True
-                raise CampaignInterrupted(
+                    while state.state == "running":
+                        for _id, record in service.step(service.poll_s):
+                            record_completion(record)
+                finally:
+                    service.shutdown()
+            failed = [unit for unit in state.units if unit.state == "failed"]
+            if failed:
+                stalled = any(unit.stalled for unit in failed)
+                cause = f"{len(failed)} unit(s) failed on every attempt: " + (
+                    f"no progress within {timeout:g}s (hung worker?)"
+                    if stalled else "the worker died"
+                )
+                raise (CampaignStalled if stalled else CampaignInterrupted)(
                     _interrupted_message(
-                        f"campaign worker pool broke ({exc})",
-                        journal, len(completed), len(grid),
+                        cause, journal, len(completed), len(grid)
                     ),
                     journal=journal,
                     completed=len(completed),
                     total=len(grid),
-                ) from exc
-            except CampaignStalled:
-                abandoned = True
-                raise
-            finally:
-                if abandoned:
-                    _shutdown_broken_pool(executor)
-                else:
-                    executor.shutdown(wait=True)
+                )
     finally:
         if handle is not None:
             handle.close()
@@ -1424,7 +1355,7 @@ def run_campaign(
 
     if journal is not None:
         # The journal, not in-process state, is the source of truth.
-        completed = _fold_for_grid(journal, key_set)
+        completed = _scan_journal(journal, key_set)[0]
     ordered = [completed[key] for key in keys if key in completed]
     return _summarize(
         ordered,
@@ -1433,3 +1364,4 @@ def run_campaign(
         total=len(grid),
         resumed=resumed,
     )
+

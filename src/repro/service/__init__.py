@@ -6,8 +6,8 @@ schedules any number of submitted grids onto them.  An asyncio
 scheduler shards each grid into work units, feeds them to workers over
 ``multiprocessing`` queues (workers keep their memoization caches and
 warm per-topology simulation states across units *and* campaigns),
-detects worker death via liveness checks and heartbeats, resubmits a
-dead worker's in-flight unit under a retry budget, and journals every
+detects worker death and no-progress stalls, resubmits a dead or
+stalled worker's in-flight unit under a retry budget, and journals every
 finished scenario to per-worker **shard journals** in the campaign's
 state directory.  The shards merge through the exact same
 last-write-wins fold as the batch engine (``repro campaign --report
@@ -17,7 +17,8 @@ batch run.
 
 Entry points: ``repro serve`` runs the service; ``repro submit`` /
 ``status`` / ``result`` talk to it over the small HTTP API
-(:mod:`repro.service.httpapi`, stdlib-only).
+(:mod:`repro.service.httpapi`, stdlib-only); ``repro campaign
+--workers N`` drives the scheduler in-process for one grid.
 """
 
 from .scheduler import CampaignService, CampaignState, WorkUnit

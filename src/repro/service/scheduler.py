@@ -3,11 +3,13 @@
 :class:`CampaignService` owns a fixed set of worker *slots*.  Each slot
 is one persistent OS process (spawn start method — fork from an
 asyncio/multi-threaded parent inherits locked queue-feeder locks) with
-its own task queue; all slots share one result queue.  The scheduler's
-pump loop drains results, checks worker liveness and heartbeat
-freshness, and dispatches pending work units to idle slots — one
+its own task queue; all slots share one result queue.  Each
+:meth:`CampaignService.step` drains results, checks worker liveness and
+progress, and dispatches pending work units to idle slots — one
 in-flight unit per worker, so a dead worker forfeits exactly one unit
-and the scheduler knows which.
+and the scheduler knows which.  ``repro serve`` runs ``step`` from its
+asyncio loop; the batch engine (``run_campaign`` with ``workers > 1``)
+drives it directly over a temporary state directory.
 
 Everything durable lives in the state directory::
 
@@ -36,6 +38,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..core import toggles
 from ..experiments.campaign import (
     CampaignSummary,
     CompletedScenario,
@@ -85,6 +88,7 @@ class WorkUnit:
     attempts: int = 0  # dispatches so far (1 = first run, no retry yet)
     done_keys: Set[str] = field(default_factory=set)
     slot: Optional[int] = None
+    stalled: bool = False  # last forfeit was a stall kill, not a death
 
     @property
     def keys(self) -> List[str]:
@@ -100,7 +104,7 @@ class CampaignState:
     """One submitted campaign: its grid, units, and progress."""
 
     id: str
-    spec: CampaignSpec
+    spec: Optional[CampaignSpec]  # None for grids submitted directly
     grid: List[Scenario]
     shard_size: int
     directory: Path
@@ -113,6 +117,9 @@ class CampaignState:
     # merging, so a unit resubmitted after a worker death cannot
     # double-count a scenario; journal-recovered rows fold in at load).
     metrics: Dict[str, float] = field(default_factory=dict)
+    # Per-campaign worker settings, applied by the worker for each unit.
+    trace: bool = False
+    lint: bool = False
 
     @property
     def total(self) -> int:
@@ -162,10 +169,13 @@ class _Slot:
         self.process: Optional[multiprocessing.process.BaseProcess] = None
         self.tasks = None  # per-incarnation task queue
         self.unit: Optional[Tuple[str, int]] = None  # (campaign id, unit idx)
-        self.last_seen: float = 0.0
+        self.last_seen: float = 0.0  # any message, heartbeats included
+        # Dispatch, spawn, or a started/row/unit message — never a
+        # heartbeat, whose thread keeps beating while the unit hangs.
+        self.last_progress: float = 0.0
         self.generation: int = 0  # respawn count, for status/debugging
         # Latest cumulative registry snapshot this incarnation shipped on
-        # a heartbeat (merged into the service's retired pool on respawn).
+        # a heartbeat (the /healthz worker summary).
         self.metrics: Dict[str, float] = {}
 
     @property
@@ -214,9 +224,6 @@ class CampaignService:
         self._ctx = multiprocessing.get_context("spawn")
         self._results = self._ctx.Queue()
         self._slots = [_Slot(index) for index in range(workers)]
-        # Cumulative snapshots of dead worker incarnations, so respawns
-        # never lose metric history (heartbeat-sourced, best-effort).
-        self._retired_metrics: Dict[str, float] = {}
         self._campaigns: Dict[str, CampaignState] = {}
         self._stop_event: Optional[asyncio.Event] = None
         self._running = False
@@ -238,9 +245,7 @@ class CampaignService:
             self.start()
         try:
             while not self._stop_event.is_set():
-                self._drain_results()
-                self._reap_workers()
-                self._dispatch()
+                self.step()
                 try:
                     await asyncio.wait_for(
                         self._stop_event.wait(), timeout=self.poll_s
@@ -249,6 +254,18 @@ class CampaignService:
                     pass
         finally:
             self.shutdown()
+
+    def step(
+        self, wait_s: float = 0.0
+    ) -> List[Tuple[str, CompletedScenario]]:
+        """One scheduling pass: drain worker messages (blocking up to
+        ``wait_s`` for the first), reap dead or stalled workers, and
+        dispatch pending units.  Returns ``(campaign id, record)`` for
+        every scenario key reported for the first time."""
+        fresh = self._drain_results(wait_s)
+        self._reap_workers()
+        self._dispatch()
+        return fresh
 
     def request_stop(self) -> None:
         if self._stop_event is not None:
@@ -280,29 +297,49 @@ class CampaignService:
         """Validate, persist, and enqueue a campaign; returns its state.
 
         Everything needed to finish the campaign after a crash is on
-        disk before this returns: the materialized grid in
-        ``spec.json`` and the grid-ordered manifest header the offline
-        report merges shards under.
+        disk before this returns: the grid-ordered manifest header the
+        offline report merges shards under, then the materialized grid
+        in ``spec.json`` (the file a restart reloads campaigns from).
         """
         grid = spec.build()  # ValueError on bad axes, same as batch CLI
-        if not grid:
-            raise ValueError("campaign grid is empty")
-        shard_size = spec.resolve_shard_size(len(grid), self.workers)
-        campaign_id = self._next_id()
-        directory = self.state_dir / campaign_id
-        directory.mkdir(parents=True)
-        (directory / SPEC_FILENAME).write_text(
+        state = self.submit_grid(grid, spec=spec)
+        (state.directory / SPEC_FILENAME).write_text(
             json.dumps(
                 {
-                    "id": campaign_id,
+                    "id": state.id,
                     "spec": spec.to_dict(),
-                    "shard_size": shard_size,
+                    "shard_size": state.shard_size,
                     "grid": [asdict(scenario) for scenario in grid],
                 },
                 indent=2,
             )
             + "\n"
         )
+        _LOGGER.info(
+            "campaign %s submitted (spec %s): %d scenario(s) in %d unit(s)",
+            state.id, spec_fingerprint(spec), state.total, len(state.units),
+        )
+        return state
+
+    def submit_grid(
+        self,
+        grid: List[Scenario],
+        spec: Optional[CampaignSpec] = None,
+        trace: bool = False,
+        lint: bool = False,
+    ) -> CampaignState:
+        """Shard ``grid`` into work units, write its manifest, and
+        enqueue it.  Without ``spec.json`` the campaign is not reloaded
+        after a restart — the batch engine's temporary campaigns need
+        none.  ``trace``/``lint`` ride along with every unit."""
+        if not grid:
+            raise ValueError("campaign grid is empty")
+        shard_size = (spec or CampaignSpec()).resolve_shard_size(
+            len(grid), self.workers
+        )
+        campaign_id = self._next_id()
+        directory = self.state_dir / campaign_id
+        directory.mkdir(parents=True)
         manifest = _open_journal(directory / MANIFEST_FILENAME, append=False)
         try:
             _append(manifest, _journal_header(grid))
@@ -320,12 +357,10 @@ class CampaignService:
                     shard_scenarios(grid, shard_size)
                 )
             ],
+            trace=trace,
+            lint=lint,
         )
         self._campaigns[campaign_id] = state
-        _LOGGER.info(
-            "campaign %s submitted (spec %s): %d scenario(s) in %d unit(s)",
-            campaign_id, spec_fingerprint(spec), state.total, len(state.units),
-        )
         return state
 
     def campaign(self, campaign_id: str) -> CampaignState:
@@ -379,13 +414,6 @@ class CampaignService:
         return metrics_merge(
             {}, *(state.metrics for state in self._campaigns.values())
         )
-
-    def worker_metrics(self) -> Dict[str, float]:
-        """Cumulative registry series across every worker incarnation,
-        dead or alive (heartbeat-sourced; includes warmup/in-flight work
-        the per-campaign view excludes)."""
-        merged = dict(self._retired_metrics)
-        return metrics_merge(merged, *(slot.metrics for slot in self._slots))
 
     def metrics_samples(self) -> List[Tuple[str, Optional[Dict[str, str]], float, str]]:
         """Everything ``GET /metrics`` exposes, as Prometheus samples."""
@@ -542,11 +570,7 @@ class CampaignService:
         hold a partially-consumed item from the dead incarnation, so it
         is abandoned wholesale — the in-flight unit is re-dispatched
         explicitly by the caller."""
-        if slot.metrics:
-            # Keep the dead incarnation's cumulative history before the
-            # fresh process starts its series from zero.
-            metrics_merge(self._retired_metrics, slot.metrics)
-            slot.metrics = {}
+        slot.metrics = {}  # the fresh process starts its series from zero
         slot.tasks = self._ctx.Queue()
         slot.process = self._ctx.Process(
             target=worker_main,
@@ -554,7 +578,7 @@ class CampaignService:
                 slot.index,
                 slot.tasks,
                 self._results,
-                self._toggle_snapshot(),
+                toggles.snapshot(),
                 self.heartbeat_s,
             ),
             daemon=True,
@@ -563,46 +587,43 @@ class CampaignService:
         slot.process.start()
         slot.generation += 1
         slot.unit = None
-        slot.last_seen = time.monotonic()
+        slot.last_seen = slot.last_progress = time.monotonic()
 
-    @staticmethod
-    def _toggle_snapshot() -> Dict[str, Any]:
-        from ..core import toggles
-
-        return toggles.snapshot()
-
-    def _drain_results(self) -> None:
+    def _drain_results(
+        self, wait_s: float = 0.0
+    ) -> List[Tuple[str, CompletedScenario]]:
+        fresh: List[Tuple[str, CompletedScenario]] = []
         while True:
             try:
-                message = self._results.get_nowait()
+                message = self._results.get(block=wait_s > 0, timeout=wait_s)
             except queue_module.Empty:
                 break
             except (EOFError, OSError):
                 break
+            wait_s = 0.0  # only the first get may block
             kind, slot_index = message[0], message[1]
-            if 0 <= slot_index < len(self._slots):
-                self._slots[slot_index].last_seen = time.monotonic()
+            slot = self._slots[slot_index]
+            slot.last_seen = time.monotonic()
+            if kind in ("started", "row", "unit"):
+                slot.last_progress = slot.last_seen
             if kind == "hb":
-                if len(message) > 2 and isinstance(message[2], dict):
-                    if 0 <= slot_index < len(self._slots):
-                        self._slots[slot_index].metrics = message[2]
+                slot.metrics = message[2]
             elif kind == "row":
-                _, _, campaign_id, unit_index, key, has_error = message[:6]
-                row_metrics = message[6] if len(message) > 6 else None
+                _, _, campaign_id, unit_index, record = message
                 state = self._campaigns.get(campaign_id)
                 if state is None or not 0 <= unit_index < len(state.units):
                     continue
                 unit = state.units[unit_index]
-                if key not in unit.done_keys:
+                if record.key not in unit.done_keys:
                     # First sighting of this key: fold its delta.  A row
                     # journaled by a worker that died before reporting it
                     # re-executes on resubmit and lands here exactly once
                     # — set semantics keep the count honest either way.
-                    unit.done_keys.add(key)
-                    if isinstance(row_metrics, dict):
-                        metrics_merge(state.metrics, row_metrics)
-                if has_error:
-                    state.error_keys.add(key)
+                    unit.done_keys.add(record.key)
+                    metrics_merge(state.metrics, record.metrics)
+                    fresh.append((campaign_id, record))
+                if record.row.error is not None:
+                    state.error_keys.add(record.key)
             elif kind == "unit":
                 _, _, campaign_id, unit_index = message
                 state = self._campaigns.get(campaign_id)
@@ -615,9 +636,9 @@ class CampaignService:
                 if unit.slot == slot_index:
                     unit.state = "done"
                     unit.slot = None
-                    slot = self._slots[slot_index]
                     if slot.unit == (campaign_id, unit_index):
                         slot.unit = None
+        return fresh
 
     def _reap_workers(self) -> None:
         now = time.monotonic()
@@ -631,14 +652,15 @@ class CampaignService:
                 not dead
                 and self.stall_timeout_s is not None
                 and slot.unit is not None
-                and now - slot.last_seen > self.stall_timeout_s
+                and now - slot.last_progress > self.stall_timeout_s
             )
             if not dead and not stalled:
                 continue
             if stalled:
                 _LOGGER.warning(
-                    "worker %d silent for %.1fs with unit %s in flight; "
-                    "killing it", slot.index, now - slot.last_seen, slot.unit,
+                    "worker %d made no progress for %.1fs with unit %s in "
+                    "flight; killing it", slot.index,
+                    now - slot.last_progress, slot.unit,
                 )
                 slot.process.kill()
                 slot.process.join(1.0)
@@ -650,9 +672,9 @@ class CampaignService:
             )
             self._spawn(slot)
             if forfeited is not None:
-                self._forfeit(forfeited)
+                self._forfeit(forfeited, stalled)
 
-    def _forfeit(self, assignment: Tuple[str, int]) -> None:
+    def _forfeit(self, assignment: Tuple[str, int], stalled: bool) -> None:
         campaign_id, unit_index = assignment
         state = self._campaigns.get(campaign_id)
         if state is None or not 0 <= unit_index < len(state.units):
@@ -661,6 +683,7 @@ class CampaignService:
         if unit.state != "running":
             return
         unit.slot = None
+        unit.stalled = stalled
         if unit.attempts > self.retry_limit:
             unit.state = "failed"
             _LOGGER.error(
@@ -687,24 +710,30 @@ class CampaignService:
             if assignment is None:
                 return
             state, unit = assignment
+            spec = state.spec or CampaignSpec()
             payload = {
                 "campaign": state.id,
                 "unit": unit.index,
-                "scenarios": [asdict(s) for s in unit.scenarios],
+                # The Scenario objects themselves: the worker unpickles
+                # exactly what was submitted.
+                "scenarios": unit.scenarios,
                 "skip": sorted(unit.done_keys),
                 "shard": str(self._shard_path(state, slot.index)),
                 "chaos": (
-                    state.spec.chaos_kill_key
-                    if state.spec.chaos_kill_key is not None
-                    and (state.spec.chaos_always or unit.attempts == 0)
-                    and state.spec.chaos_kill_key not in unit.done_keys
+                    spec.chaos_kill_key
+                    if spec.chaos_kill_key is not None
+                    and (spec.chaos_always or unit.attempts == 0)
+                    and spec.chaos_kill_key not in unit.done_keys
                     else None
                 ),
+                "trace": state.trace,
+                "lint": state.lint,
             }
             unit.state = "running"
             unit.slot = slot.index
             unit.attempts += 1
             slot.unit = (state.id, unit.index)
+            slot.last_progress = time.monotonic()
             slot.tasks.put(payload)
 
     def _next_pending(self) -> Optional[Tuple[CampaignState, WorkUnit]]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..experiments.campaign import Scenario, build_grid
 
@@ -55,13 +55,20 @@ class CampaignSpec:
         error (a typoed axis silently defaulting would fake coverage)."""
         if not isinstance(payload, dict):
             raise ValueError("campaign spec must be a JSON object")
-        known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(payload) - known)
+        types = {spec.name: str(spec.type) for spec in fields(cls)}
+        unknown = sorted(set(payload) - set(types))
         if unknown:
             raise ValueError(
                 f"unknown campaign spec field(s): {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(known))})"
+                f"(known: {', '.join(sorted(types))})"
             )
+        for name, value in payload.items():
+            if not _TYPE_CHECKS[types[name]](value):
+                expected = "int >= 1" if types[name] == "int" else types[name]
+                raise ValueError(
+                    f"campaign spec field {name!r} must be {expected}, "
+                    f"got {value!r}"
+                )
         return cls(**payload)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -97,6 +104,25 @@ class CampaignSpec:
             1,
             min(DEFAULT_SHARD_SIZE, math.ceil(grid_len / max(1, workers * 4))),
         )
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Submission bodies are outside input: each field is checked against
+# its annotation before the dataclass sees it, so a malformed spec is a
+# ValueError naming the field (HTTP 400), never a TypeError deep inside
+# grid enumeration.
+_TYPE_CHECKS: Dict[str, Callable[[Any], bool]] = {
+    "List[str]": lambda v: isinstance(v, list)
+    and all(isinstance(item, str) for item in v),
+    "List[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "int": lambda v: _is_int(v) and v >= 1,  # seeds: the one plain int
+    "bool": lambda v: isinstance(v, bool),
+    "Optional[int]": lambda v: v is None or _is_int(v),
+    "Optional[str]": lambda v: v is None or isinstance(v, str),
+}
 
 
 def shard_scenarios(

@@ -1,8 +1,8 @@
 """The persistent worker process: warm caches, shard journals, heartbeats.
 
 Each worker slot runs :func:`worker_main` in its own process for the
-lifetime of the service.  Unlike the batch engine's pool — which
-pickles one task per scenario — a worker here receives whole *work
+lifetime of the scheduler — a ``repro serve`` service or one batch
+``run_campaign(workers > 1)`` call.  A worker receives whole *work
 units* (a contiguous grid slice) over its task queue and executes them
 with :func:`repro.experiments.campaign.execute_scenario`, so the
 process-local memoization caches, interned route attributes, and warm
@@ -18,9 +18,10 @@ was reported.  Shard files are opened through the campaign engine's
 it appends: a respawned worker re-attaching to its dead predecessor's
 shard cannot write onto the fragment.
 
-A daemon thread posts heartbeats every ``heartbeat_s`` so the
-scheduler can tell a *hung* worker (alive but silent) from a busy one;
-hard death (SIGKILL, OOM) is detected by the process liveness check.
+A daemon thread posts heartbeats (with the worker's metrics, for
+``/healthz``) every ``heartbeat_s``.  It keeps beating while the main
+thread hangs, so stall detection reads unit *progress* instead, and
+hard death (SIGKILL, OOM) is caught by the process liveness check.
 """
 
 from __future__ import annotations
@@ -33,15 +34,14 @@ from typing import Any, Dict
 
 __all__ = ["worker_main"]
 
-# Message kinds posted on the shared result queue.  Tuples, not
-# dataclasses: they must unpickle in the parent without importing this
-# module's class definitions mid-drain.
+# Message kinds posted on the shared result queue.  Tuples, so the
+# parent dispatches on the kind before touching the payload:
 #   ("hb", slot, metrics)                liveness heartbeat + the worker's
 #                                        cumulative registry snapshot
 #   ("started", slot, campaign, unit)    unit accepted, now running
-#   ("row", slot, campaign, unit, key, has_error, metrics)
-#                                        one scenario journaled; metrics is
-#                                        its registry delta
+#   ("row", slot, campaign, unit, record)
+#                                        one scenario journaled; record is
+#                                        its CompletedScenario
 #   ("unit", slot, campaign, unit)       unit finished (all rows journaled)
 #   ("bye", slot)                        clean shutdown acknowledgement
 
@@ -54,8 +54,7 @@ def _heartbeat_loop(result_queue, slot: int, interval_s: float,
         try:
             # The cumulative snapshot rides on every heartbeat: the
             # scheduler keeps the latest per slot for /healthz worker
-            # summaries (and folds it into a retired-metrics pool when
-            # the incarnation dies, so restarts lose nothing).
+            # summaries.
             result_queue.put(("hb", slot, counters_snapshot()))
         except Exception:
             return  # parent gone; the process is about to be reaped
@@ -71,17 +70,17 @@ def worker_main(
     """Run work units until the ``None`` shutdown sentinel arrives."""
     from ..core import toggles
     from ..experiments.campaign import (
-        Scenario,
         _append,
         _journal_line,
         _open_journal,
         execute_scenario,
+        set_campaign_lint,
     )
+    from ..obs import set_tracing
 
-    # The service parent snapshots its toggle registry at spawn time —
-    # the same propagation contract as the batch engine's _init_worker,
-    # so a toggle added to the registry reaches service workers
-    # automatically.
+    # Settings come from the scheduler only: the whole toggle registry
+    # at spawn (a new toggle reaches workers automatically), the
+    # campaign's trace/lint flags with every task.
     toggles.apply(toggle_values)
 
     stop = threading.Event()
@@ -100,12 +99,13 @@ def worker_main(
             unit = task["unit"]
             skip = set(task.get("skip") or ())
             chaos_key = task.get("chaos")
+            set_tracing(task["trace"])
+            set_campaign_lint(task["lint"])
             result_queue.put(("started", slot, campaign, unit))
             shard = Path(task["shard"])
             handle = _open_journal(shard, append=True)
             try:
-                for coordinates in task["scenarios"]:
-                    scenario = Scenario(**coordinates)
+                for scenario in task["scenarios"]:
                     key = scenario.key()
                     if key in skip:
                         continue  # journaled by a previous attempt
@@ -116,10 +116,7 @@ def worker_main(
                         os.kill(os.getpid(), signal.SIGKILL)
                     record = execute_scenario(scenario)
                     _append(handle, _journal_line(record))
-                    result_queue.put(
-                        ("row", slot, campaign, unit, key,
-                         record.row.error is not None, record.metrics)
-                    )
+                    result_queue.put(("row", slot, campaign, unit, record))
             finally:
                 handle.close()
             result_queue.put(("unit", slot, campaign, unit))

@@ -330,28 +330,38 @@ class TestServiceDirectoryExpansion:
 
 
 class TestWorkerToggles:
-    def test_initializer_propagates_toggles(self):
-        """Pool workers must inherit the parent's toggles even under
-        spawn/forkserver start methods, where module globals reset."""
-        from repro.batfish.bgpsim import incremental_simulation_enabled
-        from repro.core import toggles
-        from repro.experiments.campaign import _init_worker
-        from repro.symbolic.memo import memoization_enabled
+    """Settings must reach real spawned workers, whose module globals
+    start from defaults: the toggle snapshot at spawn, the campaign's
+    lint flag in every task."""
 
+    def test_memoization_toggle_reaches_workers(self):
+        from repro.core import toggles
+        from repro.symbolic.memo import memo_totals
+
+        with toggles.scoped(memoization=False):
+            off = run_campaign(_grid(), workers=2)
+        hits, misses = memo_totals(off.metrics)
+        assert hits == 0 and misses > 0
+        # The control: the same grid memoizes when the toggle is on.
+        assert memo_totals(run_campaign(_grid(), workers=2).metrics)[0] > 0
+
+    def test_lint_flag_reaches_workers(self):
+        from repro.experiments.campaign import set_campaign_lint
+
+        set_campaign_lint(True)
         try:
-            _init_worker(
-                {"incremental_simulation": False, "memoization": False}
-            )
-            assert not memoization_enabled()
-            assert not incremental_simulation_enabled()
+            parallel = run_campaign(_grid(), workers=2)
+            serial = run_campaign(_grid(), workers=1)
         finally:
-            _init_worker(toggles.DEFAULTS)
-        assert memoization_enabled()
-        assert incremental_simulation_enabled()
+            set_campaign_lint(False)
+        assert all(row.lint_findings is not None for row in parallel.rows)
+        # Equal deterministic rows (duration_s is wall-clock).
+        assert parallel.to_dict() == serial.to_dict()
 
     def test_initializer_covers_every_registered_toggle(self):
-        """The snapshot the executor ships must name every toggle in
-        the registry — a new toggle cannot silently skip propagation."""
+        """The snapshot the scheduler ships at spawn must name every
+        toggle in the registry — a new toggle cannot silently skip
+        propagation."""
         from repro.core import toggles
 
         assert set(toggles.snapshot()) == set(toggles.DEFAULTS)

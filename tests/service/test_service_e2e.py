@@ -125,6 +125,10 @@ class TestHappyPath:
                 running.client.submit({"familes": ["star"]})
             assert excinfo.value.status == 400
             with pytest.raises(ServiceError) as excinfo:
+                running.client.submit({"seeds": "2"})
+            assert excinfo.value.status == 400
+            assert "seeds" in str(excinfo.value)
+            with pytest.raises(ServiceError) as excinfo:
                 running.client.status("c9999")
             assert excinfo.value.status == 404
 

@@ -24,6 +24,39 @@ class TestSpec:
         with pytest.raises(ValueError, match="familes"):
             CampaignSpec.from_dict({"familes": ["star"]})
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"seeds": "2"}, "seeds"),
+            ({"seeds": True}, "seeds"),
+            ({"seeds": 0}, "seeds"),
+            ({"sizes": 4}, "sizes"),
+            ({"sizes": [4, "6"]}, "sizes"),
+            ({"sizes": [True]}, "sizes"),
+            ({"families": "star"}, "families"),
+            ({"profiles": [None]}, "profiles"),
+            ({"roles": "c2i2h2"}, "roles"),
+            ({"topos": [0.4]}, "topos"),
+            ({"places": None}, "places"),
+            ({"iip_ablation": 1}, "iip_ablation"),
+            ({"chaos_always": "yes"}, "chaos_always"),
+            ({"shard_size": "2"}, "shard_size"),
+            ({"shard_size": 2.0}, "shard_size"),
+            ({"chaos_kill_key": 3}, "chaos_kill_key"),
+        ],
+    )
+    def test_rejects_mistyped_fields(self, payload, field):
+        """Outside input: a wrong type is a ValueError naming the field
+        (HTTP 400), not a TypeError deep inside grid enumeration."""
+        with pytest.raises(ValueError, match=repr(field)):
+            CampaignSpec.from_dict(payload)
+
+    def test_accepts_nulls_where_optional(self):
+        spec = CampaignSpec.from_dict(
+            {"shard_size": None, "chaos_kill_key": None, "seeds": 2}
+        )
+        assert spec == CampaignSpec(seeds=2)
+
     def test_rejects_non_object_payload(self):
         with pytest.raises(ValueError, match="JSON object"):
             CampaignSpec.from_dict(["star"])
