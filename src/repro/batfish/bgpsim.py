@@ -9,11 +9,20 @@ The simulator:
 * derives eBGP sessions from mutual neighbor declarations (A declares a
   neighbor address owned by B with B's AS, and vice versa);
 * originates a router's ``network`` statements as BGP routes;
-* propagates routes to fixpoint, applying the advertiser's export
-  route-map, AS-path prepending, AS-loop rejection, and the receiver's
-  import route-map;
+* propagates routes to fixpoint with one worklist over directed
+  sessions, applying the advertiser's export route-map, AS-path
+  prepending, AS-loop rejection, and the receiver's import route-map;
 * runs standard best-path selection (local-pref, AS-path length, MED,
   total tie-break on advertiser then originator name for determinism).
+
+A new advertisement *replaces* the receiver's route from the same
+sender (an implicit withdrawal): when the sender's new offer is worse,
+denied, reflected or gone, the receiver re-selects from its
+neighbours' current offers.  At the fixpoint every router therefore
+holds the best of its neighbours' *current* routes — a stable state in
+the sense of Griffin, Shepherd & Wilfong's Stable Paths Problem — and
+no learned entry outlives its advertiser's entry, so the state reached
+does not depend on the order sessions are processed in.
 
 Best-path selection is driven by a *decision cache*: every
 :class:`RibEntry` computes its C-ordered decision tuple once at
@@ -37,11 +46,11 @@ and over with only a handful of routers changed between runs.
 the set of changed routers, re-converges only the affected dependency
 cone: every RIB entry records the routers its route traversed
 (``RibEntry.path``), so entries whose provenance avoids the changed set
-survive verbatim, while the rest are invalidated and refilled by a
-prefix-filtered worklist that advertises only along dirty BGP sessions.
-A converged incremental state is always identical to a from-scratch
-run (the differential property tests assert this per topology family);
-if the worklist ever exceeds the full simulator's iteration budget the
+survive verbatim, while the rest are invalidated and refilled by the
+same worklist a full run uses, seeded only with the dirty sessions and
+the invalidated prefixes.  A converged incremental state is always
+identical to a from-scratch run (the differential property tests assert
+this per topology family); if the worklist ever exceeds its budget the
 state falls back to a full convergence, so incrementality can change
 performance but never verdicts.
 """
@@ -55,7 +64,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..netmodel.device import RouterConfig
 from ..netmodel.ip import Ipv4Address, Prefix
-from ..netmodel.route import ROUTES_REUSED, Protocol, Route
+from ..netmodel.route import Protocol, Route
 from ..obs import counter, span, timer
 from ..netmodel.routebuilder import RouteBuilder, export_route
 from ..netmodel.routing_policy import (
@@ -203,17 +212,18 @@ class BgpSimulation:
         # for the lifetime of a simulation, so each policy is bound to
         # its config once per convergence, not once per session visit.
         self._prepared: Dict[Tuple[int, str], object] = {}
-        # route-map id -> whether its set chains can improve a route's
-        # decision attributes (same lifetime guarantee as _prepared).
-        self._neutral: Dict[int, bool] = {}
-        # (sender, receiver) -> {prefix: (rib entry, candidate or None)}.
-        # Configs never change within one simulation and routes are
-        # immutable flyweights, so advertising the *same* RIB entry
-        # across a session is a pure function — _advertise reuses
-        # the computed candidate (None = denied) until the sender's
-        # entry object is replaced, instead of re-running the export
-        # pipeline every fixpoint round.
-        self._advertised: Dict[Tuple[str, str], Dict[Prefix, Tuple]] = {}
+        # (sender, receiver) -> the bound session policy, see
+        # _session_policy.
+        self._policies: Dict[Tuple[str, str], Tuple] = {}
+        self._directed: Dict[Tuple[str, str], BgpSession] = {}
+        self._out_edges: Dict[str, List[Tuple[str, str]]] = {}
+        self._in_edges: Dict[str, List[Tuple[str, str]]] = {}
+        for pair in self._sessions:
+            for session in (pair, pair.reversed()):
+                key = (session.local_router, session.remote_router)
+                self._directed[key] = session
+                self._out_edges.setdefault(session.local_router, []).append(key)
+                self._in_edges.setdefault(session.remote_router, []).append(key)
 
     # -- topology derivation ---------------------------------------------------
 
@@ -286,6 +296,7 @@ class BgpSimulation:
 
     @property
     def iterations(self) -> int:
+        """Directed-session processings of the last propagation."""
         return self._iterations
 
     def rib(self, hostname: str) -> Dict[Prefix, RibEntry]:
@@ -305,21 +316,15 @@ class BgpSimulation:
     # -- simulation -------------------------------------------------------------------
 
     def run(self) -> int:
-        """Propagate to fixpoint; returns the number of iterations."""
+        """Originate every router's networks, then propagate with every
+        router dirty until quiescent; returns :attr:`iterations`.
+
+        If the worklist exhausts its budget the simulation is still
+        marked converged; nothing reports the cut-off yet."""
         if self._converged:
             return self._iterations
         self._originate()
-        directed = [
-            session for pair in self._sessions for session in (pair, pair.reversed())
-        ]
-        for iteration in range(1, MAX_ITERATIONS + 1):
-            changed = False
-            for session in directed:
-                if self._advertise(session):
-                    changed = True
-            self._iterations = iteration
-            if not changed:
-                break
+        self._propagate(set(self._configs), {})
         self._converged = True
         return self._iterations
 
@@ -332,21 +337,26 @@ class BgpSimulation:
 
         ``dirty`` routers were re-originated with empty learned state;
         ``removed`` maps non-dirty routers to the prefixes whose entries
-        were invalidated.  Propagates prefix-filtered advertisements
-        until quiescent.  Returns the number of directed-session
-        processings, or ``None`` if the worklist exceeded the full
-        simulator's budget (the caller then falls back to a full run).
+        were invalidated.  Returns the number of directed-session
+        processings, or ``None`` if the worklist exceeded its budget
+        (the caller then falls back to a full run).
         """
-        directed: Dict[Tuple[str, str], BgpSession] = {}
-        out_edges: Dict[str, List[Tuple[str, str]]] = {}
-        in_edges: Dict[str, List[Tuple[str, str]]] = {}
-        for pair in self._sessions:
-            for session in (pair, pair.reversed()):
-                key = (session.local_router, session.remote_router)
-                directed[key] = session
-                out_edges.setdefault(session.local_router, []).append(key)
-                in_edges.setdefault(session.remote_router, []).append(key)
+        processed = self._propagate(dirty, removed)
+        self._converged = processed is not None
+        return processed
 
+    def _propagate(
+        self,
+        dirty: Set[str],
+        removed: Dict[str, Set[Prefix]],
+    ) -> Optional[int]:
+        """The one propagation loop: every session touching a ``dirty``
+        router advertises in full, every session into a router with
+        ``removed`` prefixes re-advertises those, and any change at a
+        receiver re-queues its outgoing sessions for the changed
+        prefixes, until quiescent.  Records the number of
+        directed-session processings in :attr:`iterations`; returns it,
+        or ``None`` past ``MAX_ITERATIONS`` per directed session."""
         pending: "OrderedDict[Tuple[str, str], Optional[Set[Prefix]]]" = (
             OrderedDict()
         )
@@ -363,27 +373,27 @@ class BgpSimulation:
                 pending[key] = None if prefixes is None else set(prefixes)
 
         for router in sorted(dirty):
-            for key in in_edges.get(router, ()):
+            for key in self._in_edges.get(router, ()):
                 enqueue(key, None)
-            for key in out_edges.get(router, ()):
+            for key in self._out_edges.get(router, ()):
                 enqueue(key, None)
         for router in sorted(removed):
-            for key in in_edges.get(router, ()):
-                enqueue(key, set(removed[router]))
+            for key in self._in_edges.get(router, ()):
+                enqueue(key, removed[router])
 
-        budget = MAX_ITERATIONS * max(1, len(directed))
+        budget = MAX_ITERATIONS * max(1, len(self._directed))
         processed = 0
         while pending:
+            if processed == budget:
+                self._iterations = processed
+                return None
             processed += 1
-            if processed > budget:
-                return None  # would not have converged; caller re-runs fully
             key, prefixes = pending.popitem(last=False)
-            changed = self._advertise(directed[key], prefixes)
+            changed = self._advertise(key, prefixes)
             if changed:
-                for out in out_edges.get(key[1], ()):
+                for out in self._out_edges.get(key[1], ()):
                     enqueue(out, changed)
-        self._converged = True
-        self._iterations = max(self._iterations, 1)
+        self._iterations = processed
         return processed
 
     def _originate(self) -> None:
@@ -394,117 +404,136 @@ class BgpSimulation:
         config = self._configs[hostname]
         if config.bgp is None:
             return
+        rib = self._ribs[hostname]
         for prefix in config.bgp.networks:
             route = Route(prefix=prefix, protocol=Protocol.BGP)
-            self._install(
-                hostname,
-                RibEntry(route=route, learned_from=None, origin_router=hostname),
+            rib[prefix] = RibEntry(
+                route=route, learned_from=None, origin_router=hostname
             )
 
+    def _session_policy(self, key: Tuple[str, str]) -> Tuple[bool, Tuple]:
+        """``(screen, pipeline)`` for one directed session, bound once
+        per simulation (configs never change within one).  ``pipeline``
+        is the session's trailing :meth:`_export_candidate` arguments.
+        ``screen`` licenses the loser pre-screen in :meth:`_advertise`:
+        neither session map sets local-preference or MED, so no policy
+        can *improve* a route's decision attributes (prepends only
+        lengthen the AS path, i.e. only worsen it)."""
+        policy = self._policies.get(key)
+        if policy is None:
+            session = self._directed[key]
+            sender_config = self._configs[key[0]]
+            receiver_config = self._configs[key[1]]
+            assert sender_config.bgp is not None and receiver_config.bgp is not None
+            export_map = self._neighbor_policy(
+                sender_config, session.remote_ip, "export"
+            )
+            import_map = self._neighbor_policy(
+                receiver_config, session.local_ip, "import"
+            )
+            screen = not any(
+                isinstance(set_action, (SetLocalPref, SetMed))
+                for route_map in (export_map, import_map)
+                if route_map is not None
+                for clause in route_map.clauses
+                for set_action in clause.sets
+            )
+            policy = self._policies[key] = (
+                screen,
+                (
+                    self._find_clause(sender_config, export_map),
+                    self._find_clause(receiver_config, import_map),
+                    key[0],
+                    sender_config.bgp.asn,
+                    receiver_config.bgp.asn,
+                    session.local_ip,
+                ),
+            )
+        return policy
+
     def _advertise(
-        self, session: BgpSession, prefixes: Optional[Set[Prefix]] = None
+        self, key: Tuple[str, str], prefixes: Optional[Set[Prefix]] = None
     ) -> Set[Prefix]:
         """Advertise the sender's RIB across one directed session.
 
-        With ``prefixes``, only entries for those prefixes are
-        advertised (the incremental engine's targeted refill).  Returns
-        the prefixes whose RIB entry changed at the receiver.
+        With ``prefixes``, only those prefixes are advertised (the
+        worklist's targeted refill).  An advertisement *replaces* the
+        receiver's route from the same sender: when the receiver holds
+        the sender's route and the new offer is worse, denied,
+        reflected or gone, the receiver re-selects from all its
+        neighbours' current offers, so no learned route outlives its
+        advertiser's entry.  Returns the prefixes whose RIB entry
+        changed at the receiver.
         """
-        sender = session.local_router
-        receiver = session.remote_router
-        sender_config = self._configs[sender]
-        receiver_config = self._configs[receiver]
-        assert sender_config.bgp is not None and receiver_config.bgp is not None
-        export_map = self._neighbor_policy(sender_config, session.remote_ip, "export")
-        import_map = self._neighbor_policy(receiver_config, session.local_ip, "import")
-        export_find = (
-            self._prepared_policy(sender_config, export_map).find_clause
-            if export_map is not None
-            else None
-        )
-        import_find = (
-            self._prepared_policy(receiver_config, import_map).find_clause
-            if import_map is not None
-            else None
-        )
-        sender_asn = sender_config.bgp.asn
-        receiver_asn = receiver_config.bgp.asn
-        session_cache = self._advertised.get((sender, receiver))
-        if session_cache is None:
-            session_cache = {}
-            self._advertised[(sender, receiver)] = session_cache
-        changed: Set[Prefix] = set()
-        if prefixes is None:
-            entries = list(self._ribs[sender].values())
-        else:
-            # Targeted refill: look the prefixes up instead of scanning
-            # the whole RIB (sorted so propagation order is stable).
-            rib = self._ribs[sender]
-            entries = [
-                rib[prefix]
-                for prefix in sorted(prefixes, key=str)
-                if prefix in rib
-            ]
+        sender, receiver = key
+        screen, pipeline = self._session_policy(key)
+        sender_rib = self._ribs[sender]
         receiver_rib = self._ribs[receiver]
-        # Loser pre-screen: when neither session policy can improve a
-        # route's decision attributes, the candidate's best possible
-        # decision key is computable from the sender's entry alone
-        # ((learned, -local_pref, len+1, med, sender, origin) — extra
-        # prepends only worsen it).  A candidate whose optimistic key
-        # does not beat the incumbent can never install, so the whole
-        # export pipeline is skipped for it.
-        screen = (
-            export_map is None or self._decision_neutral(export_map)
-        ) and (import_map is None or self._decision_neutral(import_map))
-        for entry in entries:
-            if entry.learned_from == receiver:
-                continue  # do not reflect a route back to its source
-            self.evaluations += 1
-            prefix = entry.route.prefix
-            cached = session_cache.get(prefix)
-            if cached is not None and cached[0] is entry:
-                # Same sender entry as last round: the export pipeline's
-                # output (candidate or denial) is reused verbatim
-                # instead of being rebuilt.
-                candidate = cached[1]
-                ROUTES_REUSED.inc()
-                if candidate is None:
-                    continue  # denied last time; entry unchanged
-            else:
-                if screen:
-                    incumbent = receiver_rib.get(prefix)
-                    if incumbent is not None:
-                        route = entry.route
-                        optimistic = (
-                            True,
-                            -route.local_pref,
-                            len(route.as_path.asns) + 1,
-                            route.med,
-                            sender,
-                            entry.origin_router,
-                        )
-                        if not optimistic < incumbent.decision_key:
-                            continue  # cannot beat the incumbent
-                candidate = self._export_candidate(
-                    entry,
-                    export_find,
-                    import_find,
-                    sender,
-                    sender_asn,
-                    receiver_asn,
-                    session.local_ip,
-                )
-                session_cache[prefix] = (entry, candidate)
-                if candidate is None:
-                    continue
+        if prefixes is None:
+            # Everything the sender holds, plus what the receiver still
+            # holds from it (withdrawn since).
+            prefixes = set(sender_rib)
+            prefixes.update(
+                prefix
+                for prefix, held in receiver_rib.items()
+                if held.learned_from == sender
+            )
+        changed: Set[Prefix] = set()
+        for prefix in prefixes:
             incumbent = receiver_rib.get(prefix)
-            if incumbent is None or (
-                incumbent is not candidate
-                and candidate.decision_key < incumbent.decision_key
+            replaces = incumbent is not None and incumbent.learned_from == sender
+            entry = sender_rib.get(prefix)
+            candidate = None
+            if entry is not None and entry.learned_from != receiver:
+                self.evaluations += 1
+                if screen and incumbent is not None and not replaces:
+                    # Loser pre-screen: a candidate whose optimistic key
+                    # does not beat the incumbent can never install, so
+                    # the export pipeline is skipped for it.
+                    route = entry.route
+                    optimistic = (
+                        True,
+                        -route.local_pref,
+                        len(route.as_path.asns) + 1,
+                        route.med,
+                        sender,
+                        entry.origin_router,
+                    )
+                    if not optimistic < incumbent.decision_key:
+                        continue
+                candidate = self._export_candidate(entry, *pipeline)
+            if candidate is not None and (
+                incumbent is None or candidate.decision_key < incumbent.decision_key
             ):
                 receiver_rib[prefix] = candidate
                 changed.add(prefix)
+            elif replaces and (
+                candidate is None or not _same_entry(candidate, incumbent)
+            ):
+                # Implicit withdrawal: the sender no longer offers the
+                # route the receiver holds.
+                best = self._reselect(receiver, prefix)
+                if best is None:
+                    del receiver_rib[prefix]
+                else:
+                    receiver_rib[prefix] = best
+                changed.add(prefix)
         return changed
+
+    def _reselect(self, receiver: str, prefix: Prefix) -> Optional[RibEntry]:
+        """The best of the receiver's neighbours' current offers."""
+        best: Optional[RibEntry] = None
+        for key in self._in_edges.get(receiver, ()):
+            entry = self._ribs[key[0]].get(prefix)
+            if entry is None or entry.learned_from == receiver:
+                continue
+            self.evaluations += 1
+            candidate = self._export_candidate(entry, *self._session_policy(key)[1])
+            if candidate is not None and (
+                best is None or candidate.decision_key < best.decision_key
+            ):
+                best = candidate
+        return best
 
     def _export_candidate(
         self,
@@ -525,7 +554,7 @@ class BgpSimulation:
         (:func:`~repro.netmodel.routebuilder.export_route`).  Either
         way the pipeline allocates one ``Route``, not one per stage.
         Returns the receiver-side candidate, or ``None`` when any stage
-        denies (cached by the caller until the sender's entry changes).
+        denies.
         """
         route = entry.route
         # AS paths only grow (export maps can prepend, never strip), so
@@ -567,29 +596,16 @@ class BgpSimulation:
             advertised, sender, entry.origin_router, entry.path + (sender,)
         )
 
-    def _prepared_policy(self, config: RouterConfig, route_map):
+    def _find_clause(self, config: RouterConfig, route_map):
+        """The map's prepared ``find_clause`` (``None`` without a map)."""
+        if route_map is None:
+            return None
         key = (id(config), route_map.name)
         prepared = self._prepared.get(key)
         if prepared is None:
             prepared = route_map.prepare(config)
             self._prepared[key] = prepared
-        return prepared
-
-    def _decision_neutral(self, route_map) -> bool:
-        """Whether the map's set chains cannot *improve* a route's
-        decision attributes: no ``set local-preference`` and no ``set
-        med`` anywhere (prepends only lengthen the AS path, i.e. only
-        worsen it).  Licenses the loser pre-screen in ``_advertise``."""
-        key = id(route_map)
-        cached = self._neutral.get(key)
-        if cached is None:
-            cached = not any(
-                isinstance(set_action, (SetLocalPref, SetMed))
-                for clause in route_map.clauses
-                for set_action in clause.sets
-            )
-            self._neutral[key] = cached
-        return cached
+        return prepared.find_clause
 
     def _neighbor_policy(
         self, config: RouterConfig, neighbor_ip: Ipv4Address, direction: str
@@ -604,24 +620,6 @@ class BgpSimulation:
         if name is None:
             return None
         return config.get_route_map(name)
-
-    def _install(self, hostname: str, candidate: RibEntry) -> bool:
-        """Install if better than the current best; returns True on change.
-
-        The no-op check runs *first*: an identical (or indistinguishable)
-        candidate returns False through the same branch whether it ties
-        or loses, so incremental re-simulation's dirty tracking sees the
-        exact change set a full run would.
-        """
-        rib = self._ribs[hostname]
-        incumbent = rib.get(candidate.route.prefix)
-        if incumbent is not None:
-            if incumbent is candidate or _same_entry(incumbent, candidate):
-                return False
-            if not candidate.decision_key < incumbent.decision_key:
-                return False
-        rib[candidate.route.prefix] = candidate
-        return True
 
 
 def rib_snapshots(simulation: BgpSimulation) -> Dict[str, Dict[Prefix, Tuple]]:
@@ -647,37 +645,32 @@ def rib_snapshots(simulation: BgpSimulation) -> Dict[str, Dict[Prefix, Tuple]]:
 # the hidden ``repro fuzz --plant`` CLI option) can flip; production
 # code never sets them.
 
-_KNOWN_PLANTED_BUGS = frozenset({"short-decision-key"})
+_KNOWN_PLANTED_BUGS = frozenset({"shallow-invalidation"})
 
 _PLANTED_BUGS: Set[str] = set()
 
-_SHIPPED_LEARNED = RibEntry.__dict__["_learned"]
+
+def _in_cone(entry: RibEntry, dirty: Set[str]) -> bool:
+    """Whether a warm entry depends on a changed router: its route
+    traversed one (the incremental engine's dependency cone)."""
+    return not dirty.isdisjoint(entry.path)
 
 
-def _learned_short_key(
-    cls,
-    route: Route,
-    learned_from: str,
-    origin_router: str,
-    path: Tuple[str, ...],
-) -> RibEntry:
-    """``RibEntry._learned`` with the pre-fix decision key: no ``(asns,
-    path)`` tail, so two routes from the same neighbor and originator
-    with different equal-length AS paths tie, and the incumbent keeps
-    the cell — the winner depends on arrival order."""
-    entry = _SHIPPED_LEARNED.__func__(
-        cls, route, learned_from, origin_router, path
-    )
-    object.__setattr__(entry, "decision_key", entry.decision_key[:-2])
-    return entry
+_SHIPPED_IN_CONE = _in_cone
+
+
+def _in_shallow_cone(entry: RibEntry, dirty: Set[str]) -> bool:
+    """``_in_cone`` cut to one hop: only entries learned *directly* from
+    a changed router are dropped, so an entry learned further
+    downstream can survive its advertiser's withdrawal."""
+    return entry.learned_from in dirty
 
 
 def _plant_bug(name: str, enabled: bool = True) -> None:
-    """Enable/disable a planted known bug.  ``short-decision-key``
-    rebinds the learned-entry constructor to build decision keys
-    without their ``(asns, path)`` tail (the tie-break bug the
-    differential fuzzer found); rebinding keeps the shipped hot path
-    free of any planted-bug branch."""
+    """Enable/disable a planted known bug.  ``shallow-invalidation``
+    rebinds the cone test to :func:`_in_shallow_cone`; rebinding keeps
+    the shipped path free of any planted-bug branch."""
+    global _in_cone
     if name not in _KNOWN_PLANTED_BUGS:
         known = ", ".join(sorted(_KNOWN_PLANTED_BUGS))
         raise ValueError(f"unknown planted bug {name!r} (known: {known})")
@@ -685,10 +678,10 @@ def _plant_bug(name: str, enabled: bool = True) -> None:
         _PLANTED_BUGS.add(name)
     else:
         _PLANTED_BUGS.discard(name)
-    RibEntry._learned = (
-        classmethod(_learned_short_key)
-        if "short-decision-key" in _PLANTED_BUGS
-        else _SHIPPED_LEARNED
+    _in_cone = (
+        _in_shallow_cone
+        if "shallow-invalidation" in _PLANTED_BUGS
+        else _SHIPPED_IN_CONE
     )
 
 
@@ -697,10 +690,11 @@ def _planted_bugs() -> "frozenset[str]":
 
 
 def _same_entry(left: RibEntry, right: RibEntry) -> bool:
-    """Whether two entries are indistinguishable (the no-op install
-    check).  The cached decision key screens out most mismatches in one
-    tuple compare (it covers provenance, local-pref, path length, and
-    MED); only the attributes outside the decision process remain."""
+    """Whether two entries are indistinguishable (a re-advertisement
+    that changes nothing).  The cached decision key screens out most
+    mismatches in one tuple compare (it covers provenance, local-pref,
+    path length, and MED); only the attributes outside the decision
+    process remain."""
     if left.decision_key != right.decision_key:
         return False
     a, b = left.route, right.route
@@ -715,7 +709,7 @@ def _same_entry(left: RibEntry, right: RibEntry) -> bool:
 def _entry_key(entry: RibEntry) -> Tuple:
     # Route attributes are interned (see repro.netmodel.route), so the
     # as-path tuple and community frozenset compare by pointer on the
-    # hot same-entry check in _install — no per-comparison string
+    # hot same-entry check in _advertise — no per-comparison string
     # rendering or sorting.
     route = entry.route
     return (
@@ -821,8 +815,7 @@ class SimulationState:
     names every changed router; it *invalidates itself* (falls back to
     a full run) when there is no prior state, when the changed set is
     unknown (``None``), when incremental simulation is globally
-    disabled, or when the worklist fails to quiesce within the full
-    simulator's iteration budget.
+    disabled, or when the worklist fails to quiesce within its budget.
     """
 
     def __init__(self, configs: Optional[Dict[str, RouterConfig]] = None) -> None:
@@ -906,12 +899,12 @@ class SimulationState:
                 continue
             target = new._ribs[hostname]
             for prefix, entry in old._ribs.get(hostname, {}).items():
-                if dirty.isdisjoint(entry.path):
-                    target[prefix] = entry
-                    reused += 1
-                else:
+                if _in_cone(entry, dirty):
                     removed.setdefault(hostname, set()).add(prefix)
                     invalidated += 1
+                else:
+                    target[prefix] = entry
+                    reused += 1
         live_dirty = dirty & set(new._configs)
         for hostname in live_dirty:
             new._originate_router(hostname)

@@ -21,7 +21,7 @@ private state.
 Shipping semantics are the point: workers are separate processes, each
 with its own registry, so campaign/service workers measure a scenario by
 ``snapshot`` → work → ``snapshot`` → :func:`delta`, send the (small, flat,
-JSON-safe) delta dict over the existing result queues, and the parent
+JSON-safe) delta dict over the existing result pipes, and the parent
 folds them with :func:`merge`.  Deltas of monotonic series subtract;
 gauges are levels and are excluded from ``counters_snapshot``; ``.max_s``
 keys take the *after* value in a delta and merge by ``max``.

@@ -3,7 +3,9 @@
 :class:`CampaignService` owns a fixed set of worker *slots*.  Each slot
 is one persistent OS process (spawn start method — fork from an
 asyncio/multi-threaded parent inherits locked queue-feeder locks) with
-its own task queue; all slots share one result queue.  Each
+its own task queue and result pipe (a worker SIGKILLed while holding
+a shared result queue's write lock would block every other worker's
+reports for good).  Each
 :meth:`CampaignService.step` drains results, checks worker liveness and
 progress, and dispatches pending work units to idle slots — one
 in-flight unit per worker, so a dead worker forfeits exactly one unit
@@ -32,11 +34,11 @@ import asyncio
 import json
 import logging
 import multiprocessing
-import queue as queue_module
+import multiprocessing.connection
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core import toggles
 from ..experiments.campaign import (
@@ -222,7 +224,9 @@ class CampaignService:
         self.poll_s = poll_s
         self.started_at = time.monotonic()
         self._ctx = multiprocessing.get_context("spawn")
-        self._results = self._ctx.Queue()
+        # Result pipe read ends.  A dead incarnation's pipe is read until
+        # EOF, so nothing it reported before dying is lost to the respawn.
+        self._channels: List[Any] = []
         self._slots = [_Slot(index) for index in range(workers)]
         self._campaigns: Dict[str, CampaignState] = {}
         self._stop_event: Optional[asyncio.Event] = None
@@ -290,6 +294,9 @@ class CampaignService:
                 slot.process.kill()
                 slot.process.join(1.0)
             slot.process = None
+        for channel in self._channels:
+            channel.close()
+        self._channels.clear()
 
     # -- submission & queries --------------------------------------------------
 
@@ -572,12 +579,13 @@ class CampaignService:
         explicitly by the caller."""
         slot.metrics = {}  # the fresh process starts its series from zero
         slot.tasks = self._ctx.Queue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         slot.process = self._ctx.Process(
             target=worker_main,
             args=(
                 slot.index,
                 slot.tasks,
-                self._results,
+                writer,
                 toggles.snapshot(),
                 self.heartbeat_s,
             ),
@@ -585,6 +593,10 @@ class CampaignService:
             name=f"repro-service-worker-{slot.index}",
         )
         slot.process.start()
+        # The worker now holds the only write end, so its death reads as
+        # EOF on the pipe.
+        writer.close()
+        self._channels.append(reader)
         slot.generation += 1
         slot.unit = None
         slot.last_seen = slot.last_progress = time.monotonic()
@@ -593,14 +605,7 @@ class CampaignService:
         self, wait_s: float = 0.0
     ) -> List[Tuple[str, CompletedScenario]]:
         fresh: List[Tuple[str, CompletedScenario]] = []
-        while True:
-            try:
-                message = self._results.get(block=wait_s > 0, timeout=wait_s)
-            except queue_module.Empty:
-                break
-            except (EOFError, OSError):
-                break
-            wait_s = 0.0  # only the first get may block
+        for message in self._receive(wait_s):
             kind, slot_index = message[0], message[1]
             slot = self._slots[slot_index]
             slot.last_seen = time.monotonic()
@@ -639,6 +644,27 @@ class CampaignService:
                     if slot.unit == (campaign_id, unit_index):
                         slot.unit = None
         return fresh
+
+    def _receive(self, wait_s: float) -> Iterator[Tuple[Any, ...]]:
+        """Every message the workers have posted, blocking up to
+        ``wait_s`` for the first."""
+        while self._channels:
+            ready = multiprocessing.connection.wait(
+                list(self._channels), timeout=wait_s
+            )
+            if not ready:
+                return
+            wait_s = 0.0  # only the first wait may block
+            for channel in ready:
+                try:
+                    message = channel.recv()
+                except (EOFError, OSError):
+                    # The worker is gone and its pipe is drained, or
+                    # ends in a message torn by the kill.
+                    self._channels.remove(channel)
+                    channel.close()
+                    continue
+                yield message
 
     def _reap_workers(self) -> None:
         now = time.monotonic()

@@ -3,7 +3,8 @@
 Each worker slot runs :func:`worker_main` in its own process for the
 lifetime of the scheduler — a ``repro serve`` service or one batch
 ``run_campaign(workers > 1)`` call.  A worker receives whole *work
-units* (a contiguous grid slice) over its task queue and executes them
+units* (a contiguous grid slice) over its task queue, reports back on
+its own result pipe, and executes the units
 with :func:`repro.experiments.campaign.execute_scenario`, so the
 process-local memoization caches, interned route attributes, and warm
 per-topology simulation states survive across units and across
@@ -30,11 +31,11 @@ import os
 import signal
 import threading
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Callable, Dict
 
 __all__ = ["worker_main"]
 
-# Message kinds posted on the shared result queue.  Tuples, so the
+# Message kinds posted on the worker's result pipe.  Tuples, so the
 # parent dispatches on the kind before touching the payload:
 #   ("hb", slot, metrics)                liveness heartbeat + the worker's
 #                                        cumulative registry snapshot
@@ -43,11 +44,10 @@ __all__ = ["worker_main"]
 #                                        one scenario journaled; record is
 #                                        its CompletedScenario
 #   ("unit", slot, campaign, unit)       unit finished (all rows journaled)
-#   ("bye", slot)                        clean shutdown acknowledgement
 
 
-def _heartbeat_loop(result_queue, slot: int, interval_s: float,
-                    stop: threading.Event) -> None:
+def _heartbeat_loop(post: Callable[[tuple], None], slot: int,
+                    interval_s: float, stop: threading.Event) -> None:
     from ..obs import counters_snapshot
 
     while not stop.wait(interval_s):
@@ -55,7 +55,7 @@ def _heartbeat_loop(result_queue, slot: int, interval_s: float,
             # The cumulative snapshot rides on every heartbeat: the
             # scheduler keeps the latest per slot for /healthz worker
             # summaries.
-            result_queue.put(("hb", slot, counters_snapshot()))
+            post(("hb", slot, counters_snapshot()))
         except Exception:
             return  # parent gone; the process is about to be reaped
 
@@ -63,7 +63,7 @@ def _heartbeat_loop(result_queue, slot: int, interval_s: float,
 def worker_main(
     slot: int,
     task_queue,
-    result_queue,
+    results,
     toggle_values: Dict[str, Any],
     heartbeat_s: float,
 ) -> None:
@@ -83,10 +83,17 @@ def worker_main(
     # campaign's trace/lint flags with every task.
     toggles.apply(toggle_values)
 
+    # The heartbeat thread and the main thread share the pipe.
+    send_lock = threading.Lock()
+
+    def post(message: tuple) -> None:
+        with send_lock:
+            results.send(message)
+
     stop = threading.Event()
     beat = threading.Thread(
         target=_heartbeat_loop,
-        args=(result_queue, slot, heartbeat_s, stop),
+        args=(post, slot, heartbeat_s, stop),
         daemon=True,
     )
     beat.start()
@@ -101,7 +108,7 @@ def worker_main(
             chaos_key = task.get("chaos")
             set_tracing(task["trace"])
             set_campaign_lint(task["lint"])
-            result_queue.put(("started", slot, campaign, unit))
+            post(("started", slot, campaign, unit))
             shard = Path(task["shard"])
             handle = _open_journal(shard, append=True)
             try:
@@ -116,13 +123,9 @@ def worker_main(
                         os.kill(os.getpid(), signal.SIGKILL)
                     record = execute_scenario(scenario)
                     _append(handle, _journal_line(record))
-                    result_queue.put(("row", slot, campaign, unit, record))
+                    post(("row", slot, campaign, unit, record))
             finally:
                 handle.close()
-            result_queue.put(("unit", slot, campaign, unit))
+            post(("unit", slot, campaign, unit))
     finally:
         stop.set()
-        try:
-            result_queue.put(("bye", slot))
-        except Exception:
-            pass

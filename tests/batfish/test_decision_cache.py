@@ -5,7 +5,8 @@ as the BGP attribute cascade does (property-tested over randomized
 pairs against :func:`_cascade_better`, the reference oracle below), the
 ordering must be *total* on decision-relevant attributes (the ``"" <
 ""`` local-origination tie regression), every family's converged RIBs
-must hold the cascade-best of all neighbor offers, and tie-heavy
+must hold the cascade-best of all neighbor offers with every learned
+entry equal to its advertiser's current offer, and tie-heavy
 meshes — every router originating the same prefix — must converge to
 the same RIBs under full and incremental simulation alike.
 """
@@ -24,7 +25,7 @@ from repro.batfish.bgpsim import (
 from repro.cisco import parse_cisco
 from repro.netmodel import Prefix
 from repro.netmodel.aspath import AsPath
-from repro.netmodel.route import Route, reset_route_stats, route_totals
+from repro.netmodel.route import Route
 from repro.topology.families import FAMILIES, generate_network
 from repro.topology.reference import build_reference_configs
 
@@ -184,61 +185,74 @@ class TestTieHeavyMeshDifferential:
         assert rib_snapshots(state._sim) == rib_snapshots(full)
 
 
+def _assert_stable_state(configs):
+    """Converge ``configs`` and check the stable-state conditions:
+    every route a neighbor would advertise over a session loses to (or
+    is) the receiver's installed entry under the attribute cascade, and
+    every learned entry is exactly its advertiser's current offer.
+    Returns the number of offers compared."""
+    sim = BgpSimulation(configs)
+    sim.run()
+    offered = {}
+    for pair in sim.sessions:
+        for session in (pair, pair.reversed()):
+            sender, receiver = session.local_router, session.remote_router
+            sender_config = configs[sender]
+            receiver_config = configs[receiver]
+            finds = []
+            for config, address, direction in (
+                (sender_config, session.remote_ip, "export"),
+                (receiver_config, session.local_ip, "import"),
+            ):
+                route_map = sim._neighbor_policy(config, address, direction)
+                finds.append(
+                    None
+                    if route_map is None
+                    else route_map.prepare(config).find_clause
+                )
+            for entry in sim.rib(sender).values():
+                if entry.learned_from == receiver:
+                    continue
+                candidate = sim._export_candidate(
+                    entry,
+                    finds[0],
+                    finds[1],
+                    sender,
+                    sender_config.bgp.asn,
+                    receiver_config.bgp.asn,
+                    session.local_ip,
+                )
+                if candidate is None:
+                    continue
+                offered[receiver, entry.route.prefix, sender] = candidate
+                installed = sim.rib(receiver)[entry.route.prefix]
+                assert not _cascade_better(candidate, installed)
+    for name in configs:
+        for prefix, entry in sim.rib(name).items():
+            if entry.learned_from is not None:
+                offer = offered.get((name, prefix, entry.learned_from))
+                assert offer is not None and _same_entry(offer, entry), (
+                    name,
+                    prefix,
+                    entry.learned_from,
+                )
+    return len(offered)
+
+
 class TestConvergedRibsAgreeWithCascade:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_no_neighbor_offer_beats_the_installed_entry(self, family):
-        """At the fixpoint, every route a neighbor would advertise over
-        a session loses to (or is) the receiver's installed entry under
-        the attribute cascade — the one decision-key winner rule and the
-        loser pre-screen never keep a worse route."""
+        """At the fixpoint every router holds the best of its
+        neighbors' current offers — the one decision-key winner rule
+        and the loser pre-screen never keep a worse route, and no
+        learned route outlives its advertiser's entry."""
         configs = build_reference_configs(generate_network(family, 6).topology)
-        sim = BgpSimulation(configs)
-        sim.run()
-        offers = 0
-        for pair in sim.sessions:
-            for session in (pair, pair.reversed()):
-                sender, receiver = session.local_router, session.remote_router
-                sender_config = configs[sender]
-                receiver_config = configs[receiver]
-                finds = []
-                for config, address, direction in (
-                    (sender_config, session.remote_ip, "export"),
-                    (receiver_config, session.local_ip, "import"),
-                ):
-                    route_map = sim._neighbor_policy(config, address, direction)
-                    finds.append(
-                        None
-                        if route_map is None
-                        else route_map.prepare(config).find_clause
-                    )
-                for entry in sim.rib(sender).values():
-                    if entry.learned_from == receiver:
-                        continue
-                    candidate = sim._export_candidate(
-                        entry,
-                        finds[0],
-                        finds[1],
-                        sender,
-                        sender_config.bgp.asn,
-                        receiver_config.bgp.asn,
-                        session.local_ip,
-                    )
-                    if candidate is None:
-                        continue
-                    offers += 1
-                    installed = sim.rib(receiver)[entry.route.prefix]
-                    assert not _cascade_better(candidate, installed)
-        assert offers > 0
+        assert _assert_stable_state(configs) > 0
 
-
-class TestReuseCounter:
-    def test_mesh_converge_reuses_candidates(self):
-        """A multi-round mesh fixpoint must count per-session candidate
-        reuses — the counter that silently read 0 in every bench row."""
-        configs = build_reference_configs(generate_network("mesh", 6).topology)
-        reset_route_stats()
-        sim = BgpSimulation(configs)
-        sim.run()
-        totals = route_totals()
-        assert totals["routes_reused"] > 0
-        assert totals["routes_built"] > 0
+    def test_roled_waxman_22_holds_no_replaced_route(self):
+        """The converge-scale waxman-22 network, where a full run
+        without implicit withdrawal keeps entries whose advertiser has
+        since replaced its route."""
+        network = generate_network("waxman", 22, roles="c2i3h2")
+        configs = build_reference_configs(network.topology)
+        assert _assert_stable_state(configs) > 0

@@ -2,11 +2,12 @@
 shrinking, journaling, and worker-count determinism.
 
 The planted-bug tests are the harness's acceptance contract: a fuzzer
-is only trustworthy if, handed a known historical bug (a decision key
-without its ``(asns, path)`` tail, so ties fall back to arrival order —
-re-enabled behind the hidden ``short-decision-key`` flag), it finds the
-divergence, shrinks it, and emits a corpus record that fails while the
-bug is planted and passes the moment it is fixed.
+is only trustworthy if, handed a known bug (an incremental dependency
+cone cut to one hop, so an entry learned downstream of a changed router
+outlives its advertiser's withdrawal — planted behind the hidden
+``shallow-invalidation`` flag), it finds the divergence, shrinks it,
+and emits a corpus record that fails while the bug is planted and
+passes the moment it is fixed.
 """
 
 import json
@@ -23,12 +24,12 @@ from repro.fuzz.harness import (
     run_fuzz_iteration,
 )
 
-# The planted-bug hit in seed 55's scenario sequence sits at index 1
-# (the only hit among indices 0-1 of seeds 0-79), so two iterations
-# exercise a clean index and a finding one.
+# Seed 55's scenario sequence is clean at index 0 and hits the planted
+# bug at index 1, so two iterations exercise a clean index and a
+# finding one.
 PLANTED_SEED = 55
 PLANTED_ITERATIONS = 2
-PLANTED = ("short-decision-key",)
+PLANTED = ("shallow-invalidation",)
 
 
 class TestRunFuzzIteration:
@@ -62,9 +63,9 @@ class TestPlantedBugContract:
 
     def test_shrinker_minimized_the_scenario(self, finding):
         """The generated scenario at (55, 1) carries four edits on an
-        8-router network; the planted tie bug needs one policy edit
+        8-router network; the planted cone bug needs one withdrawal
         (incremental re-simulation only runs after an edit) on a
-        7-router one, so the shrunk repro is strictly smaller."""
+        4-router one, so the shrunk repro is strictly smaller."""
         from repro.fuzz.scenarios import scenario_at
 
         original = scenario_at(PLANTED_SEED, 1)
@@ -80,13 +81,14 @@ class TestPlantedBugContract:
     def test_corpus_record_fails_planted_and_passes_fixed(self, finding):
         """The acceptance criterion: the emitted corpus file fails
         before the fix (bug planted) and passes after (bug unplanted —
-        the shipped decision key carries the total tie-break)."""
+        the shipped cone drops every entry whose path crosses a changed
+        router)."""
         record = finding.repro
-        _plant_bug("short-decision-key", True)
+        _plant_bug("shallow-invalidation", True)
         try:
             assert replay_record(record) is not None
         finally:
-            _plant_bug("short-decision-key", False)
+            _plant_bug("shallow-invalidation", False)
         assert replay_record(record) is None
 
     def test_repro_filename_is_content_addressed(self, finding):

@@ -51,6 +51,10 @@ CELLS = [
     ("random", 8, {"seed": 2, "roles": "c2i2h1", "place": "degree"}),
     ("waxman", 8, {"seed": 1, "roles": "c2i2h2"}),
     ("waxman", 8, {"seed": 3, "roles": "c1i3h1p1", "place": "degree"}),
+    # perfbench's converge-scale waxman-22 network: without implicit
+    # withdrawal a full run leaves stale entries here, so incremental
+    # and full runs reach different fixpoints.
+    ("waxman", 22, {"roles": "c2i3h2"}),
 ]
 
 IDS = [
