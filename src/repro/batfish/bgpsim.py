@@ -305,12 +305,20 @@ class BgpSimulation:
             self.run()
         return dict(self._ribs[hostname])
 
+    def rib_entry(self, hostname: str, prefix: Prefix) -> Optional[RibEntry]:
+        """A router's post-convergence entry for one prefix, if any: a
+        lookup into the RIB itself, where :meth:`rib` returns a copy.
+        Raises ``KeyError`` for an unknown router."""
+        if not self._converged:
+            self.run()
+        return self._ribs[hostname].get(prefix)
+
     def has_route(self, hostname: str, prefix: Prefix) -> bool:
-        return prefix in self.rib(hostname)
+        return self.rib_entry(hostname, prefix) is not None
 
     def provenance(self, hostname: str, prefix: Prefix) -> Optional[str]:
         """Hostname of the originator of the installed route, if any."""
-        entry = self.rib(hostname).get(prefix)
+        entry = self.rib_entry(hostname, prefix)
         return entry.origin_router if entry is not None else None
 
     # -- simulation -------------------------------------------------------------------

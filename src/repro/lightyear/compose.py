@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from ..batfish.bgpsim import (
     BgpSimulation,
@@ -29,6 +29,7 @@ from ..netmodel.routing_policy import (
     PolicyEvaluationError,
     SetCommunity,
 )
+from ..obs import counter
 from ..topology.model import Topology
 from .invariants import EgressFilterInvariant, IngressTagInvariant
 
@@ -373,16 +374,27 @@ def check_global_no_transit(
     return result
 
 
+# Export route-map evaluations the border verdict performed.
+_EXPORT_EVALUATIONS = counter("verdict.export_evaluations")
+
+
 def _exported_prefixes(
     simulation: BgpSimulation,
     router: str,
     config: RouterConfig,
     peer_ip,
+    wanted: AbstractSet[Prefix],
 ) -> "set[Prefix]":
-    """The prefixes a router would advertise to one external peer,
-    applying the export route-map attached to that neighbor (if any).
+    """Which of the ``wanted`` prefixes a router would advertise to one
+    external peer, applying the export route-map attached to that
+    neighbor (if any).
 
-    An undeclared neighbor exports nothing — the session would never
+    The result is exact only over ``wanted``: each wanted prefix is
+    looked up in the router's RIB and only an installed entry is run
+    through the export map, so a prefix outside ``wanted`` is never in
+    the result, exported or not.  A route whose evaluation raises
+    :class:`PolicyEvaluationError` counts as not exported.  An
+    undeclared neighbor exports nothing — the session would never
     establish, which the reachability checks then surface.
     """
     if config.bgp is None:
@@ -396,9 +408,13 @@ def _exported_prefixes(
         else None
     )
     exported = set()
-    for entry in simulation.rib(router).values():
+    for prefix in wanted:
+        entry = simulation.rib_entry(router, prefix)
+        if entry is None:
+            continue
         route = entry.route
         if export_map is not None:
+            _EXPORT_EVALUATIONS.inc()
             try:
                 outcome = export_map.evaluate(route, config)
             except PolicyEvaluationError:
@@ -428,6 +444,11 @@ def _check_global_border(
 
     Each violation also flips the verdicts of the roles it implicates,
     producing the per-role reading in ``role_verdicts``.
+
+    The verdict only asks whether role prefixes (transit-forbidden
+    attachment prefixes and customer prefixes) are exported, so each
+    export set is computed over their union alone: it is exact over
+    those prefixes and says nothing about any other RIB entry.
     """
     from ..topology.roles import RoleAssignment, RoleKind
 
@@ -457,6 +478,12 @@ def _check_global_border(
         )
         if interface is not None:
             customer_prefixes.append((customer.role_name, interface.prefix))
+    wanted = {
+        prefix
+        for named_prefixes in prefixes_of.values()
+        for _, prefix in named_prefixes
+    }
+    wanted.update(prefix for _, prefix in customer_prefixes)
     for attachment in forbidden:
         config = configs.get(attachment.router)
         if config is None:
@@ -467,7 +494,8 @@ def _check_global_border(
             blame(attachment.role_name)
             continue
         exported = _exported_prefixes(
-            simulation, attachment.router, config, attachment.peer.peer_ip
+            simulation, attachment.router, config, attachment.peer.peer_ip,
+            wanted,
         )
         for other_index, named_prefixes in sorted(prefixes_of.items()):
             if other_index == attachment.index:
@@ -495,7 +523,8 @@ def _check_global_border(
         config = configs.get(customer.router)
         exported = (
             _exported_prefixes(
-                simulation, customer.router, config, customer.peer.peer_ip
+                simulation, customer.router, config, customer.peer.peer_ip,
+                wanted,
             )
             if config is not None
             else set()
