@@ -38,7 +38,7 @@ def detect_vendor(text: str) -> Vendor:
 
 @dataclass
 class Snapshot:
-    """A parsed set of configurations, keyed by file name."""
+    """A parsed set of configurations (shared and read-only), by file name."""
 
     name: str = "snapshot"
     texts: Dict[str, str] = field(default_factory=dict)
@@ -66,16 +66,8 @@ class Snapshot:
     def add_file(self, filename: str, text: str) -> RouterConfig:
         """Parse and add (or replace) one config file."""
         self.texts[filename] = text
-        vendor = detect_vendor(text)
-        default_hostname = Path(filename).stem
-        if vendor is Vendor.JUNIPER:
-            result = parse_juniper(text, filename=filename)
-            if not result.config.hostname:
-                result.config.hostname = default_hostname
-        else:
-            result = parse_cisco(
-                text, filename=filename, default_hostname=default_hostname
-            )
+        parse = parse_juniper if detect_vendor(text) is Vendor.JUNIPER else parse_cisco
+        result = parse(text, filename=filename, default_hostname=Path(filename).stem)
         config = result.config
         self.configs[filename] = config
         self.warnings[filename] = list(result.warnings)

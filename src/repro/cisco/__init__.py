@@ -2,10 +2,9 @@
 
 from .generator import generate_cisco
 from .lexer import ConfigLine, tokenize
-from .parser import CiscoParseResult, parse_cisco
+from .parser import parse_cisco
 
 __all__ = [
-    "CiscoParseResult",
     "ConfigLine",
     "generate_cisco",
     "parse_cisco",

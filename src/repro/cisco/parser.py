@@ -15,8 +15,6 @@ output for this case "is not informative enough" for GPT-4 to self-fix).
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
 from typing import Optional
 
 from ..netmodel.acl import AccessList, AclEntry
@@ -24,7 +22,7 @@ from ..netmodel.aspath import AsPathAccessList
 from ..netmodel.bgp import BgpNeighbor, Redistribution
 from ..netmodel.communities import Community, CommunityError, CommunityList, CommunityListEntry
 from ..netmodel.device import RouterConfig, Vendor
-from ..netmodel.diagnostics import Diagnostics
+from ..netmodel.diagnostics import Diagnostics, ParseResult
 from ..netmodel.interfaces import Interface
 from ..netmodel.ip import AddressError, Ipv4Address, Prefix, PrefixRange
 from ..netmodel.prefixlist import PrefixList
@@ -44,10 +42,10 @@ from ..netmodel.routing_policy import (
     SetMed,
     SetNextHop,
 )
-from ..symbolic.memo import MemoCache, memoization_enabled
+from ..symbolic.memo import ParseMemo
 from .lexer import ConfigLine, tokenize
 
-__all__ = ["CiscoParseResult", "parse_cisco"]
+__all__ = ["parse_cisco"]
 
 # Interactive CLI keywords GPT-4 tends to emit inside .cfg files (§4.2,
 # "Wrong keywords"); each is flagged with a dedicated warning.
@@ -66,43 +64,22 @@ _BLOCK_CHILD_KEYWORDS = frozenset(
 )
 
 
-@dataclass
-class CiscoParseResult:
-    """Outcome of a parse: the IR plus diagnostics."""
-
-    config: RouterConfig
-    diagnostics: Diagnostics
-
-    @property
-    def warnings(self):
-        return self.diagnostics.warnings
-
-
-# A VPP loop re-parses the same draft text many times (a correction
-# the model declines re-sends an unchanged draft).  The bound keeps the
-# memo to the drafts of a few recent scenarios.
-_PARSE_MEMO = MemoCache("cisco-parse", max_entries=128)
+_PARSE_MEMO = ParseMemo(
+    "cisco-parse", lambda text, filename: _CiscoParser(filename).parse(text)
+)
 
 
 def parse_cisco(
     text: str, filename: str = "<cisco>", default_hostname: str = ""
-) -> CiscoParseResult:
+) -> ParseResult:
     """Parse IOS config text into a :class:`RouterConfig`.
 
     ``default_hostname`` names the router when the text has no
-    ``hostname`` line.  Results are memoized on all three arguments;
-    every call returns a fresh copy, so callers may mutate it.
+    ``hostname`` line.  Results are memoized on all three arguments and
+    shared: a repeat call returns the same object, so callers must treat
+    it as read-only and edit a ``copy.deepcopy`` of it.
     """
-    key = (text, filename, default_hostname)
-    hit, cached = _PARSE_MEMO.lookup(key)
-    if hit:
-        return copy.deepcopy(cached)
-    result = _CiscoParser(filename).parse(text)
-    if not result.config.hostname:
-        result.config.hostname = default_hostname
-    if memoization_enabled():
-        _PARSE_MEMO.store(key, copy.deepcopy(result))
-    return result
+    return _PARSE_MEMO.parse(text, filename, default_hostname)
 
 
 class _CiscoParser:
@@ -119,10 +96,10 @@ class _CiscoParser:
 
     # -- top level ----------------------------------------------------------
 
-    def parse(self, text: str) -> CiscoParseResult:
+    def parse(self, text: str) -> ParseResult:
         for line in tokenize(text):
             self._dispatch(line)
-        return CiscoParseResult(self.config, self.diagnostics)
+        return ParseResult(self.config, self.diagnostics)
 
     def _dispatch(self, line: ConfigLine) -> None:
         keyword = line.keyword

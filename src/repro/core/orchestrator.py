@@ -41,6 +41,7 @@ from ..lightyear.verifier import verify_invariants
 from ..llm.client import LLMClient
 from ..netmodel.device import RouterConfig
 from ..netmodel.routing_policy import SetCommunity
+from ..symbolic.memo import MemoCache
 from ..topology.model import Topology
 from ..topology.verifier import verify_topology
 from .composer import Composer
@@ -58,6 +59,11 @@ __all__ = [
     "TranslationOrchestrator",
     "TranslationRunResult",
 ]
+
+# Campion reports keyed on the ids of (source, parsed draft): a re-sent
+# draft parses to the same shared config, so its compare is a lookup.
+# Each entry holds both configs, so their ids cannot be reused meanwhile.
+_COMPARE_MEMO = MemoCache("campion-compare", max_entries=128)
 
 DEFAULT_TRANSLATION_PROMPT = (
     "Translate the configuration into an equivalent Juniper configuration."
@@ -169,7 +175,8 @@ class _CorrectionLoop:
 
 
 class TranslationOrchestrator:
-    """Use case 1 (§3): translate one Cisco config to Juniper."""
+    """Use case 1 (§3): translate one Cisco config to Juniper.  ``source``
+    is read-only: Campion reports are memoized on its identity."""
 
     def __init__(
         self,
@@ -232,8 +239,12 @@ class TranslationOrchestrator:
         parsed = parse_juniper(draft_text, filename="translation.conf")
         if parsed.warnings:
             return finding_from_warning(parsed.warnings[0])
-        report = compare_configs(self._source, parsed.config)
-        raw = report.first_finding()
+        source, draft = self._source, parsed.config
+        hit, entry = _COMPARE_MEMO.lookup((id(source), id(draft)))
+        if not hit:
+            entry = (source, draft, compare_configs(source, draft))
+            _COMPARE_MEMO.store((id(source), id(draft)), entry)
+        raw = entry[2].first_finding()
         if raw is None:
             return None
         return _wrap_campion_finding(raw)

@@ -8,8 +8,8 @@ fuzzer compares:
   set_incremental_simulation`): re-converge only the dependency cone of
   the changed routers, or re-run the whole BGP simulation;
 * ``memoization`` (:func:`repro.symbolic.memo.set_memoization`): answer
-  repeated symbolic questions, Cisco parses and draft renders from the
-  memo caches, or recompute them.
+  repeated symbolic questions, Cisco and Juniper parses, Campion
+  compares and draft renders from the memo caches, or recompute them.
 
 They are module globals in two modules.  Each one is cheap and
 fork-friendly, but together they form shared mutable state that leaks:

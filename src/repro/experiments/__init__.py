@@ -18,7 +18,7 @@ from .campaign import (
     run_campaign,
     run_scenario,
 )
-from .data import BATFISH_EXAMPLE_CISCO, load_translation_source
+from ..sampleconfigs import BATFISH_EXAMPLE_CISCO, load_translation_source
 from .iip_ablation import IipAblationResult, run_iip_ablation
 from .incremental import IncrementalResult, run_incremental_policy_experiment
 from .local_vs_global import (

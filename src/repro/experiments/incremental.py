@@ -206,7 +206,7 @@ def run_incremental_policy_experiment(
         text = model.send(prompt)
     verified = _next_finding(text, invariants) is None
     # Even in the no-recheck control, report whether no-transit survived.
-    config = parse_cisco(text, default_hostname="R1").config
+    config = parse_cisco(text, filename="R1.cfg", default_hostname="R1").config
     surviving_violations = verify_invariants({"R1": config}, old_invariants)
     if not recheck_old_invariants and surviving_violations:
         verified = False  # shipped broken: the point of the control

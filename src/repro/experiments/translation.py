@@ -23,7 +23,7 @@ from ..llm import (
     make_translation_model,
     translation_fault_catalog,
 )
-from .data import load_translation_source
+from ..sampleconfigs import load_translation_source
 
 __all__ = [
     "Table2Row",

@@ -3,11 +3,10 @@ Cisco→Juniper translator used as the translation ground truth."""
 
 from .generator import generate_juniper
 from .lexer import LexError, Statement, lex_juniper
-from .parser import JuniperParseResult, parse_juniper
+from .parser import parse_juniper
 from .translate import TranslationNotes, translate_cisco_to_juniper
 
 __all__ = [
-    "JuniperParseResult",
     "LexError",
     "Statement",
     "TranslationNotes",

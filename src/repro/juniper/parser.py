@@ -18,13 +18,12 @@ Two diagnostics reproduce paper behaviours exactly:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import List, Optional
 
 from ..netmodel.aspath import AsPathAccessList
 from ..netmodel.communities import Community, CommunityError, CommunityList, CommunityListEntry
 from ..netmodel.device import RouterConfig, Vendor
-from ..netmodel.diagnostics import Diagnostics
+from ..netmodel.diagnostics import Diagnostics, ParseResult
 from ..netmodel.interfaces import Interface
 from ..netmodel.ip import AddressError, Ipv4Address, Prefix, PrefixRange
 from ..netmodel.bgp import BgpNeighbor
@@ -44,30 +43,26 @@ from ..netmodel.routing_policy import (
     SetMed,
     SetNextHop,
 )
+from ..symbolic.memo import ParseMemo
 from .lexer import LexError, Statement, lex_juniper
 
-__all__ = ["JuniperParseResult", "parse_juniper"]
+__all__ = ["parse_juniper"]
 
 _LENGTH_RANGE_RE = re.compile(r"^/(\d+)-/(\d+)$")
 _BAD_RANGE_RE = re.compile(r"^(\d+\.\d+\.\d+\.\d+)/(\d+)-(\d+)$")
 
 
-@dataclass
-class JuniperParseResult:
-    """Outcome of a parse: the IR plus diagnostics."""
-
-    config: RouterConfig
-    diagnostics: Diagnostics
-
-    @property
-    def warnings(self):
-        return self.diagnostics.warnings
+_PARSE_MEMO = ParseMemo(
+    "juniper-parse", lambda text, filename: _JuniperParser(filename).parse(text)
+)
 
 
-def parse_juniper(text: str, filename: str = "<juniper>") -> JuniperParseResult:
-    """Parse Junos config text into a :class:`RouterConfig`."""
-    parser = _JuniperParser(filename)
-    return parser.parse(text)
+def parse_juniper(
+    text: str, filename: str = "<juniper>", default_hostname: str = ""
+) -> ParseResult:
+    """Parse Junos config text into a :class:`RouterConfig`; memoized
+    and shared like :func:`~repro.cisco.parse_cisco`, so read-only."""
+    return _PARSE_MEMO.parse(text, filename, default_hostname)
 
 
 class _JuniperParser:
@@ -76,16 +71,16 @@ class _JuniperParser:
         self.config = RouterConfig(hostname="", vendor=Vendor.JUNIPER)
         self._default_as: Optional[int] = None
 
-    def parse(self, text: str) -> JuniperParseResult:
+    def parse(self, text: str) -> ParseResult:
         try:
             statements = lex_juniper(text)
         except LexError as exc:
             self.diagnostics.warn(1, "<file>", f"fatal lexical error: {exc}")
-            return JuniperParseResult(self.config, self.diagnostics)
+            return ParseResult(self.config, self.diagnostics)
         for statement in statements:
             self._dispatch(statement)
         self._check_local_as()
-        return JuniperParseResult(self.config, self.diagnostics)
+        return ParseResult(self.config, self.diagnostics)
 
     def _dispatch(self, statement: Statement) -> None:
         keyword = statement.keyword

@@ -13,7 +13,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import List
 
-__all__ = ["ParseStatus", "ParseWarning", "Diagnostics"]
+from .device import RouterConfig
+
+__all__ = ["ParseResult", "ParseStatus", "ParseWarning", "Diagnostics"]
 
 
 class ParseStatus(enum.Enum):
@@ -76,3 +78,15 @@ class Diagnostics:
 
     def clear(self) -> None:
         self.warnings.clear()
+
+
+@dataclass
+class ParseResult:
+    """Outcome of a parse in either dialect: the IR plus diagnostics."""
+
+    config: RouterConfig
+    diagnostics: Diagnostics
+
+    @property
+    def warnings(self) -> List[ParseWarning]:
+        return self.diagnostics.warnings

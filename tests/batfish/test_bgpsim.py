@@ -1,5 +1,6 @@
 """Tests for the BGP control-plane simulator."""
 
+import copy
 
 from repro.batfish import BgpSimulation
 from repro.cisco import generate_cisco, parse_cisco
@@ -8,8 +9,9 @@ from repro.netmodel.aspath import AsPath
 
 
 def _parse_all(texts):
+    # Parse results are shared; the tests edit these configs, so copy.
     return {
-        name: parse_cisco(text, filename=name).config
+        name: copy.deepcopy(parse_cisco(text, filename=name).config)
         for name, text in texts.items()
     }
 

@@ -36,6 +36,13 @@ class TestSnapshot:
         snapshot = Snapshot.from_texts({"r9.cfg": "router bgp 1\n"})
         assert snapshot.configs["r9.cfg"].hostname == "r9"
 
+    def test_junos_hostname_defaults_to_filename(self):
+        nameless = _JUNIPER.replace("system { host-name j1; }\n", "")
+        snapshot = Snapshot.from_texts({"j9.conf": nameless, "j1.conf": _JUNIPER})
+        assert snapshot.configs["j9.conf"].vendor is Vendor.JUNIPER
+        assert snapshot.configs["j9.conf"].hostname == "j9"
+        assert snapshot.configs["j1.conf"].hostname == "j1"
+
     def test_config_by_hostname(self):
         snapshot = Snapshot.from_texts({"x.cfg": BATFISH_EXAMPLE_CISCO})
         assert snapshot.config_by_hostname("as100border1") is not None

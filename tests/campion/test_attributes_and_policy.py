@@ -154,6 +154,14 @@ class TestDiffer:
         report = compare_configs(source, translated, stop_at_first_class=False)
         assert report.structural and report.attributes
 
+    def test_compare_after_an_in_place_edit_sees_the_edit(self, pair):
+        source, translated = pair
+        assert compare_configs(source, translated).clean
+        translated.bgp.neighbors["2.3.4.5"].export_policy = None
+        report = compare_configs(source, translated)
+        assert report.structural
+        assert report.first_finding() is report.structural[0]
+
     def test_summary(self, pair):
         source, translated = pair
         report = compare_configs(source, translated)

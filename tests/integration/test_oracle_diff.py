@@ -16,6 +16,10 @@ references: prepared route-map evaluation (what ``_advertise`` binds
 per session) agrees with the unprepared ``RouteMap.evaluate`` on every
 installed route, and the worklist engine with every router dirty
 reaches exactly the fixpoint of a full ``run()``.
+
+The translation loop gets the memo oracle too: with memoization on and
+off, every seed and behavior profile must yield the same prompts,
+transcript, final draft and Table 2 rows.
 """
 
 import copy
@@ -25,6 +29,8 @@ import pytest
 
 from repro.batfish.bgpsim import BgpSimulation, SimulationState, rib_snapshots
 from repro.core import toggles
+from repro.experiments.campaign import PROFILES
+from repro.experiments.translation import run_translation_experiment
 from repro.fuzz import BASELINE, all_combos, diff_observations, observe
 from repro.fuzz.scenarios import FuzzEdit, FuzzScenario
 from repro.lightyear import (
@@ -205,3 +211,26 @@ class TestOracleIdentities:
         full = BgpSimulation(copy.deepcopy(configs))
         full.run()
         assert rib_snapshots(state.simulation) == rib_snapshots(full)
+
+
+@pytest.mark.parametrize("profile", ["default", "sloppy"])
+@pytest.mark.parametrize("seed", range(10))
+def test_translation_loop_is_identical_with_and_without_memoization(seed, profile):
+    """The translation loop (shared parse results and memoized Campion
+    reports) must drive the model down exactly the path it takes when
+    every parse and compare is recomputed."""
+    runs = {}
+    for enabled in (False, True):
+        with toggles.scoped(memoization=enabled):
+            experiment = run_translation_experiment(
+                seed=seed, profile=PROFILES[profile]
+            )
+        result = experiment.result
+        runs[enabled] = (
+            result.verified,
+            result.prompt_log,
+            result.transcript,
+            result.final_text,
+            experiment.table2_rows(),
+        )
+    assert runs[True] == runs[False]

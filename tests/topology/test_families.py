@@ -6,6 +6,8 @@ Lightyear-style local invariants, the composition argument, and the
 global no-transit check — out of the box.
 """
 
+import copy
+
 import pytest
 
 from repro.cisco import generate_cisco, parse_cisco
@@ -30,14 +32,15 @@ NON_STAR_FAMILIES = sorted(set(FAMILIES) - {"star"})
 
 def _parsed_reference_configs(topology):
     """Render the references to text and parse them back, asserting the
-    text is warning-free (the synthesis loop sees the same round trip)."""
+    text is warning-free (the synthesis loop sees the same round trip).
+    Parse results are shared and some tests edit these, so copy them."""
     parsed = {}
     for name, config in build_reference_configs(topology).items():
-        result = parse_cisco(generate_cisco(config), filename=f"{name}.cfg")
+        result = parse_cisco(
+            generate_cisco(config), filename=f"{name}.cfg", default_hostname=name
+        )
         assert not result.warnings, [w.render() for w in result.warnings]
-        if not result.config.hostname:
-            result.config.hostname = name
-        parsed[name] = result.config
+        parsed[name] = copy.deepcopy(result.config)
     return parsed
 
 

@@ -31,10 +31,10 @@ ROLED = "c2i2h2p1"  # 2 customers, 2 dual-homed ISPs, 1 peer -> 7 attachments
 def _parsed_reference_configs(topology):
     parsed = {}
     for name, config in build_reference_configs(topology).items():
-        result = parse_cisco(generate_cisco(config), filename=f"{name}.cfg")
+        result = parse_cisco(
+            generate_cisco(config), filename=f"{name}.cfg", default_hostname=name
+        )
         assert not result.warnings, [w.render() for w in result.warnings]
-        if not result.config.hostname:
-            result.config.hostname = name
         parsed[name] = result.config
     return parsed
 
