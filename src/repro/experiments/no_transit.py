@@ -17,14 +17,15 @@ from ..core import (
     SynthesisOrchestrator,
     SynthesisRunResult,
 )
-from ..llm import (
-    BehaviorProfile,
-    SimulatedGPT4,
-    make_synthesis_models,
-    synthesis_fault_catalog,
-)
+from ..llm import BehaviorProfile, SimulatedGPT4, make_synthesis_models
+
+# Unused here since sessions share one catalog, but perfbench's tracer
+# patches the catalog layer through this binding.
+from ..llm import synthesis_fault_catalog  # noqa: F401
 from ..obs import span
+from ..symbolic.memo import MemoCache
 from ..topology import StarNetwork, generate_network, generate_star_network
+from ..topology.families import SEEDED_FAMILIES
 
 __all__ = [
     "NoTransitExperiment",
@@ -33,6 +34,10 @@ __all__ = [
 ]
 
 DEFAULT_ROUTER_COUNT = 7  # Figure 4's star
+
+# Networks by coordinate tuple.  Sharing one network object lets every
+# scenario of a cell share its per-topology set-up and rendered drafts.
+_NETWORK_MEMO = MemoCache("network", max_entries=16)
 
 
 @dataclass
@@ -96,7 +101,22 @@ def materialize_network(
     ``GeneratedNetwork`` — byte-deterministic, so a campaign worker
     given only the coordinates rebuilds exactly the configs any other
     process would.
+
+    Memoized on the coordinate tuple: calls with equal coordinates share
+    one network, which is read-only (a caller that edits its topology
+    edits a ``copy.deepcopy``).
     """
+    if family not in SEEDED_FAMILIES:
+        topology_seed = 0  # the hand-shaped families ignore it
+    key = (family, router_count, roles, topo, topology_seed, place)
+    hit, network = _NETWORK_MEMO.lookup(key)
+    if not hit:
+        network = _generate(*key)
+        _NETWORK_MEMO.store(key, network)
+    return network
+
+
+def _generate(family, router_count, roles, topo, topology_seed, place):
     if family == "star":
         # The star keeps its dedicated generator (hub-policy layout),
         # but honours the same contract as the other fixed-layout
@@ -179,7 +199,8 @@ def run_no_transit_experiment(
             profile=profile,
             assignment=assignment,
         )
-        human = ScriptedHuman(synthesis_fault_catalog(star.topology))
+        # Every session holds the topology's one shared catalog.
+        human = ScriptedHuman.for_model(next(iter(models.values())))
         orchestrator = SynthesisOrchestrator(
             star.topology,
             models,

@@ -132,7 +132,7 @@ def run_translation_experiment(
     model = make_translation_model(
         seed=seed, profile=profile, initial_faults=initial_faults, source=source
     )
-    human = ScriptedHuman(translation_fault_catalog())
+    human = ScriptedHuman.for_model(model)  # the model's own catalog
     orchestrator = TranslationOrchestrator(
         source,
         model,

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ErrorCategory
 from ..netmodel.device import RouterConfig
-from ..symbolic.memo import memoization_enabled
+from ..symbolic.memo import MemoCache
 
 __all__ = ["DraftState", "Fault", "FaultTargetError"]
 
@@ -72,6 +72,14 @@ class Fault:
         )
 
 
+# Rendered drafts, shared by every chat in the process.  Keyed on
+# (renderer, id(pristine), ordered active faults); each entry holds the
+# pristine so its id cannot be reused while the entry lives.  128
+# entries cover the drafts of a few neighbouring scenarios, which is
+# where reuse happens in grid order.
+_RENDER_MEMO = MemoCache("draft-render", max_entries=128)
+
+
 class DraftState:
     """A draft configuration: pristine reference plus active faults.
 
@@ -82,10 +90,13 @@ class DraftState:
     text transforms (for errors — like invalid syntax — that the IR
     cannot express) in the same order.
 
-    Text transforms need not commute, so the rendered text is memoized
-    on the *ordered* tuple of active faults (faults compare by value,
-    transforms included, so a different fault under a reused key never
-    hits another fault's text).
+    The rendered text is memoized process-wide, so chats over the same
+    pristine object with the same faults render once.  Text transforms
+    need not commute, so the key is the *ordered* tuple of active faults
+    (faults compare by value, transforms included, so a different fault
+    under a reused key never hits another fault's text).  The pristine
+    is shared and read-only: it is keyed by identity, so a caller that
+    edits a reference edits a ``copy.deepcopy``.
     """
 
     def __init__(
@@ -97,7 +108,6 @@ class DraftState:
         self._renderer = renderer
         self._active: Dict[str, Fault] = {}
         self._fixed: List[Fault] = []
-        self._renders: Dict[Tuple[Fault, ...], str] = {}
 
     # -- fault management ------------------------------------------------------
 
@@ -141,13 +151,13 @@ class DraftState:
         return config
 
     def render(self) -> str:
-        key = tuple(self._active.values())
-        text = self._renders.get(key) if memoization_enabled() else None
-        if text is None:
-            text = self._renderer(self.current_config())
-            for fault in self._active.values():
-                if fault.text_transform is not None:
-                    text = fault.text_transform(text)
-            if memoization_enabled():
-                self._renders[key] = text
+        key = (self._renderer, id(self._pristine), tuple(self._active.values()))
+        hit, entry = _RENDER_MEMO.lookup(key)
+        if hit:
+            return entry[1]
+        text = self._renderer(self.current_config())
+        for fault in self._active.values():
+            if fault.text_transform is not None:
+                text = fault.text_transform(text)
+        _RENDER_MEMO.store(key, (self._pristine, text))
         return text

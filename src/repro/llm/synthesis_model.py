@@ -9,10 +9,11 @@ initial draft (§4.2's before/after).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..cisco import generate_cisco
 from ..netmodel.device import RouterConfig
+from ..symbolic.memo import MemoCache
 from ..topology.model import Topology
 from ..topology.reference import build_reference_configs
 from .behavior import BehaviorProfile
@@ -28,6 +29,23 @@ from .synthesis_faults import (
 
 __all__ = ["make_synthesis_models", "make_synthesis_model"]
 
+# Per-topology set-up, keyed on id(topology); each entry holds the
+# topology, so its id cannot be reused while the entry lives.  Reuse is
+# local in grid order (every scenario of one network cell is adjacent).
+_SETUP_MEMO = MemoCache("synthesis-setup", max_entries=16)
+
+
+def _setup(topology: Topology) -> Tuple[Dict[str, RouterConfig], Dict[str, Fault]]:
+    """The topology's reference configs and fault catalog, shared by
+    every session on it and read-only: a caller that edits one edits a
+    ``copy.deepcopy``."""
+    hit, entry = _SETUP_MEMO.lookup(id(topology))
+    if not hit:
+        references = build_reference_configs(topology)
+        entry = (topology, references, synthesis_fault_catalog(topology))
+        _SETUP_MEMO.store(id(topology), entry)
+    return entry[1], entry[2]
+
 
 def make_synthesis_model(
     router_name: str,
@@ -38,7 +56,7 @@ def make_synthesis_model(
     fault_keys: Optional[Sequence[str]] = None,
 ) -> SimulatedGPT4:
     """One chat session primed to generate ``router_name``'s config."""
-    references = build_reference_configs(topology)
+    references, catalog = _setup(topology)
     if router_name not in references:
         raise KeyError(f"unknown router {router_name!r}")
     if fault_keys is None:
@@ -46,7 +64,7 @@ def make_synthesis_model(
     return _session(
         router_name,
         references[router_name],
-        synthesis_fault_catalog(topology),
+        catalog,
         fault_keys,
         set(iip_ids),
         seed,
@@ -63,12 +81,14 @@ def make_synthesis_models(
 ) -> Dict[str, SimulatedGPT4]:
     """One session per router, keyed by router name.
 
-    The reference configs and the fault catalog are built once for the
-    topology and shared by every session (a session never mutates
-    either: drafts copy their reference before faulting it).
+    The reference configs and the fault catalog are built once per
+    topology object and shared by every session of every call on it, so
+    scenarios on one shared network (see
+    :func:`~repro.experiments.no_transit.materialize_network`) render
+    identical drafts from the process-wide render memo.  Sessions never
+    mutate either: drafts copy their reference before faulting it.
     """
-    references = build_reference_configs(topology)
-    catalog = synthesis_fault_catalog(topology)
+    references, catalog = _setup(topology)
     active_iips = set(iip_ids)
     defaults: Optional[Dict[str, List[str]]] = None
     models: Dict[str, SimulatedGPT4] = {}

@@ -7,6 +7,7 @@ from typing import Optional, Sequence
 from ..sampleconfigs import load_translation_source
 from ..juniper import generate_juniper, translate_cisco_to_juniper
 from ..netmodel.device import RouterConfig
+from ..symbolic.memo import MemoCache
 from .behavior import BehaviorProfile
 from .simulated import SimulatedGPT4
 from .translation_faults import (
@@ -18,12 +19,25 @@ from .translation_faults import (
 __all__ = ["make_translation_model", "reference_translation"]
 
 
+# Reference translations keyed on id(source); each entry holds the
+# source, so its id cannot be reused while the entry lives.
+_REFERENCE_MEMO = MemoCache("reference-translation", max_entries=8)
+
+
 def reference_translation(source: Optional[RouterConfig] = None) -> RouterConfig:
-    """The correct Juniper translation the fault model perturbs."""
+    """The correct Juniper translation the fault model perturbs.
+
+    Memoized on the identity of ``source``, so every chat over the one
+    shared source parse shares one read-only pristine (and its rendered
+    drafts); a caller that edits it edits a ``copy.deepcopy``.
+    """
     if source is None:
         source = load_translation_source()
-    reference, _notes = translate_cisco_to_juniper(source)
-    return reference
+    hit, entry = _REFERENCE_MEMO.lookup(id(source))
+    if not hit:
+        entry = (source, translate_cisco_to_juniper(source)[0])
+        _REFERENCE_MEMO.store(id(source), entry)
+    return entry[1]
 
 
 def make_translation_model(

@@ -19,7 +19,9 @@ reaches exactly the fixpoint of a full ``run()``.
 
 The translation loop gets the memo oracle too: with memoization on and
 off, every seed and behavior profile must yield the same prompts,
-transcript, final draft and Table 2 rows.
+transcript, final draft and Table 2 rows.  So does a linted synthesis
+campaign whose scenarios share networks, set-up and rendered drafts:
+its summary must be identical with memoization on and off.
 """
 
 import copy
@@ -29,7 +31,12 @@ import pytest
 
 from repro.batfish.bgpsim import BgpSimulation, SimulationState, rib_snapshots
 from repro.core import toggles
-from repro.experiments.campaign import PROFILES
+from repro.experiments.campaign import (
+    PROFILES,
+    build_grid,
+    run_campaign,
+    set_campaign_lint,
+)
 from repro.experiments.translation import run_translation_experiment
 from repro.fuzz import BASELINE, all_combos, diff_observations, observe
 from repro.fuzz.scenarios import FuzzEdit, FuzzScenario
@@ -234,3 +241,25 @@ def test_translation_loop_is_identical_with_and_without_memoization(seed, profil
             experiment.table2_rows(),
         )
     assert runs[True] == runs[False]
+
+
+def test_linted_campaign_over_shared_networks_is_identical_without_memoization():
+    """Scenarios of one cell share a network, its reference configs and
+    catalog, and the drafts rendered from them; the summary must not
+    depend on that sharing."""
+    grid = build_grid(
+        ("star", "ring"), (6,), 2, profiles=("default", "sloppy")
+    ) + build_grid(("random",), (8,), 1, roles=("c2i2h2",))
+    summaries = {}
+    set_campaign_lint(True)
+    try:
+        for enabled in (False, True):
+            reset_caches()
+            with toggles.scoped(memoization=enabled):
+                summaries[enabled] = run_campaign(grid, workers=1).to_dict()
+    finally:
+        set_campaign_lint(False)
+        reset_caches()
+    assert summaries[True]["errors"] == 0
+    assert summaries[True]["lint"]["scenarios"] == len(grid)
+    assert summaries[True] == summaries[False]

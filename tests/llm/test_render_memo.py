@@ -1,11 +1,14 @@
-"""The per-draft render memo and the copy a render starts from.
+"""The process-wide render memo and the copy a render starts from.
 
 A memoized :meth:`DraftState.render` must return exactly what an
 un-memoized render returns after any sequence of injections, repairs
 and regressions — including when two text transforms swap order, which
-a memo keyed on the *set* of active faults would get wrong.  The copy
-of the pristine reference a render faults must share nothing mutable
-with the reference.
+a memo keyed on the *set* of active faults would get wrong.  The memo
+is shared by every draft in the process: drafts over one pristine
+object share entries, drafts over distinct pristine objects never do,
+and the memo stays within its bound.  The copy of the pristine
+reference a render faults must share nothing mutable with the
+reference.
 """
 
 import dataclasses
@@ -17,8 +20,12 @@ import pytest
 from repro.cisco import generate_cisco
 from repro.core import toggles
 from repro.llm import fault_designations, synthesis_fault_catalog
-from repro.llm.faults import DraftState, FaultTargetError
+from repro.errors import ErrorCategory
+from repro.llm.faults import _RENDER_MEMO, DraftState, Fault, FaultTargetError
+from repro.netmodel import RouterConfig
 from repro.netmodel.value import ImmutableValue
+from repro.obs import counter
+from repro.symbolic.memo import reset_caches
 from repro.topology.families import generate_network
 from repro.topology.reference import build_reference_configs
 
@@ -166,3 +173,71 @@ def test_current_config_shares_only_immutable_leaves(family):
         assert not mutable, (router, [type(obj).__name__ for obj in mutable])
         assert any(isinstance(obj, ImmutableValue) for obj in shared)
         assert copy is not pristine
+
+
+def _fault(key, **transforms):
+    return Fault(
+        key=key,
+        label="test fault",
+        category=ErrorCategory.SYNTAX,
+        fixable_by_generated_prompt=True,
+        prompt_patterns=(r"fix it",),
+        **transforms,
+    )
+
+
+@pytest.fixture()
+def cold_memo():
+    reset_caches()
+    yield _RENDER_MEMO
+    reset_caches()
+
+
+def test_drafts_over_one_pristine_share_one_entry(cold_memo):
+    pristine = RouterConfig(hostname="r1")
+    fault = _fault("text", text_transform=lambda text: "garbage\n" + text)
+    hits = counter("memo.draft-render.hits")
+    texts = []
+    for _chat in range(2):
+        draft = DraftState(pristine, generate_cisco)
+        draft.inject(fault)
+        texts.append(draft.render())
+    assert texts[0] == texts[1]
+    assert texts[1].startswith("garbage\nhostname r1")
+    assert len(cold_memo) == 1
+    assert hits.value == 1
+
+
+def test_equal_but_distinct_pristine_objects_get_separate_entries(cold_memo):
+    first, second = RouterConfig(hostname="r1"), RouterConfig(hostname="r1")
+    assert first == second
+    texts = [DraftState(config, generate_cisco).render() for config in (first, second)]
+    assert texts[0] == texts[1]
+    assert len(cold_memo) == 2
+    assert cold_memo.hits == 0
+
+
+def test_a_render_whose_transform_raises_stores_nothing(cold_memo):
+    def missing_target(config):
+        raise FaultTargetError("no such neighbor")
+
+    draft = DraftState(RouterConfig(hostname="r1"), generate_cisco)
+    draft.inject(_fault("ghost", ir_transform=missing_target))
+    for _attempt in range(2):
+        with pytest.raises(FaultTargetError):
+            draft.render()
+    assert len(cold_memo) == 0
+    assert cold_memo.hits == 0
+
+
+def test_the_memo_never_exceeds_its_bound(cold_memo):
+    bound = cold_memo.max_entries
+    pristines = [RouterConfig(hostname=f"r{index}") for index in range(bound + 8)]
+    for pristine in pristines:
+        DraftState(pristine, generate_cisco).render()
+        assert len(cold_memo) <= bound
+    assert len(cold_memo) == bound
+    # The oldest entries were evicted; the newest are still hits.
+    DraftState(pristines[-1], generate_cisco).render()
+    DraftState(pristines[0], generate_cisco).render()
+    assert (cold_memo.hits, cold_memo.misses) == (1, bound + 9)
