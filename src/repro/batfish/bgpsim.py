@@ -237,12 +237,27 @@ class BgpSimulation:
 
     def _derive_sessions(self) -> List[BgpSession]:
         """Sessions where both sides declare each other correctly."""
+        # Each router's own addresses, not _address_owner: that index
+        # keeps one owner per address, and two routers may share one.
+        addresses: Dict[str, Set[Ipv4Address]] = {
+            hostname: {
+                interface.address
+                for interface in config.interfaces.values()
+                if interface.address is not None
+            }
+            for hostname, config in self._configs.items()
+        }
+        neighbors = {
+            hostname: config.bgp.sorted_neighbors()
+            for hostname, config in self._configs.items()
+            if config.bgp is not None
+        }
         sessions: List[BgpSession] = []
         seen: Set[Tuple[str, str]] = set()
         for hostname, config in self._configs.items():
             if config.bgp is None:
                 continue
-            for neighbor in config.bgp.sorted_neighbors():
+            for neighbor in neighbors[hostname]:
                 remote_hostname = self._address_owner.get(neighbor.ip)
                 if remote_hostname is None or remote_hostname == hostname:
                     continue
@@ -253,8 +268,14 @@ class BgpSimulation:
                     continue
                 # The remote must declare a neighbor address owned by us
                 # with our AS.
-                local_ip = self._find_reverse_address(
-                    remote_config, hostname, config.bgp.asn
+                local_ip = next(
+                    (
+                        reverse.ip
+                        for reverse in neighbors[remote_hostname]
+                        if reverse.ip in addresses[hostname]
+                        and reverse.remote_as == config.bgp.asn
+                    ),
+                    None,
                 )
                 if local_ip is None:
                     continue
@@ -271,21 +292,6 @@ class BgpSimulation:
                     )
                 )
         return sessions
-
-    def _find_reverse_address(
-        self, remote_config: RouterConfig, local_hostname: str, local_asn: int
-    ) -> Optional[Ipv4Address]:
-        assert remote_config.bgp is not None
-        local_config = self._configs[local_hostname]
-        local_addresses = {
-            interface.address
-            for interface in local_config.interfaces.values()
-            if interface.address is not None
-        }
-        for neighbor in remote_config.bgp.sorted_neighbors():
-            if neighbor.ip in local_addresses and neighbor.remote_as == local_asn:
-                return neighbor.ip
-        return None
 
     # -- public accessors ---------------------------------------------------------
 

@@ -58,7 +58,7 @@ from ..obs import (
     tracing_enabled,
     write_trace,
 )
-from ..symbolic.memo import memo_totals
+from ..symbolic.memo import MemoCache, memo_totals
 from ..topology.families import FAMILIES
 
 __all__ = [
@@ -121,6 +121,14 @@ PROFILES: Dict[str, BehaviorProfile] = {
 # identity) are unchanged; parallel workers receive it in each task.
 
 _LINT_ENABLED = False
+
+# Lint counts of final networks, shared by every scenario in the
+# process: all seeds of a hand-shaped cell share one network, and most
+# final drafts are clean, so one grid lints few distinct inputs.  Keyed
+# on the topology's identity and each router's draft key; each entry
+# holds the topology and the pristines so no id is reused while it
+# lives.
+_LINT_MEMO = MemoCache("campaign-lint", max_entries=32)
 
 
 def set_campaign_lint(enabled: bool) -> None:
@@ -438,29 +446,39 @@ def _lint_drafts(experiment) -> Tuple[Optional[int], Optional[int]]:
     one is skipped; the analyzer tolerates partial config sets) and
     swallows analysis failures into ``(None, None)`` — linting is an
     auxiliary measurement and must not turn a completed scenario into
-    an error row.
+    an error row.  A draft no IR fault edits is analyzed as its shared
+    pristine, which the analyzer only reads.
     """
     from ..analysis import analyze_configs
     from ..obs import counter
 
     try:
         topology = experiment.network.topology
-        configs = {}
-        texts = {}
+        drafts = {}
         for name, model in experiment.models.items():
             try:
-                draft = model.draft
+                drafts[name] = model.draft
             except RuntimeError:  # chat never produced a draft
                 continue
-            configs[name] = draft.current_config()
-            texts[name] = draft.render()
-        if not configs:
+        if not drafts:
             return None, None
+        key = (
+            id(topology),
+            tuple((name, drafts[name].key) for name in sorted(drafts)),
+        )
+        hit, entry = _LINT_MEMO.lookup(key)
+        if hit:
+            return entry[2]
+        configs = {name: draft.shared_config() for name, draft in drafts.items()}
+        texts = {name: draft.render() for name, draft in drafts.items()}
         report = analyze_configs(configs, topology=topology, texts=texts)
     except Exception:
         counter("analysis.campaign_errors").inc()
         return None, None
-    return len(report), report.high
+    counts = (len(report), report.high)
+    pinned = tuple(draft.pristine for draft in drafts.values())
+    _LINT_MEMO.store(key, (topology, pinned, counts))
+    return counts
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,8 @@ class DraftState:
     :class:`~repro.netmodel.value.ImmutableValue`), applies every active
     fault's IR transform in injection order, renders text, then applies
     text transforms (for errors — like invalid syntax — that the IR
-    cannot express) in the same order.
+    cannot express) in the same order.  With no IR fault active there
+    is nothing to edit, so the reference itself is rendered.
 
     The rendered text is memoized process-wide, so chats over the same
     pristine object with the same faults render once.  Text transforms
@@ -142,20 +143,43 @@ class DraftState:
 
     # -- rendering ----------------------------------------------------------------
 
+    @property
+    def pristine(self) -> RouterConfig:
+        """The shared, read-only reference this draft faults."""
+        return self._pristine
+
+    @property
+    def key(self) -> Tuple:
+        """What the draft's IR and text are a function of: the renderer,
+        the pristine's identity and the ordered active faults.  Keys the
+        render memo and the campaign lint memo; an entry under it must
+        hold the pristine so the id cannot be reused while it lives."""
+        return (self._renderer, id(self._pristine), tuple(self._active.values()))
+
     def current_config(self) -> RouterConfig:
-        """The draft's IR (faulted), for white-box tests."""
+        """The draft's IR (faulted): a fresh copy of the pristine with
+        every active IR transform applied, which the caller may edit.
+        ``repro lint --fault``, ``lint --validate`` and white-box tests
+        use it."""
         config = copy.deepcopy(self._pristine)
         for fault in self._active.values():
             if fault.ir_transform is not None:
                 fault.ir_transform(config)
         return config
 
+    def shared_config(self) -> RouterConfig:
+        """The draft's IR, read-only: the shared pristine itself when no
+        active fault edits the IR, else :meth:`current_config`'s copy."""
+        if any(fault.ir_transform is not None for fault in self._active.values()):
+            return self.current_config()
+        return self._pristine
+
     def render(self) -> str:
-        key = (self._renderer, id(self._pristine), tuple(self._active.values()))
+        key = self.key
         hit, entry = _RENDER_MEMO.lookup(key)
         if hit:
             return entry[1]
-        text = self._renderer(self.current_config())
+        text = self._renderer(self.shared_config())
         for fault in self._active.values():
             if fault.text_transform is not None:
                 text = fault.text_transform(text)

@@ -9,11 +9,19 @@ and snapshots of both dialects — then recomputes every
 ``draft-render`` entry with memoization off, and rebuilds every shared
 network's reference configs and fault catalog from scratch.  Code that
 mutated a shared object leaves an entry that no longer matches its key.
+A linted campaign hands clean drafts' pristines to the analyzer itself,
+so every shared pristine must render exactly as it did before the run.
+
+BGP session derivation is checked here too, against a plain restatement
+of its rule, on config sets where two routers share an address.
 """
+
+import copy
 
 import pytest
 
 from repro.batfish import Snapshot
+from repro.batfish.bgpsim import BgpSimulation
 from repro.campion import compare_configs
 from repro.cisco import generate_cisco, parse_cisco
 from repro.cisco.parser import _PARSE_MEMO as CISCO_MEMO
@@ -24,16 +32,22 @@ from repro.experiments.campaign import (
     build_grid,
     run_campaign,
     set_campaign_lint,
+    topology_seed,
 )
 from repro.experiments.no_transit import _NETWORK_MEMO, materialize_network
 from repro.experiments.translation import run_translation_experiment
 from repro.juniper import generate_juniper, parse_juniper
 from repro.juniper.parser import _PARSE_MEMO as JUNIPER_MEMO
-from repro.llm import reference_translation, synthesis_fault_catalog
+from repro.llm import (
+    BehaviorProfile,
+    reference_translation,
+    synthesis_fault_catalog,
+)
 from repro.llm.faults import _RENDER_MEMO, DraftState
-from repro.llm.synthesis_model import _SETUP_MEMO
+from repro.llm.synthesis_model import _SETUP_MEMO, _setup
 from repro.sampleconfigs import BATFISH_EXAMPLE_CISCO, BATFISH_EXAMPLE_CISCO_2
 from repro.symbolic.memo import reset_caches
+from repro.topology.families import generate_network
 from repro.topology.reference import build_reference_configs
 
 
@@ -129,3 +143,113 @@ def test_snapshots_of_both_dialects_leave_shared_entries_intact():
     assert second.configs == first.configs
     assert first.configs["nameless-j.conf"].hostname == "nameless-j"
     _assert_entries_match_recompute("cisco-parse", "juniper-parse")
+
+
+def test_linted_campaign_leaves_shared_pristines_unchanged(monkeypatch):
+    # A profile that never fixes keeps IR faults in the final drafts,
+    # so the analyzer sees copies and pristines side by side.
+    monkeypatch.setitem(PROFILES, "stubborn", BehaviorProfile.never_fix())
+    grid = build_grid(
+        ("star", "ring"), (6,), 2, profiles=("default", "stubborn")
+    ) + build_grid(("random",), (8,), 1, roles=("c2i2h2",))
+    before = {}
+    for scenario in grid:
+        network = materialize_network(
+            scenario.family,
+            scenario.size,
+            roles=scenario.roles,
+            topo=scenario.topo,
+            topology_seed=topology_seed(scenario),
+            place=scenario.place,
+        )
+        references, _catalog = _setup(network.topology)
+        before[id(network.topology)] = (references, _texts(references))
+    set_campaign_lint(True)
+    try:
+        summary = run_campaign(grid, workers=1)
+    finally:
+        set_campaign_lint(False)
+    assert all(row.error is None for row in summary.rows)
+    assert any(row.lint_high for row in summary.rows)
+    shared = {key: entry[1] for key, entry in _SETUP_MEMO._entries.items()}
+    assert shared.keys() == before.keys(), "the campaign built its own set-up"
+    for key, (references, texts) in before.items():
+        assert shared[key] is references
+        assert _texts(references) == texts
+
+
+def _sessions_by_rule(configs):
+    """Sessions where both sides declare each other: each neighbor
+    address resolves to the last router (in config order) owning it,
+    and the remote must declare one of the local router's own
+    addresses, with the local AS, first in address order."""
+    owner = {}
+    for hostname, config in configs.items():
+        for interface in config.interfaces.values():
+            if interface.address is not None:
+                owner[interface.address] = hostname
+    sessions = []
+    seen = set()
+    for hostname, config in configs.items():
+        if config.bgp is None:
+            continue
+        own = {
+            interface.address
+            for interface in config.interfaces.values()
+            if interface.address is not None
+        }
+        for neighbor in config.bgp.sorted_neighbors():
+            remote = owner.get(neighbor.ip)
+            if remote is None or remote == hostname:
+                continue
+            remote_bgp = configs[remote].bgp
+            if remote_bgp is None or neighbor.remote_as != remote_bgp.asn:
+                continue
+            local_ip = None
+            for reverse in remote_bgp.sorted_neighbors():
+                if reverse.ip in own and reverse.remote_as == config.bgp.asn:
+                    local_ip = reverse.ip
+                    break
+            pair = tuple(sorted((hostname, remote)))
+            if local_ip is None or pair in seen:
+                continue
+            seen.add(pair)
+            sessions.append((hostname, local_ip, remote, neighbor.ip))
+    return sessions
+
+
+@pytest.mark.parametrize("family", ["ring", "mesh"])
+def test_sessions_with_shared_addresses_follow_the_rule(family):
+    references = build_reference_configs(generate_network(family, 5).topology)
+    names = sorted(references)
+    cases = 0
+    for source in names:
+        for target in names:
+            if source == target:
+                continue
+            for interface in references[source].interfaces.values():
+                if interface.address is None:
+                    continue
+                configs = copy.deepcopy(references)
+                # The target takes the source's address on one of its
+                # own interfaces: two routers now own that address.
+                victim = next(
+                    item
+                    for item in configs[target].interfaces.values()
+                    if item.address is not None
+                )
+                victim.address = interface.address
+                derived = [
+                    (
+                        session.local_router,
+                        session.local_ip,
+                        session.remote_router,
+                        session.remote_ip,
+                    )
+                    for session in BgpSimulation(configs).sessions
+                ]
+                assert derived == _sessions_by_rule(configs), (
+                    source, target, interface.name,
+                )
+                cases += 1
+    assert cases
