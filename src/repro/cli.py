@@ -53,9 +53,10 @@ all four combinations of the incremental-simulation and memoization
 toggles, asserts RIB/verdict/witness equality against the both-off
 baseline, shrinks any divergence to a minimal repro under ``--corpus``
 (default ``tests/fuzz_corpus``), and journals progress for
-``--resume``; ``fuzz --replay`` re-checks every corpus file and
-reports a file it cannot replay (e.g. one naming a retired toggle) as
-a failure.
+``--resume``; ``--workers N`` runs the indices on the campaign
+scheduler and exits 3 (resumably) once a unit exhausts its retries;
+``fuzz --replay`` re-checks every corpus file and reports a file it
+cannot replay (e.g. one naming a retired toggle) as a failure.
 ``lint`` builds the reference configs for one topology cell
 (``--family``/``--routers`` plus the seeded-family knobs), runs every
 static-analysis rule over them, and exits 1 on any HIGH finding;
@@ -1045,6 +1046,7 @@ def _parse_budget(text: str) -> float:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from .experiments.campaign import CampaignInterrupted
     from .fuzz import FuzzConfig, run_fuzz
     from .fuzz.corpus import corpus_files, replay_file
 
@@ -1113,6 +1115,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     )
     try:
         summary = run_fuzz(config, journal_path=journal, resume=resume)
+    except CampaignInterrupted as exc:  # names the --resume invocation
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,7 +43,9 @@ import traceback
 import zlib
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TextIO
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TextIO,
+)
 
 from ..core import DEFAULT_IIP_IDS
 from ..llm import BehaviorProfile
@@ -95,9 +97,9 @@ __all__ = [
 # (``lint_findings``/``lint_high``) to rows of ``--lint`` campaigns
 # (absent — not null — on rows of campaigns that did not lint); v8
 # drops the flat named counters (``cache_hits`` … ``routes_reused``)
-# that duplicated ``metrics`` — pre-v6 records without ``metrics`` fold
-# them into it.  Folding stays bidirectionally tolerant: unknown row
-# fields are dropped, missing ones take their dataclass defaults.
+# that duplicated ``metrics``.  Folding stays bidirectionally tolerant:
+# unknown row fields are dropped, missing ones take their dataclass
+# defaults.
 JOURNAL_VERSION = 8
 
 # Named behavior profiles a scenario can select.  Names (not objects)
@@ -168,6 +170,10 @@ class Scenario:
             f"{'iips' if self.iips else 'noiips'}:{self.roles}:{self.topo}:"
             f"{self.place}"
         )
+
+    def execute(self) -> "CompletedScenario":
+        """Run this scenario as a campaign-service work item."""
+        return execute_scenario(self)
 
 
 @dataclass(frozen=True)
@@ -599,37 +605,37 @@ def _open_journal(path: Path, append: bool) -> TextIO:
 # changes when ScenarioResult itself does.
 _RESULT_FIELDS = frozenset(spec.name for spec in fields(ScenarioResult))
 
-# Pre-v6 journal lines carry flat named counters instead of a metrics
-# delta; folding maps each onto the registry series it stands for.
-# Their memo totals were never attributed to a cache.
-_LEGACY_COUNTERS = {
-    "cache_hits": "memo.unattributed.hits",
-    "cache_misses": "memo.unattributed.misses",
-    "sim_full_runs": "sim.full_converge.count",
-    "sim_incremental_runs": "sim.incremental_converge.count",
-    "sim_full_evals": "sim.full_evaluations",
-    "sim_incremental_evals": "sim.incremental_evaluations",
-    "routes_built": "route.routes_built",
-    "routes_reused": "route.routes_reused",
-}
-
 
 def _record_metrics(record: dict) -> Dict[str, float]:
-    """A journal record's metrics delta.  Raises ``TypeError`` or
-    ``ValueError`` on a pre-v6 counter that is not a number."""
+    """A journal record's metrics delta (its numeric series only)."""
     raw_metrics = record.get("metrics")
-    if isinstance(raw_metrics, dict):
-        return {
-            name: value
-            for name, value in raw_metrics.items()
-            if isinstance(name, str) and isinstance(value, (int, float))
-        }
-    metrics: Dict[str, float] = {}
-    for legacy, series in _LEGACY_COUNTERS.items():
-        value = int(record.get(legacy) or 0)
-        if value:
-            metrics[series] = value
-    return metrics
+    if not isinstance(raw_metrics, dict):
+        return {}
+    return {
+        name: value
+        for name, value in raw_metrics.items()
+        if isinstance(name, str) and isinstance(value, (int, float))
+    }
+
+
+def _journal_records(path: "Path | str") -> Iterator[dict]:
+    """Every JSON-object line of a journal, in file order.
+
+    Tolerant by design: a missing file reads as empty, and blank or
+    malformed lines (e.g. a line truncated by the crash that the
+    journal exists to survive) and non-object lines are skipped.
+    """
+    target = Path(path)
+    if not target.exists():
+        return
+    with target.open() as handle:
+        for line in handle:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                continue  # blank, or torn by a crash
+            if isinstance(record, dict):
+                yield record
 
 
 def _scan_journal(
@@ -639,63 +645,49 @@ def _scan_journal(
     restricted to a grid's scenario keys) *and* the last header's grid
     keys — so callers needing both never read the file twice.
 
-    Tolerant by design: malformed lines (e.g. a line truncated by the
-    crash that the journal exists to survive) are skipped, and a key
+    Tolerant by design (see :func:`_journal_records`), and a key
     journaled twice keeps its latest record.
     """
     completed: Dict[str, CompletedScenario] = {}
     header_keys: Optional[List[str]] = None
-    target = Path(path)
-    if not target.exists():
-        return completed, header_keys
     known = _RESULT_FIELDS
-    with target.open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            kind = record.get("kind")
-            if kind == "campaign":
-                # Resuming a journal with a different grid appends a
-                # fresh header, so the *last* header describes the grid
-                # that owns the journal (None for legacy v1 headers).
-                candidate = record.get("keys")
-                header_keys = (
-                    candidate
-                    if isinstance(candidate, list)
-                    and all(isinstance(key, str) for key in candidate)
-                    else None
-                )
-                continue
-            if kind != "result":
-                continue
-            key = record.get("key")
-            row_fields = record.get("row")
-            if not isinstance(key, str) or not isinstance(row_fields, dict):
-                continue
-            if key_set is not None and key not in key_set:
-                continue
-            # Tolerate journals from other versions: older rows simply
-            # lack newer defaulted fields (e.g. pre-v5 ``trace``), newer
-            # rows may carry fields this build does not know.
-            try:
-                completed[key] = CompletedScenario(
-                    key=key,
-                    row=ScenarioResult(**{
-                        name: value
-                        for name, value in row_fields.items()
-                        if name in known
-                    }),
-                    metrics=_record_metrics(record),
-                )
-            except (TypeError, ValueError):
-                continue
+    for record in _journal_records(path):
+        kind = record.get("kind")
+        if kind == "campaign":
+            # Resuming a journal with a different grid appends a fresh
+            # header, so the *last* header describes the grid that owns
+            # the journal (None for a header without keys).
+            candidate = record.get("keys")
+            header_keys = (
+                candidate
+                if isinstance(candidate, list)
+                and all(isinstance(key, str) for key in candidate)
+                else None
+            )
+            continue
+        if kind != "result":
+            continue
+        key = record.get("key")
+        row_fields = record.get("row")
+        if not isinstance(key, str) or not isinstance(row_fields, dict):
+            continue
+        if key_set is not None and key not in key_set:
+            continue
+        # Tolerate journals from other versions: older rows simply lack
+        # newer defaulted fields (e.g. pre-v5 ``trace``), newer rows may
+        # carry fields this build does not know.
+        try:
+            completed[key] = CompletedScenario(
+                key=key,
+                row=ScenarioResult(**{
+                    name: value
+                    for name, value in row_fields.items()
+                    if name in known
+                }),
+                metrics=_record_metrics(record),
+            )
+        except TypeError:
+            continue  # a row missing a required field
     return completed, header_keys
 
 
@@ -1080,8 +1072,7 @@ class CampaignSummary:
         """Per-cache ``(name, hits, misses)`` from the merged metrics —
         aggregated across every worker process, unlike the historical
         parent-only ``cache_stats()`` view (worker caches were silently
-        lost).  Pre-v6 journals carried only totals, which fold into
-        one ``unattributed`` entry."""
+        lost)."""
         caches: Dict[str, Dict[str, int]] = {}
         for name, value in self.metrics.items():
             if not name.startswith("memo."):
@@ -1155,10 +1146,7 @@ class CampaignSummary:
                     )
                 lines.append(line)
         else:
-            lines.append(
-                "  phase breakdown: no phase metrics recorded "
-                "(pre-v6 journal?)"
-            )
+            lines.append("  phase breakdown: no phase metrics recorded")
         slowest = sorted(
             self.rows, key=lambda row: -row.duration_s
         )[: max(0, top)]
@@ -1226,6 +1214,29 @@ def _interrupted_message(
     return (
         f"{cause}; {completed}/{total} scenario(s) are safe in {journal} "
         f"— continue with --resume {journal}"
+    )
+
+
+def _interrupted_error(
+    failed: Sequence[Any],
+    timeout: Optional[float],
+    journal: Optional[Path],
+    completed: int,
+    total: int,
+) -> CampaignInterrupted:
+    """The error for work units that failed on every attempt:
+    :class:`CampaignStalled` if one was a stall kill after ``timeout``
+    seconds without progress."""
+    stalled = any(unit.stalled for unit in failed)
+    cause = f"{len(failed)} unit(s) failed on every attempt: " + (
+        f"no progress within {timeout:g}s (hung worker?)"
+        if stalled else "the worker died"
+    )
+    return (CampaignStalled if stalled else CampaignInterrupted)(
+        _interrupted_message(cause, journal, completed, total),
+        journal=journal,
+        completed=completed,
+        total=total,
     )
 
 
@@ -1327,39 +1338,19 @@ def run_campaign(
             for scenario in pending:
                 record_completion(execute_scenario(scenario))
         else:
-            import tempfile
+            from ..service.scheduler import run_waves
 
-            from ..service.scheduler import CampaignService
-
-            with tempfile.TemporaryDirectory(prefix="repro-campaign-") as tmp:
-                service = CampaignService(
-                    tmp, workers=min(workers, len(pending)),
-                    stall_timeout_s=timeout,
-                )
-                service.start()
-                try:
-                    state = service.submit_grid(
-                        pending, trace=tracing, lint=_LINT_ENABLED
-                    )
-                    while state.state == "running":
-                        for _id, record in service.step(service.poll_s):
-                            record_completion(record)
-                finally:
-                    service.shutdown()
-            failed = [unit for unit in state.units if unit.state == "failed"]
+            failed = run_waves(
+                [pending],
+                workers,
+                record_completion,
+                stall_timeout_s=timeout,
+                trace=tracing,
+                lint=_LINT_ENABLED,
+            )
             if failed:
-                stalled = any(unit.stalled for unit in failed)
-                cause = f"{len(failed)} unit(s) failed on every attempt: " + (
-                    f"no progress within {timeout:g}s (hung worker?)"
-                    if stalled else "the worker died"
-                )
-                raise (CampaignStalled if stalled else CampaignInterrupted)(
-                    _interrupted_message(
-                        cause, journal, len(completed), len(grid)
-                    ),
-                    journal=journal,
-                    completed=len(completed),
-                    total=len(grid),
+                raise _interrupted_error(
+                    failed, timeout, journal, len(completed), len(grid)
                 )
     finally:
         if handle is not None:

@@ -11,19 +11,28 @@ finished iteration is appended and flushed, ``resume=True`` folds the
 journal first and re-runs only missing indices, and the final summary
 is rebuilt by folding — so an interrupted nightly fuzz run continues
 where it stopped, at any worker count, with a byte-identical outcome.
+
+With ``workers > 1`` each index is a :class:`FuzzTask` work item on
+the campaign scheduler, which retries a dead or stalled worker's unit.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from itertools import islice
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core import toggles
+from ..experiments.campaign import (
+    CompletedScenario,
+    _append,
+    _interrupted_error,
+    _journal_records,
+    _open_journal,
+)
 from .corpus import make_record, write_repro
 from .oracle import BASELINE, all_combos, diff_observations, observe
 from .scenarios import FuzzScenario, scenario_at
@@ -34,6 +43,7 @@ __all__ = [
     "FuzzConfig",
     "FuzzIterationResult",
     "FuzzSummary",
+    "FuzzTask",
     "fold_fuzz_journal",
     "lint_scenario",
     "run_fuzz",
@@ -93,13 +103,6 @@ class FuzzIterationResult:
     recall_gap: Optional[bool] = None
 
 
-def _apply_planted(planted: Sequence[str]) -> None:
-    from ..batfish.bgpsim import _plant_bug
-
-    for name in planted:
-        _plant_bug(name, True)
-
-
 @contextmanager
 def _planted_scope(planted: Sequence[str]):
     """Plant the named bugs for the duration of the block, restoring the
@@ -108,8 +111,9 @@ def _planted_scope(planted: Sequence[str]):
     from ..batfish.bgpsim import _KNOWN_PLANTED_BUGS, _plant_bug, _planted_bugs
 
     before = _planted_bugs()
-    _apply_planted(planted)
     try:
+        for name in planted:
+            _plant_bug(name, True)
         yield
     finally:
         for name in _KNOWN_PLANTED_BUGS:
@@ -126,6 +130,22 @@ def run_fuzz_iteration(
     same arguments produce the same result in any process."""
     with _planted_scope(planted):
         return _fuzz_index(fuzz_seed, index)
+
+
+@dataclass(frozen=True)
+class FuzzTask:
+    """One fuzz index as a campaign-service work item."""
+
+    fuzz_seed: int
+    index: int
+    planted: Tuple[str, ...] = ()
+
+    def key(self) -> str:
+        return f"fuzz:{self.fuzz_seed}:{self.index}"
+
+    def execute(self) -> CompletedScenario:
+        row = run_fuzz_iteration(self.fuzz_seed, self.index, self.planted)
+        return CompletedScenario(key=self.key(), row=row)
 
 
 def _fuzz_index(fuzz_seed: int, index: int) -> FuzzIterationResult:
@@ -275,23 +295,10 @@ def _fuzz_header(config: FuzzConfig) -> str:
 
 
 def _fuzz_line(result: FuzzIterationResult) -> str:
-    return json.dumps(
-        {
-            "kind": "fuzz_result",
-            "index": result.index,
-            "key": result.key,
-            "ok": result.ok,
-            "combo": result.combo,
-            "mismatch": result.mismatch,
-            "repro": result.repro,
-            "error": result.error,
-            "broken": result.broken,
-            "lint_findings": result.lint_findings,
-            "lint_high": result.lint_high,
-            "recall_gap": result.recall_gap,
-        },
-        sort_keys=True,
-    )
+    return json.dumps({"kind": "fuzz_result", **asdict(result)}, sort_keys=True)
+
+
+_RESULT_FIELDS = [spec.name for spec in fields(FuzzIterationResult)]
 
 
 def fold_fuzz_journal(path: "Path | str") -> Dict[int, FuzzIterationResult]:
@@ -299,40 +306,14 @@ def fold_fuzz_journal(path: "Path | str") -> Dict[int, FuzzIterationResult]:
     rules as the campaign fold: malformed lines skipped, latest record
     per index wins)."""
     results: Dict[int, FuzzIterationResult] = {}
-    target = Path(path)
-    if not target.exists():
-        return results
-    with target.open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if (
-                not isinstance(record, dict)
-                or record.get("kind") != "fuzz_result"
-            ):
-                continue
-            index = record.get("index")
-            key = record.get("key")
-            if not isinstance(index, int) or not isinstance(key, str):
-                continue
-            results[index] = FuzzIterationResult(
-                index=index,
-                key=key,
-                ok=bool(record.get("ok")),
-                combo=record.get("combo"),
-                mismatch=record.get("mismatch"),
-                repro=record.get("repro"),
-                error=record.get("error"),
-                broken=record.get("broken"),
-                lint_findings=record.get("lint_findings"),
-                lint_high=record.get("lint_high"),
-                recall_gap=record.get("recall_gap"),
-            )
+    for record in _journal_records(path):
+        if record.get("kind") != "fuzz_result":
+            continue
+        row = {name: record.get(name) for name in _RESULT_FIELDS}
+        if not isinstance(row["index"], int) or not isinstance(row["key"], str):
+            continue
+        row["ok"] = bool(row["ok"])
+        results[row["index"]] = FuzzIterationResult(**row)
     return results
 
 
@@ -397,16 +378,6 @@ class FuzzSummary:
         return "\n".join(lines)
 
 
-def _init_fuzz_worker(
-    toggle_values: Dict[str, Any], planted: Sequence[str]
-) -> None:
-    """Propagate the parent's toggle configuration and any planted-bug
-    flags into a pool worker (start methods other than fork do not
-    inherit module globals)."""
-    toggles.apply(toggle_values)
-    _apply_planted(planted)
-
-
 def run_fuzz(
     config: FuzzConfig,
     journal_path: "Path | str | None" = None,
@@ -418,23 +389,13 @@ def run_fuzz(
     deterministic mode the corpus tests rely on); with ``budget_s`` the
     loop keeps claiming indices until the budget is spent.  Corpus
     records are written by the parent only, so worker count never
-    changes what lands on disk.
+    changes what lands on disk.  A parallel run raises
+    :class:`CampaignInterrupted` like ``run_campaign`` does.
     """
-    from ..experiments.campaign import _append, _open_journal
-
     if config.iterations is None and config.budget_s is None:
         raise ValueError("FuzzConfig needs iterations or budget_s")
     with _planted_scope(config.planted):
-        return _run_fuzz_loop(config, journal_path, resume)
-
-
-def _run_fuzz_loop(
-    config: FuzzConfig,
-    journal_path: "Path | str | None",
-    resume: bool,
-) -> FuzzSummary:
-    from ..experiments.campaign import _append, _open_journal
-
+        pass  # an unknown planted bug fails here, before the journal opens
     started = time.perf_counter()
     journal = Path(journal_path) if journal_path is not None else None
     if resume and journal is None:
@@ -454,80 +415,45 @@ def _run_fuzz_loop(
         if not appending:
             _append(handle, _fuzz_header(config))
 
-    def budget_left() -> bool:
-        return (
-            config.budget_s is None
-            or time.perf_counter() - started < config.budget_s
-        )
+    def pending() -> Iterator[FuzzTask]:
+        """The indices left to run, in order, until the iterations or
+        the budget (checked before each index) run out."""
+        index = 0
+        while config.iterations is None or index < config.iterations:
+            if (
+                config.budget_s is not None
+                and time.perf_counter() - started >= config.budget_s
+            ):
+                return
+            if index not in completed:
+                yield FuzzTask(config.fuzz_seed, index, config.planted)
+            index += 1
 
-    def record_result(result: FuzzIterationResult) -> None:
+    def record_result(record: CompletedScenario) -> None:
+        result = record.row
         completed[result.index] = result
         if handle is not None:
             _append(handle, _fuzz_line(result))
 
+    tasks = pending()
     try:
         if config.workers <= 1:
-            index = 0
-            ran = 0
-            while budget_left() and (
-                config.iterations is None or ran < config.iterations
-            ):
-                if config.iterations is not None and index >= config.iterations:
-                    break
-                if index not in completed:
-                    record_result(
-                        run_fuzz_iteration(
-                            config.fuzz_seed, index, planted=config.planted
-                        )
-                    )
-                    ran += 1
-                index += 1
-                if config.iterations is None and index >= 1_000_000:
-                    break  # budget mode backstop
+            for task in tasks:
+                record_result(task.execute())
         else:
-            with ProcessPoolExecutor(
-                max_workers=config.workers,
-                initializer=_init_fuzz_worker,
-                initargs=(toggles.snapshot(), config.planted),
-            ) as executor:
-                if config.iterations is not None:
-                    pending = [
-                        index
-                        for index in range(config.iterations)
-                        if index not in completed
-                    ]
-                    futures = [
-                        executor.submit(
-                            run_fuzz_iteration,
-                            config.fuzz_seed,
-                            index,
-                            planted=config.planted,
-                        )
-                        for index in pending
-                    ]
-                    for future in as_completed(futures):
-                        record_result(future.result())
-                else:
-                    # Budget mode: submit in waves so the clock is
-                    # checked between batches.
-                    index = 0
-                    while budget_left():
-                        wave = []
-                        while len(wave) < config.workers * 2:
-                            if index not in completed:
-                                wave.append(index)
-                            index += 1
-                        futures = [
-                            executor.submit(
-                                run_fuzz_iteration,
-                                config.fuzz_seed,
-                                claim,
-                                planted=config.planted,
-                            )
-                            for claim in wave
-                        ]
-                        for future in as_completed(futures):
-                            record_result(future.result())
+            from ..service.scheduler import STALL_TIMEOUT_S, run_waves
+
+            # One wave of every pending index; in budget mode, waves of
+            # two per worker, so dispatch stops soon after the clock.
+            size = None if config.budget_s is None else 2 * config.workers
+            waves = iter(lambda: list(islice(tasks, size)), [])
+            failed = run_waves(waves, config.workers, record_result)
+            if failed:
+                remaining = sum(unit.remaining for unit in failed)
+                raise _interrupted_error(
+                    failed, STALL_TIMEOUT_S, journal, len(completed),
+                    len(completed) + remaining,
+                )
     finally:
         if handle is not None:
             handle.close()

@@ -18,7 +18,8 @@ batch run.
 Entry points: ``repro serve`` runs the service; ``repro submit`` /
 ``status`` / ``result`` talk to it over the small HTTP API
 (:mod:`repro.service.httpapi`, stdlib-only); ``repro campaign
---workers N`` drives the scheduler in-process for one grid.
+--workers N`` and ``repro fuzz --workers N`` drive the scheduler
+in-process through :func:`repro.service.scheduler.run_waves`.
 """
 
 from .scheduler import CampaignService, CampaignState, WorkUnit

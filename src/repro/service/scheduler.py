@@ -1,5 +1,9 @@
 """The asyncio scheduler: shards, persistent workers, retries, state dir.
 
+It runs *work items*: picklable objects with a ``key()`` and an
+``execute()`` that returns a ``CompletedScenario`` whose ``row`` has an
+``error`` — a campaign ``Scenario``, or a fuzz index (``FuzzTask``).
+
 :class:`CampaignService` owns a fixed set of worker *slots*.  Each slot
 is one persistent OS process (spawn start method — fork from an
 asyncio/multi-threaded parent inherits locked queue-feeder locks) with
@@ -10,8 +14,9 @@ reports for good).  Each
 progress, and dispatches pending work units to idle slots — one
 in-flight unit per worker, so a dead worker forfeits exactly one unit
 and the scheduler knows which.  ``repro serve`` runs ``step`` from its
-asyncio loop; the batch engine (``run_campaign`` with ``workers > 1``)
-drives it directly over a temporary state directory.
+asyncio loop; :func:`run_waves` drives it directly over a temporary
+state directory for the batch engines — ``run_campaign`` and
+``run_fuzz`` with ``workers > 1``.
 
 Everything durable lives in the state directory::
 
@@ -35,10 +40,13 @@ import json
 import logging
 import multiprocessing
 import multiprocessing.connection
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
+)
 
 from ..core import toggles
 from ..experiments.campaign import (
@@ -57,12 +65,15 @@ from ..symbolic.memo import memo_totals
 from .spec import CampaignSpec, shard_scenarios, spec_fingerprint
 from .worker import worker_main
 
-__all__ = ["CampaignService", "CampaignState", "WorkUnit"]
+__all__ = ["CampaignService", "CampaignState", "WorkUnit", "run_waves"]
 
 _LOGGER = logging.getLogger(__name__)
 
 SPEC_FILENAME = "spec.json"
 MANIFEST_FILENAME = "manifest.jsonl"
+
+# Seconds a worker may go without reporting progress on its unit.
+STALL_TIMEOUT_S = 60.0
 
 
 def _metric_summary(metrics: Dict[str, float]) -> Dict[str, Any]:
@@ -85,7 +96,7 @@ class WorkUnit:
     """One contiguous grid slice: the unit of dispatch and retry."""
 
     index: int
-    scenarios: List[Scenario]
+    items: List[Any]
     state: str = "pending"  # pending | running | done | failed
     attempts: int = 0  # dispatches so far (1 = first run, no retry yet)
     done_keys: Set[str] = field(default_factory=set)
@@ -94,7 +105,7 @@ class WorkUnit:
 
     @property
     def keys(self) -> List[str]:
-        return [scenario.key() for scenario in self.scenarios]
+        return [item.key() for item in self.items]
 
     @property
     def remaining(self) -> int:
@@ -107,7 +118,7 @@ class CampaignState:
 
     id: str
     spec: Optional[CampaignSpec]  # None for grids submitted directly
-    grid: List[Scenario]
+    grid: List[Any]
     shard_size: int
     directory: Path
     units: List[WorkUnit]
@@ -153,7 +164,7 @@ class CampaignState:
                 {
                     "unit": unit.index,
                     "state": unit.state,
-                    "size": len(unit.scenarios),
+                    "size": len(unit.items),
                     "done": len(unit.done_keys),
                     "attempts": unit.attempts,
                     "slot": unit.slot,
@@ -211,7 +222,7 @@ class CampaignService:
         workers: int = 2,
         retry_limit: int = 2,
         heartbeat_s: float = 0.5,
-        stall_timeout_s: Optional[float] = 60.0,
+        stall_timeout_s: Optional[float] = STALL_TIMEOUT_S,
         poll_s: float = 0.02,
     ) -> None:
         if workers < 1:
@@ -330,7 +341,7 @@ class CampaignService:
 
     def submit_grid(
         self,
-        grid: List[Scenario],
+        grid: List[Any],
         spec: Optional[CampaignSpec] = None,
         trace: bool = False,
         lint: bool = False,
@@ -359,7 +370,7 @@ class CampaignService:
             shard_size=shard_size,
             directory=directory,
             units=[
-                WorkUnit(index=index, scenarios=slice_)
+                WorkUnit(index=index, items=slice_)
                 for index, slice_ in enumerate(
                     shard_scenarios(grid, shard_size)
                 )
@@ -547,7 +558,7 @@ class CampaignService:
             )
             units = []
             for index, slice_ in enumerate(shard_scenarios(grid, shard_size)):
-                unit = WorkUnit(index=index, scenarios=slice_)
+                unit = WorkUnit(index=index, items=slice_)
                 unit.done_keys = {
                     key for key in unit.keys if key in done
                 }
@@ -740,9 +751,9 @@ class CampaignService:
             payload = {
                 "campaign": state.id,
                 "unit": unit.index,
-                # The Scenario objects themselves: the worker unpickles
-                # exactly what was submitted.
-                "scenarios": unit.scenarios,
+                # The items themselves: the worker unpickles exactly
+                # what was submitted.
+                "items": unit.items,
                 "skip": sorted(unit.done_keys),
                 "shard": str(self._shard_path(state, slot.index)),
                 "chaos": (
@@ -769,3 +780,41 @@ class CampaignService:
                 if unit.state == "pending":
                     return state, unit
         return None
+
+
+def run_waves(
+    waves: Iterable[List[Any]],
+    workers: int,
+    on_record: Callable[[CompletedScenario], None],
+    stall_timeout_s: Optional[float] = STALL_TIMEOUT_S,
+    trace: bool = False,
+    lint: bool = False,
+) -> List[WorkUnit]:
+    """Run waves (non-empty lists) of work items on one temporary
+    service, each to completion before the next is drawn — so a lazy
+    ``waves`` decides when dispatch stops — passing ``on_record`` each
+    record once.  Returns the units that failed on every attempt, and
+    stops at the first wave that has any."""
+    service: Optional[CampaignService] = None
+    with tempfile.TemporaryDirectory(prefix="repro-batch-") as tmp:
+        try:
+            for wave in waves:
+                if service is None:  # sized by the first wave
+                    service = CampaignService(
+                        tmp, workers=min(workers, len(wave)),
+                        stall_timeout_s=stall_timeout_s,
+                    )
+                    service.start()
+                state = service.submit_grid(wave, trace=trace, lint=lint)
+                while state.state == "running":
+                    for _id, record in service.step(service.poll_s):
+                        on_record(record)
+                failed = [
+                    unit for unit in state.units if unit.state == "failed"
+                ]
+                if failed:
+                    return failed
+        finally:
+            if service is not None:
+                service.shutdown()
+    return []

@@ -2,18 +2,19 @@
 
 Each worker slot runs :func:`worker_main` in its own process for the
 lifetime of the scheduler — a ``repro serve`` service or one batch
-``run_campaign(workers > 1)`` call.  A worker receives whole *work
-units* (a contiguous grid slice) over its task queue, reports back on
-its own result pipe, and executes the units
-with :func:`repro.experiments.campaign.execute_scenario`, so the
-process-local memoization caches, interned route attributes, and warm
-per-topology simulation states survive across units and across
-campaigns.
+``run_campaign``/``run_fuzz`` call with ``workers > 1``.  A worker
+receives whole *work units* (a list of work items: campaign scenarios
+or fuzz indices) over its task queue, reports back on its own result
+pipe, and runs each item's ``execute()``, so the process-local
+memoization caches, interned route attributes, and warm per-topology
+simulation states survive across units and across campaigns.
+Toggles come from the parent's snapshot at spawn; anything else an
+item needs (a fuzz index's planted bugs) travels inside the item.
 
-Durability contract: a scenario's journal line is appended and flushed
+Durability contract: an item's journal line is appended and flushed
 to the worker's shard journal *before* its completion message is
 posted, so any key the scheduler saw finish is guaranteed to be on
-disk — a SIGKILL can only lose the scenario in flight, never one that
+disk — a SIGKILL can only lose the item in flight, never one that
 was reported.  Shard files are opened through the campaign engine's
 ``_open_journal``, which repairs a crash-truncated final line whenever
 it appends: a respawned worker re-attaching to its dead predecessor's
@@ -41,7 +42,7 @@ __all__ = ["worker_main"]
 #                                        cumulative registry snapshot
 #   ("started", slot, campaign, unit)    unit accepted, now running
 #   ("row", slot, campaign, unit, record)
-#                                        one scenario journaled; record is
+#                                        one item journaled; record is
 #                                        its CompletedScenario
 #   ("unit", slot, campaign, unit)       unit finished (all rows journaled)
 
@@ -73,7 +74,6 @@ def worker_main(
         _append,
         _journal_line,
         _open_journal,
-        execute_scenario,
         set_campaign_lint,
     )
     from ..obs import set_tracing
@@ -112,8 +112,8 @@ def worker_main(
             shard = Path(task["shard"])
             handle = _open_journal(shard, append=True)
             try:
-                for scenario in task["scenarios"]:
-                    key = scenario.key()
+                for item in task["items"]:
+                    key = item.key()
                     if key in skip:
                         continue  # journaled by a previous attempt
                     if chaos_key is not None and key == chaos_key:
@@ -121,7 +121,7 @@ def worker_main(
                         # scheduler must survive — no cleanup, no
                         # goodbye, mid-unit.
                         os.kill(os.getpid(), signal.SIGKILL)
-                    record = execute_scenario(scenario)
+                    record = item.execute()
                     _append(handle, _journal_line(record))
                     post(("row", slot, campaign, unit, record))
             finally:

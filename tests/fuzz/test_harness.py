@@ -11,18 +11,26 @@ passes the moment it is fixed.
 """
 
 import json
+import os
+import signal
 
 import pytest
 
 from repro.batfish.bgpsim import _plant_bug, _planted_bugs
+from repro.cli import main
 from repro.core import toggles
+from repro.experiments.campaign import CampaignInterrupted, CampaignStalled
+from repro.fuzz import harness
 from repro.fuzz.corpus import replay_record, repro_filename
 from repro.fuzz.harness import (
     FuzzConfig,
+    FuzzTask,
     fold_fuzz_journal,
     run_fuzz,
     run_fuzz_iteration,
 )
+from repro.service import scheduler
+from repro.service.scheduler import WorkUnit
 
 # Seed 55's scenario sequence is clean at index 0 and hits the planted
 # bug at index 1, so two iterations exercise a clean index and a
@@ -154,3 +162,116 @@ class TestRunFuzz:
         assert outcomes[1] == outcomes[4]
         _folded, corpus_bytes, _written = outcomes[1]
         assert corpus_bytes  # the planted bug produced a repro
+
+
+def _journaled_indices(journal):
+    """Every ``fuzz_result`` index in journal order, duplicates kept."""
+    return [
+        record["index"]
+        for record in map(json.loads, journal.read_text().splitlines())
+        if record["kind"] == "fuzz_result"
+    ]
+
+
+def _rebuild(marker, fuzz_seed, index, planted):
+    if marker is not None and not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return FuzzTask(fuzz_seed, index, planted)
+
+
+class _Bombed:
+    """Stands in for a :class:`FuzzTask` while ``harness.FuzzTask`` is
+    patched (so plain tasks cannot be pickled by name).  With a
+    ``marker``, the first unpickling in a worker kills that worker."""
+
+    def __init__(self, fuzz_seed, index, planted, marker):
+        self._args = (marker, fuzz_seed, index, planted)
+
+    def key(self):
+        return FuzzTask(*self._args[1:]).key()
+
+    def __reduce__(self):
+        return (_rebuild, self._args)
+
+
+class TestParallelFuzz:
+    def test_sigkilled_worker_unit_is_retried_and_journaled_once(
+        self, tmp_path, monkeypatch
+    ):
+        marker = tmp_path / "killed"
+
+        def task(fuzz_seed, index, planted=()):
+            bomb = str(marker) if index == 2 else None
+            return _Bombed(fuzz_seed, index, planted, bomb)
+
+        monkeypatch.setattr(harness, "FuzzTask", task)
+        journal = tmp_path / "fuzz.jsonl"
+        run_fuzz(
+            FuzzConfig(iterations=6, workers=2, corpus_dir=tmp_path / "c"),
+            journal_path=journal,
+        )
+        assert marker.exists(), "the bomb never went off"
+        assert sorted(_journaled_indices(journal)) == list(range(6))
+        assert fold_fuzz_journal(journal) == {
+            index: run_fuzz_iteration(0, index) for index in range(6)
+        }
+
+    def test_budget_mode_journals_a_prefix_once(self, tmp_path):
+        journal = tmp_path / "fuzz.jsonl"
+        summary = run_fuzz(
+            FuzzConfig(budget_s=3.0, workers=2, corpus_dir=tmp_path / "c"),
+            journal_path=journal,
+        )
+        indices = _journaled_indices(journal)
+        assert len(indices) >= 4  # the first wave always runs
+        assert sorted(indices) == list(range(len(indices)))
+        assert [result.index for result in summary.results] == sorted(indices)
+
+
+def _failing_driver(stalled):
+    """A batch driver that runs every item of the first wave but the
+    last in-process, then reports the last one's unit as failed."""
+
+    def run_waves(waves, workers, on_record, **options):
+        wave = next(iter(waves))
+        for item in wave[:-1]:
+            on_record(item.execute())
+        return [
+            WorkUnit(index=0, items=wave[-1:], state="failed", attempts=3,
+                     stalled=stalled)
+        ]
+
+    return run_waves
+
+
+class TestInterruptedFuzz:
+    @pytest.mark.parametrize(
+        "stalled, error", [(False, CampaignInterrupted), (True, CampaignStalled)]
+    )
+    def test_failed_unit_raises_with_finished_indices_journaled(
+        self, tmp_path, monkeypatch, stalled, error
+    ):
+        monkeypatch.setattr(scheduler, "run_waves", _failing_driver(stalled))
+        journal = tmp_path / "fuzz.jsonl"
+        with pytest.raises(error) as raised:
+            run_fuzz(
+                FuzzConfig(iterations=3, workers=2, corpus_dir=tmp_path / "c"),
+                journal_path=journal,
+            )
+        assert type(raised.value) is error
+        assert f"--resume {journal}" in str(raised.value)
+        assert "2/3" in str(raised.value)
+        assert (raised.value.completed, raised.value.total) == (2, 3)
+        assert _journaled_indices(journal) == [0, 1]
+
+    def test_cli_exits_3_and_resumes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(scheduler, "run_waves", _failing_driver(False))
+        journal = tmp_path / "fuzz.jsonl"
+        corpus = tmp_path / "corpus"
+        args = ["fuzz", "--iterations", "3", "--corpus", str(corpus)]
+        code = main([*args, "--workers", "2", "--journal", str(journal)])
+        assert code == 3
+        assert f"--resume {journal}" in capsys.readouterr().err
+        assert main([*args, "--resume", str(journal), "--quiet"]) == 0
+        assert sorted(_journaled_indices(journal)) == [0, 1, 2]
