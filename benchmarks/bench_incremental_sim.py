@@ -1,8 +1,18 @@
 """Full vs incremental BGP re-convergence across family × size.
 
 For each grid cell: converge the family's reference network once, then
-apply a rotation of single-router config edits (strip / restore one
-border router's egress filter — the repair loop's canonical delta).
+apply a rotation of single-router config edits.  Two edit kinds make
+two rows per cell:
+
+* ``egress``: strip / restore one border router's egress filters — the
+  repair loop's canonical delta.  The filters sit on external sessions,
+  which the simulation does not model, so the derived delta seeds no
+  session at all.
+* ``core-list``: drop / restore the first entry of the prefix list a
+  border router's core export map matches on — a list-only change
+  that re-advertises every internal session out of that router.  Hub
+  stars have no core export map, so they get no such row.
+
 Each edit is re-converged twice, from scratch and incrementally, the
 resulting RIBs are asserted identical, and the wall-clock plus
 route-evaluation counts are compared.
@@ -22,6 +32,7 @@ import time
 from pathlib import Path
 
 from repro.batfish.bgpsim import BgpSimulation, SimulationState, rib_snapshots
+from repro.fuzz.edits import drop_core_list_entry
 from repro.netmodel.routing_policy import Action, RouteMap, RouteMapClause
 from repro.topology.families import generate_network
 from repro.topology.reference import build_reference_configs
@@ -41,15 +52,16 @@ EDITS = 6  # single-router deltas per cell
 BASELINE_PATH = Path(__file__).resolve().parent.parent / "BENCH_incremental_sim.json"
 
 
-def _policy_routers(configs):
+def _policy_routers(configs, map_prefix):
     return [
         name
         for name in sorted(configs)
-        if any(n.startswith("FILTER_COMM_OUT_") for n in configs[name].route_maps)
+        if any(n.startswith(map_prefix) for n in configs[name].route_maps)
     ]
 
 
-def _strip_filters(config):
+def _strip_filters(configs, router):
+    config = configs[router]
     for name in list(config.route_maps):
         if name.startswith("FILTER_COMM_OUT_"):
             replacement = RouteMap(name)
@@ -57,18 +69,26 @@ def _strip_filters(config):
             config.route_maps[name] = replacement
 
 
-def _edit_sequence(reference):
+# edit kind -> (maps a victim must hold, the breaking edit)
+EDIT_KINDS = {
+    "egress": ("FILTER_COMM_OUT_", _strip_filters),
+    "core-list": ("EXPORT_CORE_", drop_core_list_entry),
+}
+
+
+def _edit_sequence(reference, kind):
     """EDITS config snapshots, each one router away from the previous:
-    strip a border router's egress filters, then restore it, rotating
-    through the policy routers."""
-    routers = _policy_routers(reference)
+    break a border router with the kind's edit, then restore it,
+    rotating through the routers that hold the kind's maps."""
+    map_prefix, breaking = EDIT_KINDS[kind]
+    routers = _policy_routers(reference, map_prefix)
     sequence = []
     current = copy.deepcopy(reference)
     for step in range(EDITS):
         victim = routers[step % len(routers)]
         nxt = copy.deepcopy(current)
         if step % 2 == 0:
-            _strip_filters(nxt[victim])
+            breaking(nxt, victim)
         else:
             nxt[victim] = copy.deepcopy(reference[victim])
         sequence.append((victim, nxt))
@@ -76,11 +96,11 @@ def _edit_sequence(reference):
     return sequence
 
 
-def measure_cell(family, size):
-    """One grid cell: returns a result row dict."""
+def measure_cell(family, size, kind="egress"):
+    """One grid cell and edit kind: returns a result row dict."""
     net = generate_network(family, size)
     reference = build_reference_configs(net.topology)
-    sequence = _edit_sequence(reference)
+    sequence = _edit_sequence(reference, kind)
 
     full_s = 0.0
     full_evals = 0
@@ -101,17 +121,18 @@ def measure_cell(family, size):
     for index, (victim, configs) in enumerate(sequence):
         snapshot = copy.deepcopy(configs)
         started = time.perf_counter()
-        stats = state.resimulate(snapshot, {victim})
+        stats = state.resimulate(snapshot)
         incremental_s += time.perf_counter() - started
         incremental_evals += stats.evaluations
-        assert stats.incremental, f"{family}-{size} fell back to full"
+        assert stats.incremental, f"{family}-{size} {kind} fell back to full"
         if rib_snapshots(state.simulation) != full_ribs[index]:
             identical = False
-    assert identical, f"{family}-{size}: incremental diverged from full"
+    assert identical, f"{family}-{size} {kind}: incremental diverged from full"
 
     return {
         "family": family,
         "size": size,
+        "edit": kind,
         "edits": EDITS,
         "sessions": len(state.simulation.sessions),
         "full_ms": round(1000 * full_s, 3),
@@ -126,12 +147,14 @@ def measure_cell(family, size):
 
 def run_grid(grid):
     rows = [
-        measure_cell(family, size)
+        measure_cell(family, size, kind)
+        for kind in EDIT_KINDS
         for family in sorted(grid)
+        if kind == "egress" or family != "star"
         for size in grid[family]
     ]
     largest_mesh = max(
-        (row for row in rows if row["family"] == "mesh"),
+        (row for row in rows if row["family"] == "mesh" and row["edit"] == "egress"),
         key=lambda row: row["size"],
     )
     return {
@@ -146,18 +169,19 @@ def render(report):
     lines = [
         "incremental re-simulation vs full convergence "
         f"({report['edits_per_cell']} single-router edits per cell)",
-        f"{'family':>9} {'n':>3} {'full':>9} {'incr':>9} "
+        f"{'edit':>9} {'family':>9} {'n':>3} {'full':>9} {'incr':>9} "
         f"{'speedup':>8} {'evals':>13}",
     ]
     for row in report["rows"]:
         lines.append(
-            f"{row['family']:>9} {row['size']:>3} "
+            f"{row['edit']:>9} {row['family']:>9} {row['size']:>3} "
             f"{row['full_ms']:>7.1f}ms {row['incremental_ms']:>7.1f}ms "
             f"{row['speedup']:>7.2f}x "
             f"{row['full_evals']:>6}/{row['incremental_evals']:<6}"
         )
     lines.append(
-        f"largest mesh speedup: {report['largest_mesh_speedup']:.2f}x"
+        f"largest mesh speedup (egress edits): "
+        f"{report['largest_mesh_speedup']:.2f}x"
     )
     return "\n".join(lines)
 

@@ -42,13 +42,16 @@ Incremental re-simulation
 
 Campaign grids and synthesis rounds re-converge the same network over
 and over with only a handful of routers changed between runs.
-:class:`SimulationState` keeps a warm, converged simulation and, given
-the set of changed routers, re-converges only the affected dependency
-cone: every RIB entry records the routers its route traversed
-(``RibEntry.path``), so entries whose provenance avoids the changed set
-survive verbatim, while the rest are invalidated and refilled by the
-same worklist a full run uses, seeded only with the dirty sessions and
-the invalidated prefixes.  A converged incremental state is always
+:class:`SimulationState` keeps a warm, converged simulation and derives
+the delta from the configs themselves (:func:`config_delta`).  A
+*policy-only* edit re-advertises just the directed sessions whose
+effective policy changed, through the same worklist a full run uses;
+the implicit withdrawal retracts what a tighter policy no longer
+allows, and an edit no simulated session uses costs nothing.  Any
+other edit dirties its router: every RIB entry records the routers its
+route traversed (``RibEntry.path``), so entries whose provenance avoids
+the dirty routers survive verbatim, while the rest are invalidated and
+refilled by the worklist.  A converged incremental state is always
 identical to a from-scratch run (the differential property tests assert
 this per topology family); if the worklist ever exceeds its budget the
 state falls back to a full convergence, so incrementality can change
@@ -57,10 +60,11 @@ performance but never verdicts.
 
 from __future__ import annotations
 
+import copy
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..netmodel.device import RouterConfig
 from ..netmodel.ip import Ipv4Address, Prefix
@@ -69,6 +73,9 @@ from ..obs import counter, span, timer
 from ..netmodel.routebuilder import RouteBuilder, export_route
 from ..netmodel.routing_policy import (
     Action,
+    MatchAsPathList,
+    MatchCommunityList,
+    MatchPrefixList,
     PolicyEvaluationError,
     SetLocalPref,
     SetMed,
@@ -77,9 +84,11 @@ from ..netmodel.routing_policy import (
 __all__ = [
     "BgpSession",
     "BgpSimulation",
+    "ConfigDelta",
     "ResimStats",
     "RibEntry",
     "SimulationState",
+    "config_delta",
     "incremental_simulation_enabled",
     "reset_sim_stats",
     "rib_snapshots",
@@ -188,10 +197,6 @@ class RibEntry:
             ),
         )
         return entry
-
-    @property
-    def is_local(self) -> bool:
-        return self.learned_from is None
 
 
 class BgpSimulation:
@@ -327,6 +332,45 @@ class BgpSimulation:
         entry = self.rib_entry(hostname, prefix)
         return entry.origin_router if entry is not None else None
 
+    def export_clause_finder(self, hostname: str, neighbor_ip: Ipv4Address):
+        """The bound ``find_clause`` of ``hostname``'s export map toward
+        ``neighbor_ip``: the first clause that accepts a route, ``None``
+        for the implicit deny.  The finder itself is ``None`` when no
+        map applies (no neighbour, no policy, or an undefined map)."""
+        config = self._configs[hostname]
+        return self._find_clause(
+            config, self._neighbor_policy(config, neighbor_ip, "export")
+        )
+
+    def successor(
+        self, configs: Dict[str, RouterConfig], changed: Set[str]
+    ) -> "BgpSimulation":
+        """An unconverged simulation of ``configs``, whose edits are all
+        policy-only (on the ``changed`` routers), starting from copies
+        of this one's RIBs; this simulation is left untouched.  Session
+        tables are shared (never mutated after ``__init__``).  A bound
+        session policy carries over if the session touches no changed
+        router, a prepared map only if its config object is still in
+        ``configs`` (the key is an ``id``, which a freed one may pass
+        on)."""
+        new = copy.copy(self)
+        new._configs = dict(configs)
+        new._ribs = {name: dict(rib) for name, rib in self._ribs.items()}
+        new._converged, new._iterations, new.evaluations = False, 0, 0
+        new._policies = {
+            key: policy for key, policy in self._policies.items()
+            if changed.isdisjoint(key)
+        }
+        kept = {
+            id(config) for name, config in configs.items()
+            if self._configs.get(name) is config
+        }
+        new._prepared = {
+            key: prepared for key, prepared in self._prepared.items()
+            if key[0] in kept
+        }
+        return new
+
     # -- simulation -------------------------------------------------------------------
 
     def run(self) -> int:
@@ -346,16 +390,18 @@ class BgpSimulation:
         self,
         dirty: Set[str],
         removed: Dict[str, Set[Prefix]],
+        seeds: Iterable[Tuple[str, str]] = (),
     ) -> Optional[int]:
         """Re-converge from partially seeded RIBs along dirty sessions.
 
         ``dirty`` routers were re-originated with empty learned state;
         ``removed`` maps non-dirty routers to the prefixes whose entries
-        were invalidated.  Returns the number of directed-session
-        processings, or ``None`` if the worklist exceeded its budget
-        (the caller then falls back to a full run).
+        were invalidated; ``seeds`` are directed sessions whose policy
+        changed.  Returns the number of directed-session processings,
+        or ``None`` if the worklist exceeded its budget (the caller then
+        falls back to a full run).
         """
-        processed = self._propagate(dirty, removed)
+        processed = self._propagate(dirty, removed, seeds)
         self._converged = processed is not None
         return processed
 
@@ -363,14 +409,16 @@ class BgpSimulation:
         self,
         dirty: Set[str],
         removed: Dict[str, Set[Prefix]],
+        seeds: Iterable[Tuple[str, str]] = (),
     ) -> Optional[int]:
         """The one propagation loop: every session touching a ``dirty``
-        router advertises in full, every session into a router with
-        ``removed`` prefixes re-advertises those, and any change at a
-        receiver re-queues its outgoing sessions for the changed
-        prefixes, until quiescent.  Records the number of
-        directed-session processings in :attr:`iterations`; returns it,
-        or ``None`` past ``MAX_ITERATIONS`` per directed session."""
+        router and every ``seeds`` session advertises in full, every
+        session into a router with ``removed`` prefixes re-advertises
+        those, and any change at a receiver re-queues its outgoing
+        sessions for the changed prefixes, until quiescent.  Records the
+        number of directed-session processings in :attr:`iterations`;
+        returns it, or ``None`` past ``MAX_ITERATIONS`` per directed
+        session."""
         pending: "OrderedDict[Tuple[str, str], Optional[Set[Prefix]]]" = (
             OrderedDict()
         )
@@ -394,6 +442,8 @@ class BgpSimulation:
         for router in sorted(removed):
             for key in self._in_edges.get(router, ()):
                 enqueue(key, removed[router])
+        for key in sorted(seeds):
+            enqueue(key, None)
 
         budget = MAX_ITERATIONS * max(1, len(self._directed))
         processed = 0
@@ -526,7 +576,7 @@ class BgpSimulation:
             ):
                 # Implicit withdrawal: the sender no longer offers the
                 # route the receiver holds.
-                best = self._reselect(receiver, prefix)
+                best = self._reselect(receiver, prefix, sender, candidate)
                 if best is None:
                     del receiver_rib[prefix]
                 else:
@@ -534,10 +584,19 @@ class BgpSimulation:
                 changed.add(prefix)
         return changed
 
-    def _reselect(self, receiver: str, prefix: Prefix) -> Optional[RibEntry]:
-        """The best of the receiver's neighbours' current offers."""
-        best: Optional[RibEntry] = None
+    def _reselect(
+        self,
+        receiver: str,
+        prefix: Prefix,
+        sender: str,
+        offer: Optional[RibEntry],
+    ) -> Optional[RibEntry]:
+        """The best of the receiver's neighbours' current offers, where
+        ``offer`` is ``sender``'s, already through its pipeline."""
+        best = offer
         for key in self._in_edges.get(receiver, ()):
+            if key[0] == sender:
+                continue
             entry = self._ribs[key[0]].get(prefix)
             if entry is None or entry.learned_from == receiver:
                 continue
@@ -659,8 +718,6 @@ def rib_snapshots(simulation: BgpSimulation) -> Dict[str, Dict[Prefix, Tuple]]:
 # the hidden ``repro fuzz --plant`` CLI option) can flip; production
 # code never sets them.
 
-_KNOWN_PLANTED_BUGS = frozenset({"shallow-invalidation"})
-
 _PLANTED_BUGS: Set[str] = set()
 
 
@@ -670,9 +727,6 @@ def _in_cone(entry: RibEntry, dirty: Set[str]) -> bool:
     return not dirty.isdisjoint(entry.path)
 
 
-_SHIPPED_IN_CONE = _in_cone
-
-
 def _in_shallow_cone(entry: RibEntry, dirty: Set[str]) -> bool:
     """``_in_cone`` cut to one hop: only entries learned *directly* from
     a changed router are dropped, so an entry learned further
@@ -680,11 +734,43 @@ def _in_shallow_cone(entry: RibEntry, dirty: Set[str]) -> bool:
     return entry.learned_from in dirty
 
 
+_LIST_LOOKUPS = {
+    MatchPrefixList: RouterConfig.get_prefix_list,
+    MatchCommunityList: RouterConfig.get_community_list,
+    MatchAsPathList: RouterConfig.get_as_path_list,
+}
+
+
+def _referenced_lists(config: RouterConfig, route_map) -> Tuple:
+    """Every named list the map matches on, resolved in ``config``
+    (``None`` where undefined), in clause order."""
+    return tuple(
+        _LIST_LOOKUPS[type(condition)](config, condition.name)
+        for clause in route_map.clauses
+        for condition in clause.matches
+        if type(condition) in _LIST_LOOKUPS
+    )
+
+
+def _no_lists(config: RouterConfig, route_map) -> Tuple:
+    """``_referenced_lists`` blind to every list: a list edit under an
+    unchanged map looks like no change."""
+    return ()
+
+
+# planted bug -> (module function it rebinds, the buggy replacement)
+_PLANTS = {
+    "shallow-invalidation": ("_in_cone", _in_shallow_cone),
+    "delta-ignores-lists": ("_referenced_lists", _no_lists),
+}
+_KNOWN_PLANTED_BUGS = frozenset(_PLANTS)
+_SHIPPED = {name: globals()[name] for name, _bug in _PLANTS.values()}
+
+
 def _plant_bug(name: str, enabled: bool = True) -> None:
-    """Enable/disable a planted known bug.  ``shallow-invalidation``
-    rebinds the cone test to :func:`_in_shallow_cone`; rebinding keeps
-    the shipped path free of any planted-bug branch."""
-    global _in_cone
+    """Enable/disable a planted known bug by rebinding the module
+    function it names in ``_PLANTS``; rebinding keeps the shipped path
+    free of any planted-bug branch."""
     if name not in _KNOWN_PLANTED_BUGS:
         known = ", ".join(sorted(_KNOWN_PLANTED_BUGS))
         raise ValueError(f"unknown planted bug {name!r} (known: {known})")
@@ -692,11 +778,8 @@ def _plant_bug(name: str, enabled: bool = True) -> None:
         _PLANTED_BUGS.add(name)
     else:
         _PLANTED_BUGS.discard(name)
-    _in_cone = (
-        _in_shallow_cone
-        if "shallow-invalidation" in _PLANTED_BUGS
-        else _SHIPPED_IN_CONE
-    )
+    attribute, planted = _PLANTS[name]
+    globals()[attribute] = planted if enabled else _SHIPPED[attribute]
 
 
 def _planted_bugs() -> "frozenset[str]":
@@ -798,9 +881,10 @@ class ResimStats:
     """What one :meth:`SimulationState.resimulate` call actually did."""
 
     mode: str  # "full" or "incremental"
-    dirty_routers: int = 0
+    dirty_routers: int = 0  # routers whose config changed, of any class
+    dirty_sessions: int = 0  # directed sessions re-advertised for policy
     invalidated_entries: int = 0
-    reused_entries: int = 0
+    reused_entries: int = 0  # entries carried over from the warm state
     evaluations: int = 0
 
     @property
@@ -808,28 +892,90 @@ class ResimStats:
         return self.mode == "incremental"
 
 
-def _canonical_session(session: BgpSession) -> Tuple:
-    return tuple(
-        sorted(
-            (
-                (session.local_router, str(session.local_ip)),
-                (session.remote_router, str(session.remote_ip)),
-            )
-        )
+class ConfigDelta(NamedTuple):
+    """What changed between a converged simulation's configs and new
+    ones (see :func:`config_delta`)."""
+
+    changed: Set[str]  # every router whose config differs
+    dirty: Set[str]  # router-wide changes: invalidate the cone
+    seeds: Set[Tuple[str, str]]  # directed sessions whose policy changed
+
+
+def _sans_policy(config: RouterConfig) -> RouterConfig:
+    """The config with its route maps, the lists they can match on and
+    its neighbours' import/export policy names blanked out."""
+    bgp = config.bgp and replace(
+        config.bgp,
+        neighbors={
+            key: replace(neighbor, import_policy=None, export_policy=None)
+            for key, neighbor in config.bgp.neighbors.items()
+        },
     )
+    return replace(
+        config, bgp=bgp, route_maps={}, prefix_lists={},
+        community_lists={}, as_path_lists={},
+    )
+
+
+def _effective_policy(
+    config: RouterConfig, neighbor_ip: Ipv4Address, attribute: str
+) -> Tuple:
+    """One session end's policy, comparable by value: the policy name,
+    the route map it resolves to, and every list that map matches on."""
+    name = getattr(config.bgp.get_neighbor(neighbor_ip), attribute)
+    route_map = config.get_route_map(name) if name is not None else None
+    if route_map is None:
+        return (name, None, ())
+    return (name, route_map, _referenced_lists(config, route_map))
+
+
+def config_delta(
+    old: BgpSimulation, configs: Dict[str, RouterConfig]
+) -> ConfigDelta:
+    """Derive the delta between ``old``'s configs and ``configs``.
+
+    Configs are read-only, so the very object simulated last time is
+    unchanged; any other is compared by value (IR equality is
+    structural).  A changed router whose edit is policy-only seeds the
+    directed sessions out of it (export) and into it (import) whose
+    effective policy differs; any other change, including a router
+    appearing or disappearing, makes it router-wide dirty.
+    """
+    delta = ConfigDelta(set(), set(), set())
+    for name in set(old._configs) | set(configs):
+        before, after = old._configs.get(name), configs.get(name)
+        if before is after or before == after:
+            continue
+        delta.changed.add(name)
+        if None in (before, after) or _sans_policy(before) != _sans_policy(after):
+            delta.dirty.add(name)
+            continue
+        for edges, end, attribute in (
+            (old._out_edges, "remote_ip", "export_policy"),
+            (old._in_edges, "local_ip", "import_policy"),
+        ):
+            for key in edges.get(name, ()):
+                ip = getattr(old._directed[key], end)
+                if _effective_policy(before, ip, attribute) != (
+                    _effective_policy(after, ip, attribute)
+                ):
+                    delta.seeds.add(key)
+    return delta
 
 
 class SimulationState:
     """A warm, converged BGP simulation that re-converges incrementally.
 
     ``converge`` runs a full simulation; ``resimulate`` takes the new
-    configs plus the set of routers whose configuration changed and
-    re-converges only the affected dependency cone.  The state is
-    *reusable* across runs of the same network as long as the caller
-    names every changed router; it *invalidates itself* (falls back to
-    a full run) when there is no prior state, when the changed set is
-    unknown (``None``), when incremental simulation is globally
-    disabled, or when the worklist fails to quiesce within its budget.
+    configs, derives what changed since the previous convergence
+    (:func:`config_delta`) and re-propagates only that: the sessions
+    whose policy changed, and the dependency cone of routers changed
+    router-wide.  Callers name nothing, so a stale or shared state can
+    never be steered by a wrong delta.  The state falls back to a full
+    run when there is no prior state, when incremental simulation is
+    globally disabled, or when the worklist fails to quiesce within its
+    budget.  A simulation it hands out is never mutated by a later
+    call.
     """
 
     def __init__(self, configs: Optional[Dict[str, RouterConfig]] = None) -> None:
@@ -839,19 +985,10 @@ class SimulationState:
             self.converge(configs)
 
     @property
-    def warm(self) -> bool:
-        """True once the state holds a converged simulation."""
-        return self._sim is not None
-
-    @property
     def simulation(self) -> BgpSimulation:
         if self._sim is None:
             raise ValueError("SimulationState has no converged simulation yet")
         return self._sim
-
-    @property
-    def configs(self) -> Dict[str, RouterConfig]:
-        return dict(self.simulation._configs)
 
     def converge(self, configs: Dict[str, RouterConfig]) -> ResimStats:
         """Full from-scratch convergence; replaces any prior state."""
@@ -865,64 +1002,63 @@ class SimulationState:
         self.last_stats = ResimStats(mode="full", evaluations=sim.evaluations)
         return self.last_stats
 
-    def resimulate(
-        self,
-        configs: Dict[str, RouterConfig],
-        changed_routers: Optional[Iterable[str]] = None,
-    ) -> ResimStats:
-        """Re-converge after ``changed_routers``' configs changed.
-
-        Every router whose configuration differs from the previous
-        convergence MUST be named (unchanged routers may be named too —
-        that only costs time).  ``None`` means "unknown" and forces a
-        full run.
-        """
-        if (
-            self._sim is None
-            or changed_routers is None
-            or not incremental_simulation_enabled()
-        ):
+    def resimulate(self, configs: Dict[str, RouterConfig]) -> ResimStats:
+        """Re-converge ``configs``, re-propagating only what changed
+        since the previous convergence."""
+        if self._sim is None or not incremental_simulation_enabled():
             return self.converge(configs)
         started = time.perf_counter()
         with span("converge", mode="incremental", routers=len(configs)):
-            return self._resimulate_incremental(configs, changed_routers, started)
+            return self._resimulate_incremental(
+                configs, config_delta(self._sim, configs), started
+            )
 
     def _resimulate_incremental(
         self,
         configs: Dict[str, RouterConfig],
-        changed_routers: Iterable[str],
+        delta: ConfigDelta,
         started: float,
     ) -> ResimStats:
         old = self._sim
-        new = BgpSimulation(configs)
-        dirty = set(changed_routers)
-        # Routers appearing or disappearing are changed by definition.
-        dirty |= set(old._configs) ^ set(new._configs)
-        # A session that appeared or disappeared dirties both endpoints
-        # (covers address-ownership shifts between other routers).
-        old_sessions = {_canonical_session(s) for s in old._sessions}
-        new_sessions = {_canonical_session(s) for s in new._sessions}
-        for canon in old_sessions ^ new_sessions:
-            dirty.update(router for router, _ip in canon)
-
+        dirty = set(delta.dirty)
         invalidated = 0
         reused = 0
         removed: Dict[str, Set[Prefix]] = {}
-        for hostname in new._configs:
-            if hostname in dirty:
-                continue
-            target = new._ribs[hostname]
-            for prefix, entry in old._ribs.get(hostname, {}).items():
-                if _in_cone(entry, dirty):
-                    removed.setdefault(hostname, set()).add(prefix)
-                    invalidated += 1
-                else:
-                    target[prefix] = entry
-                    reused += 1
+        if not dirty:
+            new = old.successor(configs, delta.changed)
+            reused = sum(len(rib) for rib in new._ribs.values())
+        else:
+            new = BgpSimulation(configs)
+            # A session that appeared or disappeared dirties both
+            # endpoints (covers address-ownership shifts between other
+            # routers).
+            old_ends, new_ends = (
+                {
+                    frozenset({(s.local_router, s.local_ip),
+                               (s.remote_router, s.remote_ip)})
+                    for s in sim._sessions
+                }
+                for sim in (old, new)
+            )
+            for ends in old_ends ^ new_ends:
+                dirty.update(router for router, _ip in ends)
+            for hostname in new._configs:
+                if hostname in dirty:
+                    continue
+                target = new._ribs[hostname]
+                for prefix, entry in old._ribs.get(hostname, {}).items():
+                    if _in_cone(entry, dirty):
+                        removed.setdefault(hostname, set()).add(prefix)
+                        invalidated += 1
+                    else:
+                        target[prefix] = entry
+                        reused += 1
         live_dirty = dirty & set(new._configs)
         for hostname in live_dirty:
             new._originate_router(hostname)
-        if new.run_worklist(live_dirty, removed) is None:
+        # A session touching a dirty router re-advertises in full anyway.
+        seeds = {key for key in delta.seeds if dirty.isdisjoint(key)}
+        if new.run_worklist(live_dirty, removed, seeds) is None:
             return self.converge(configs)
         self._sim = new
         _INCREMENTAL_CONVERGE.observe(time.perf_counter() - started)
@@ -931,7 +1067,8 @@ class SimulationState:
         _INVALIDATED_ENTRIES.inc(invalidated)
         self.last_stats = ResimStats(
             mode="incremental",
-            dirty_routers=len(dirty),
+            dirty_routers=len(delta.changed),
+            dirty_sessions=len(seeds),
             invalidated_entries=invalidated,
             reused_entries=reused,
             evaluations=new.evaluations,

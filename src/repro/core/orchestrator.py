@@ -274,11 +274,8 @@ class SynthesisOrchestrator:
         self._modularizer = Modularizer(topology)
         self._pair_programming = pair_programming
         # An owned checker turns repeated runs over the same topology
-        # into incremental re-simulations driven by *explicit* deltas:
-        # the loop already knows which routers' texts changed since its
-        # previous global check, so no config fingerprinting is needed.
+        # into incremental re-simulations of what changed between runs.
         self._global_checker = global_checker
-        self._last_router_texts: Optional[Dict[str, str]] = None
 
     def run(self) -> SynthesisRunResult:
         log = PromptLog()
@@ -384,28 +381,9 @@ class SynthesisOrchestrator:
         configs = {
             config.hostname: config for config in snapshot.configs.values()
         }
-        texts = {
-            name: snapshot.texts[f"{name}.cfg"]
-            for name in self._topology.router_names()
-        }
-        changed_routers = None
-        if self._global_checker is not None and self._last_router_texts is not None:
-            # The loop's own delta: routers whose final text differs
-            # from the previous run's — compared directly on the texts
-            # in hand, no re-rendering or hashing.
-            changed_routers = {
-                name
-                for name in set(texts) | set(self._last_router_texts)
-                if texts.get(name) != self._last_router_texts.get(name)
-            }
         result = check_global_no_transit(
-            configs,
-            self._topology,
-            checker=self._global_checker,
-            changed_routers=changed_routers,
+            configs, self._topology, checker=self._global_checker
         )
-        if self._global_checker is not None:
-            self._last_router_texts = texts
         sim_stats = last_global_sim_stats()
         message = result.describe()
         if sim_stats is not None and sim_stats.incremental:

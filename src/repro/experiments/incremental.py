@@ -211,18 +211,16 @@ def run_incremental_policy_experiment(
     if not recheck_old_invariants and surviving_violations:
         verified = False  # shipped broken: the point of the control
     # The global check re-simulates incrementally: the verified star is
-    # converged once, then only the edited hub's dependency cone is
+    # converged once, then only what the hub's edit changed is
     # re-converged — exactly the delta the incremental-addition story
     # is about (one router changed, the rest of the network untouched).
-    # The loop *knows* its delta is the hub, so it says so explicitly
-    # instead of having the checker fingerprint every config.
     checker = IncrementalGlobalChecker()
     base_configs = build_reference_configs(star.topology)
     checker.simulate(base_configs)
     final_configs = dict(base_configs)
     final_configs["R1"] = config
     global_check = check_global_no_transit(
-        final_configs, star.topology, checker=checker, changed_routers={"R1"}
+        final_configs, star.topology, checker=checker
     )
     return IncrementalResult(
         verified=verified and not surviving_violations,

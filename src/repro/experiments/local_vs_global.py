@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..lightyear.compose import IncrementalGlobalChecker, check_global_no_transit
 from ..netmodel.aspath import AsPathAccessList
@@ -60,21 +60,6 @@ class OscillatingGlobalModel:
         self._references = build_reference_configs(star.topology)
         self._strategy_index = 0
         self.strategy_history: List[str] = []
-        # The routers either strategy ever touches: every filter owner
-        # plus the customer router (the deny-at-customer strategy).
-        # This *is* the model's changed-router delta between rounds —
-        # the model knows what it rewrites, so the global re-check
-        # needs no config fingerprinting to find out.
-        self._touched = {
-            name
-            for name, config in self._references.items()
-            if any(
-                map_name.startswith("FILTER_COMM_OUT_")
-                for map_name in config.route_maps
-            )
-        }
-        self._touched.add(self._customer_router(self._references).hostname)
-        self.last_changed: Optional[set] = None  # None until round two
 
     @property
     def current_strategy(self) -> str:
@@ -82,10 +67,6 @@ class OscillatingGlobalModel:
 
     def generate(self) -> Dict[str, RouterConfig]:
         """The current full-network draft."""
-        # From the second draft on, the model hands the checker the
-        # routers it rewrites; the first draft has no prior state to
-        # be incremental against.
-        self.last_changed = set(self._touched) if self.strategy_history else None
         self.strategy_history.append(self.current_strategy)
         configs = {
             name: copy.deepcopy(config)
@@ -214,17 +195,11 @@ def run_local_vs_global(
     converged = False
     rounds = 0
     # One warm simulation state across all counterexample rounds: each
-    # global re-check re-converges only the routers the model rewrote,
-    # named explicitly by the model itself — no fingerprint diffing.
+    # global re-check re-converges only what the model rewrote.
     checker = IncrementalGlobalChecker()
     for rounds in range(1, max_global_rounds + 1):
         configs = model.generate()
-        check = check_global_no_transit(
-            configs,
-            star.topology,
-            checker=checker,
-            changed_routers=model.last_changed,
-        )
+        check = check_global_no_transit(configs, star.topology, checker=checker)
         if check.holds:
             converged = True
             break

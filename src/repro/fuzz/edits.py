@@ -20,8 +20,11 @@ The catalog is deliberately adversarial toward the toggle surface:
   fall-through) actually bite;
 * ``withdraw_network`` exercises route invalidation in the
   incremental engine;
-* ``noop`` marks a router changed without changing it (the no-change
-  resimulation path).
+* ``drop_core_list_entry`` / ``deny_core_export`` change policy on
+  *internal* sessions, where the incremental engine re-advertises just
+  the sessions whose policy changed — the first changes only a prefix
+  list the core export map matches on, not the map itself;
+* ``noop`` changes nothing (the empty-delta resimulation path).
 """
 
 from __future__ import annotations
@@ -130,10 +133,34 @@ def withdraw_network(configs: Dict[str, RouterConfig], router: str) -> bool:
     return True
 
 
+def drop_core_list_entry(configs: Dict[str, RouterConfig], router: str) -> bool:
+    """Drop the first entry of the first prefix list the router's core
+    export map matches on (the map itself stays as it is)."""
+    config = configs[router]
+    for route_map in _sorted_maps(config, "EXPORT_CORE_"):
+        for name in route_map.referenced_prefix_lists():
+            prefix_list = config.prefix_lists.get(name)
+            if prefix_list is not None and prefix_list.entries:
+                del prefix_list.entries[0]
+                return True
+    return False
+
+
+def deny_core_export(configs: Dict[str, RouterConfig], router: str) -> bool:
+    """Prepend a deny-all clause to the router's core export map: the
+    router stops advertising into the core."""
+    for route_map in _sorted_maps(configs[router], "EXPORT_CORE_"):
+        first = route_map.clauses[0]
+        if first.action is Action.DENY:
+            return False  # already denied by an earlier edit
+        route_map.add_clause(RouteMapClause(seq=first.seq - 1, action=Action.DENY))
+        return True
+    return False
+
+
 def noop(configs: Dict[str, RouterConfig], router: str) -> bool:
-    """Change nothing, but report the router as changed — the
-    incremental engine must treat a no-op delta exactly like a full
-    run does."""
+    """Change nothing: the incremental engine must derive an empty
+    delta and still match a full run."""
     return True
 
 
@@ -144,6 +171,8 @@ EDIT_OPS: Dict[str, EditOp] = {
     "bump_local_pref": bump_local_pref,
     "announce_shared_prefix": announce_shared_prefix,
     "withdraw_network": withdraw_network,
+    "drop_core_list_entry": drop_core_list_entry,
+    "deny_core_export": deny_core_export,
     "noop": noop,
 }
 

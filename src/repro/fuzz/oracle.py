@@ -135,7 +135,7 @@ def observe(scenario: FuzzScenario, combo: Dict[str, Any]) -> dict:
         for edit in scenario.edits:
             router = resolve_router(edit.router_index, configs)
             applied = apply_edit_op(edit.op, configs, router)
-            state.resimulate(copy.deepcopy(configs), {router})
+            state.resimulate(copy.deepcopy(configs))
             steps.append(
                 {"applied": [router, edit.op, applied]}
                 | _step_observation(state, configs, topology, invariants)

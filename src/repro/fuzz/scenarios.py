@@ -24,7 +24,8 @@ _FAMILY_POOL = (
 )
 
 # Edit-op pool, weighted toward the operations that historically find
-# bugs: multi-origin prefixes (tie-breaks) and filter holes (verdicts).
+# bugs: multi-origin prefixes (tie-breaks) and filter holes (verdicts);
+# the core-export edits are the ones that change internal sessions.
 _OP_POOL = (
     "announce_shared_prefix",
     "announce_shared_prefix",
@@ -33,6 +34,8 @@ _OP_POOL = (
     "strip_additive",
     "bump_local_pref",
     "withdraw_network",
+    "drop_core_list_entry",
+    "deny_core_export",
     "noop",
 )
 

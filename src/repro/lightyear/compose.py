@@ -11,7 +11,6 @@ simulation-based global check.
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, List, Optional, Set, Tuple
@@ -183,63 +182,21 @@ class GlobalCheckResult:
 # -- incremental global simulation ---------------------------------------------
 
 
-def _config_fingerprints(configs: Dict[str, RouterConfig]) -> Dict[str, str]:
-    """Canonical per-router fingerprints (rendered-config digests).
-
-    Rendering round-trips losslessly (the fixed-point tests), so two
-    configs with equal fingerprints are simulation-equivalent.
-    """
-    from ..cisco import generate_cisco
-
-    return {
-        name: hashlib.sha256(generate_cisco(config).encode("utf-8")).hexdigest()
-        for name, config in configs.items()
-    }
-
-
 class IncrementalGlobalChecker:
-    """A warm :class:`SimulationState` plus the config fingerprints it
-    converged, so repeated global checks of the same network simulate
-    only the routers that actually changed since the previous check."""
+    """A warm :class:`SimulationState` owned by one repeated-check loop,
+    so each global check re-propagates only what changed since the
+    previous one (the state derives the delta from the configs)."""
 
     def __init__(self) -> None:
         self._state = SimulationState()
-        self._fingerprints: Optional[Dict[str, str]] = {}
 
     @property
     def last_stats(self) -> Optional[ResimStats]:
         return self._state.last_stats
 
-    def simulate(
-        self,
-        configs: Dict[str, RouterConfig],
-        changed_routers: "Optional[Set[str]]" = None,
-    ) -> BgpSimulation:
-        """Converge ``configs``, reusing warm state where valid.
-
-        With an explicit ``changed_routers`` delta (every router whose
-        config differs from the previous ``simulate`` call) the checker
-        skips config fingerprinting entirely — the caller already knows
-        what it changed.  Without one, the delta is derived by
-        fingerprinting every config against the previous call's
-        fingerprints.  Explicit and derived calls may be mixed: an
-        explicit delta invalidates the stored fingerprints, so the next
-        derived call conservatively falls back to a full convergence
-        instead of trusting a stale baseline.
-        """
-        if changed_routers is not None and self._state.warm:
-            self._fingerprints = None  # stale until re-derived
-            self._state.resimulate(configs, changed_routers)
-            return self._state.simulation
-        fingerprints = _config_fingerprints(configs)
-        if changed_routers is None and self._fingerprints:
-            changed_routers = {
-                name
-                for name in set(fingerprints) | set(self._fingerprints)
-                if fingerprints.get(name) != self._fingerprints.get(name)
-            }
-        self._state.resimulate(configs, changed_routers)
-        self._fingerprints = fingerprints
+    def simulate(self, configs: Dict[str, RouterConfig]) -> BgpSimulation:
+        """Converge ``configs``, reusing warm state where valid."""
+        self._state.resimulate(configs)
         return self._state.simulation
 
 
@@ -285,7 +242,6 @@ def _global_simulation(
     configs: Dict[str, RouterConfig],
     topology: Topology,
     checker: Optional[IncrementalGlobalChecker],
-    changed_routers: "Optional[Set[str]]" = None,
 ) -> BgpSimulation:
     """The converged simulation behind one global check."""
     global _LAST_SIM_STATS
@@ -303,11 +259,7 @@ def _global_simulation(
                 _CHECKERS.popitem(last=False)
         else:
             _CHECKERS.move_to_end(key)
-        # Registry checkers are shared across callers, so an explicit
-        # delta (which is relative to *this caller's* previous check)
-        # cannot be trusted against whatever state the registry holds.
-        changed_routers = None
-    simulation = checker.simulate(configs, changed_routers)
+    simulation = checker.simulate(configs)
     _LAST_SIM_STATS = checker.last_stats
     return simulation
 
@@ -331,16 +283,15 @@ def check_global_no_transit(
     per-role verdicts recorded on the result.
 
     The simulation re-converges incrementally where possible: pass a
-    ``checker`` owned by a repeated-simulation loop — and, when the
-    loop knows exactly which routers it edited since its previous
-    check, the explicit ``changed_routers`` delta, which skips the
-    config-fingerprint diffing entirely — or let the process-local
-    registry keep a warm state per topology (fingerprint-diffed, since
-    registry state is shared between callers).
+    ``checker`` owned by a repeated-simulation loop, or let the
+    process-local registry keep a warm state per topology.  Either way
+    the delta since the previous check is derived from the configs
+    themselves.  ``changed_routers`` is accepted for older callers and
+    ignored: no caller-named delta can steer the simulation.
     """
     from ..topology.families import is_hub_star
 
-    simulation = _global_simulation(configs, topology, checker, changed_routers)
+    simulation = _global_simulation(configs, topology, checker)
     if not is_hub_star(topology):
         return _check_global_border(configs, topology, simulation)
     result = GlobalCheckResult()
@@ -387,7 +338,7 @@ def _exported_prefixes(
 ) -> "set[Prefix]":
     """Which of the ``wanted`` prefixes a router would advertise to one
     external peer, applying the export route-map attached to that
-    neighbor (if any).
+    neighbor (if any), as the simulation already bound it.
 
     The result is exact only over ``wanted``: each wanted prefix is
     looked up in the router's RIB and only an installed entry is run
@@ -397,29 +348,22 @@ def _exported_prefixes(
     undeclared neighbor exports nothing — the session would never
     establish, which the reachability checks then surface.
     """
-    if config.bgp is None:
+    if config.bgp is None or config.bgp.get_neighbor(peer_ip) is None:
         return set()
-    neighbor = config.bgp.get_neighbor(peer_ip)
-    if neighbor is None:
-        return set()
-    export_map = (
-        config.get_route_map(neighbor.export_policy)
-        if neighbor.export_policy is not None
-        else None
-    )
+    find_clause = simulation.export_clause_finder(router, peer_ip)
     exported = set()
     for prefix in wanted:
         entry = simulation.rib_entry(router, prefix)
         if entry is None:
             continue
         route = entry.route
-        if export_map is not None:
+        if find_clause is not None:
             _EXPORT_EVALUATIONS.inc()
             try:
-                outcome = export_map.evaluate(route, config)
+                clause = find_clause(route)
             except PolicyEvaluationError:
                 continue
-            if outcome.action is Action.DENY:
+            if clause is None or clause.action is Action.DENY:
                 continue
         exported.add(route.prefix)
     return exported

@@ -178,8 +178,9 @@ class TestTieHeavyMeshDifferential:
         install check keeps dirty tracking identical on both paths)."""
         changed = {"R2": (" network 98.0.0.0 mask 255.255.0.0",)}
         state = SimulationState(_tie_mesh())
-        state.resimulate(_tie_mesh(changed), changed_routers=["R2"])
+        state.resimulate(_tie_mesh(changed))
         assert state.last_stats.mode == "incremental"
+        assert state.last_stats.dirty_routers == 1
         full = BgpSimulation(_tie_mesh(changed))
         full.run()
         assert rib_snapshots(state._sim) == rib_snapshots(full)

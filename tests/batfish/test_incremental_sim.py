@@ -1,10 +1,11 @@
 """Incremental BGP re-simulation: differential proofs against full runs.
 
-The contract under test: a :class:`SimulationState` given the set of
-changed routers converges to *exactly* the state a from-scratch
-:class:`BgpSimulation` reaches on the same configs — same RIBs (routes,
-attributes, provenance paths) and same global-check verdicts — on every
-topology family, for randomized single-router config edits.
+The contract under test: a :class:`SimulationState` that derives the
+delta from the configs it is given converges to *exactly* the state a
+from-scratch :class:`BgpSimulation` reaches on the same configs — same
+RIBs (routes, attributes, provenance paths) and same global-check
+verdicts — on every topology family, for randomized single-router
+config edits.
 """
 
 import copy
@@ -13,18 +14,24 @@ import zlib
 
 import pytest
 
+from repro.batfish import bgpsim
 from repro.batfish.bgpsim import (
     BgpSimulation,
     SimulationState,
+    config_delta,
     incremental_simulation_enabled,
     reset_sim_stats,
     rib_snapshots,
     set_incremental_simulation,
     sim_totals,
 )
+from repro.fuzz.edits import (
+    bump_local_pref,
+    drop_core_list_entry,
+    withdraw_network,
+)
 from repro.lightyear.compose import (
     IncrementalGlobalChecker,
-    _config_fingerprints,
     check_global_no_transit,
     last_global_sim_stats,
     reset_simulation_states,
@@ -72,13 +79,12 @@ def _assert_matches_full(state, configs, topology=None):
 def _check_from_simulation(state, configs, topology):
     """Run the global check against the *warm* state's simulation.
 
-    Seeding the checker with the configs' current fingerprints makes
-    the derived delta empty, so the verdict really is computed from the
-    incrementally-converged RIBs (an empty-fingerprint checker would
-    fall back to a fresh full convergence and prove nothing)."""
+    The configs equal the ones the state converged, so the derived
+    delta is empty and the verdict really is computed from the
+    incrementally-converged RIBs (a cold checker would run a fresh full
+    convergence and prove nothing)."""
     checker = IncrementalGlobalChecker()
     checker._state = state
-    checker._fingerprints = _config_fingerprints(configs)
     verdict = check_global_no_transit(configs, topology, checker=checker)
     assert checker.last_stats.incremental
     return verdict
@@ -180,7 +186,7 @@ class TestDifferentialPerFamily:
             mutation = rng.choice(MUTATIONS)
             if not mutation(nxt[router], rng):
                 _announce_extra_network(nxt[router], rng)
-            stats = state.resimulate(copy.deepcopy(nxt), {router})
+            stats = state.resimulate(copy.deepcopy(nxt))
             incremental_seen += stats.incremental
             _assert_matches_full(state, nxt, topology)
             current = nxt
@@ -197,10 +203,10 @@ class TestDifferentialPerFamily:
         _replace_filter_with_permit_all(broken[router], rng) or (
             _announce_extra_network(broken[router], rng)
         )
-        state.resimulate(copy.deepcopy(broken), {router})
+        state.resimulate(copy.deepcopy(broken))
         _assert_matches_full(state, broken, topology)
         restored = copy.deepcopy(reference)
-        stats = state.resimulate(copy.deepcopy(restored), {router})
+        stats = state.resimulate(copy.deepcopy(restored))
         assert stats.incremental
         _assert_matches_full(state, restored, topology)
 
@@ -209,17 +215,11 @@ class TestSimulationState:
     def test_no_change_resimulation_is_cheap_and_identical(self):
         _topology, configs = _network("mesh")
         state = SimulationState(copy.deepcopy(configs))
-        stats = state.resimulate(copy.deepcopy(configs), set())
+        stats = state.resimulate(copy.deepcopy(configs))
         assert stats.incremental
         assert stats.evaluations == 0
         assert stats.reused_entries > 0
         _assert_matches_full(state, configs)
-
-    def test_unknown_delta_forces_full_run(self):
-        _topology, configs = _network("ring")
-        state = SimulationState(copy.deepcopy(configs))
-        stats = state.resimulate(copy.deepcopy(configs), None)
-        assert stats.mode == "full"
 
     def test_disabled_toggle_forces_full_run(self):
         _topology, configs = _network("chain")
@@ -227,7 +227,7 @@ class TestSimulationState:
         set_incremental_simulation(False)
         try:
             assert not incremental_simulation_enabled()
-            stats = state.resimulate(copy.deepcopy(configs), set())
+            stats = state.resimulate(copy.deepcopy(configs))
             assert stats.mode == "full"
         finally:
             set_incremental_simulation(True)
@@ -240,10 +240,10 @@ class TestSimulationState:
             for name, config in configs.items()
             if name != "R4"
         }
-        stats = state.resimulate(copy.deepcopy(without), set())
-        assert stats.incremental  # removal detected without being named
+        stats = state.resimulate(copy.deepcopy(without))
+        assert stats.incremental  # removal derived from the configs
         _assert_matches_full(state, without)
-        stats = state.resimulate(copy.deepcopy(configs), set())
+        stats = state.resimulate(copy.deepcopy(configs))
         assert stats.incremental
         _assert_matches_full(state, configs, topology)
 
@@ -255,52 +255,28 @@ class TestSimulationState:
         reset_sim_stats()
         _topology, configs = _network("star")
         state = SimulationState(copy.deepcopy(configs))
-        state.resimulate(copy.deepcopy(configs), set())
+        state.resimulate(copy.deepcopy(configs))
         totals = sim_totals()
         assert totals["full_runs"] == 1
         assert totals["incremental_runs"] == 1
         assert totals["full_evaluations"] > 0
 
 
-class TestExplicitDeltas:
-    """Callers that know what they changed skip fingerprint diffing."""
+class TestDerivedDeltas:
+    """The delta is derived from the configs; a caller names nothing."""
 
-    def test_explicit_delta_skips_fingerprinting(self):
+    def test_changed_router_is_counted_whatever_its_class(self):
         topology, configs = _network("mesh")
         checker = IncrementalGlobalChecker()
         checker.simulate(copy.deepcopy(configs))
-        assert checker._fingerprints  # baseline derived on the full run
         rng = random.Random(5)
         broken = copy.deepcopy(configs)
         assert _replace_filter_with_permit_all(broken["R3"], rng)
-        checker.simulate(copy.deepcopy(broken), {"R3"})
+        checker.simulate(copy.deepcopy(broken))
         assert checker.last_stats.incremental
         assert checker.last_stats.dirty_routers == 1
-        assert checker._fingerprints is None  # never computed
 
-    def test_explicit_then_derived_falls_back_to_full(self):
-        """A derived call after an explicit one must not trust the
-        stale fingerprint baseline — it re-converges fully instead."""
-        topology, configs = _network("ring")
-        checker = IncrementalGlobalChecker()
-        check_global_no_transit(
-            copy.deepcopy(configs), topology, checker=checker
-        )
-        rng = random.Random(9)
-        edited = copy.deepcopy(configs)
-        assert _replace_filter_with_permit_all(edited["R4"], rng)
-        check_global_no_transit(
-            copy.deepcopy(edited), topology,
-            checker=checker, changed_routers={"R4"},
-        )
-        assert checker.last_stats.incremental
-        verdict = check_global_no_transit(
-            copy.deepcopy(configs), topology, checker=checker
-        )
-        assert checker.last_stats.mode == "full"
-        assert verdict.holds
-
-    def test_explicit_delta_matches_cold_verdict(self):
+    def test_derived_delta_matches_cold_verdict(self):
         topology, configs = _network("chain")
         checker = IncrementalGlobalChecker()
         check_global_no_transit(
@@ -310,9 +286,35 @@ class TestExplicitDeltas:
         edited = copy.deepcopy(configs)
         assert _drop_first_deny(edited["R3"], rng)
         warm = check_global_no_transit(
-            copy.deepcopy(edited), topology,
-            checker=checker, changed_routers={"R3"},
+            copy.deepcopy(edited), topology, checker=checker
         )
+        assert checker.last_stats.incremental
+        reset_simulation_states()
+        cold = check_global_no_transit(copy.deepcopy(edited), topology)
+        assert warm.holds == cold.holds
+        assert warm.describe() == cold.describe()
+
+    @pytest.mark.parametrize("named", [set(), {"R1"}])
+    def test_stale_changed_routers_are_ignored(self, named):
+        """``check_global_no_transit`` still accepts ``changed_routers``
+        and ignores it: a stale or empty set cannot steer the checker
+        away from the full-run RIBs and verdict."""
+        topology, configs = _network("ring")
+        checker = IncrementalGlobalChecker()
+        check_global_no_transit(
+            copy.deepcopy(configs), topology, checker=checker
+        )
+        rng = random.Random(9)
+        edited = copy.deepcopy(configs)
+        assert _replace_filter_with_permit_all(edited["R4"], rng)
+        assert _announce_extra_network(edited["R2"], rng)
+        warm = check_global_no_transit(
+            copy.deepcopy(edited), topology,
+            checker=checker, changed_routers=named,
+        )
+        assert checker.last_stats.incremental
+        assert checker.last_stats.dirty_routers == 2
+        _assert_matches_full(checker._state, edited)
         reset_simulation_states()
         cold = check_global_no_transit(copy.deepcopy(edited), topology)
         assert warm.holds == cold.holds
@@ -328,13 +330,109 @@ class TestExplicitDeltas:
         edited = copy.deepcopy(configs)
         _announce_extra_network(edited["R2"], rng)
         # Lie about the delta: claim nothing changed.  The registry
-        # path must fingerprint anyway and still find R2.
+        # derives the delta anyway and still finds R2.
         check_global_no_transit(
             copy.deepcopy(edited), topology, changed_routers=set()
         )
         stats = last_global_sim_stats()
         assert stats.incremental
         assert stats.dirty_routers == 1
+
+
+class TestDeltaScopedReconvergence:
+    """A policy-only edit re-advertises just the sessions whose policy
+    changed; anything else stays router-wide."""
+
+    def _state(self, family="mesh"):
+        topology, configs = _network(family)
+        return topology, configs, SimulationState(copy.deepcopy(configs))
+
+    def test_external_only_export_edit_takes_no_evaluations(self):
+        topology, configs, state = self._state()
+        broken = copy.deepcopy(configs)
+        for neighbor in broken["R3"].bgp.neighbors.values():
+            if (neighbor.export_policy or "").startswith("FILTER_COMM_OUT_"):
+                neighbor.export_policy = None
+        stats = state.resimulate(copy.deepcopy(broken))
+        assert stats.incremental
+        assert stats.dirty_routers == 1
+        assert stats.dirty_sessions == 0
+        assert stats.invalidated_entries == 0
+        assert stats.evaluations == 0
+        _assert_matches_full(state, broken, topology)
+
+    def test_core_list_edit_seeds_only_that_routers_exports(self):
+        """Dropping a prefix-list entry under an unchanged core export
+        map changes every internal session out of the router, and no
+        other session."""
+        topology, configs, state = self._state()
+        edited = copy.deepcopy(configs)
+        assert drop_core_list_entry(edited, "R3")
+        delta = config_delta(state.simulation, edited)
+        out_edges = state.simulation._out_edges["R3"]
+        assert delta.changed == {"R3"}
+        assert delta.dirty == frozenset()
+        assert delta.seeds == set(out_edges)
+        stats = state.resimulate(copy.deepcopy(edited))
+        assert stats.dirty_sessions == len(out_edges)
+        assert stats.invalidated_entries == 0
+        assert stats.evaluations > 0
+        _assert_matches_full(state, edited, topology)
+
+    def test_import_policy_edit_seeds_the_session_into_the_router(self):
+        topology, configs, state = self._state()
+        edited = copy.deepcopy(configs)
+        assert bump_local_pref(edited, "R2")  # a decision-affecting map
+        session = state.simulation._in_edges["R2"][0]
+        ip = state.simulation._directed[session].local_ip
+        edited["R2"].bgp.get_neighbor(ip).import_policy = sorted(
+            edited["R2"].route_maps
+        )[0]
+        delta = config_delta(state.simulation, edited)
+        assert delta.dirty == frozenset()
+        assert session in delta.seeds
+        stats = state.resimulate(copy.deepcopy(edited))
+        assert stats.incremental
+        _assert_matches_full(state, edited, topology)
+
+    def test_equal_copies_are_no_delta(self):
+        _topology, configs, state = self._state()
+        delta = config_delta(state.simulation, copy.deepcopy(configs))
+        assert delta == (frozenset(), frozenset(), frozenset())
+
+    def test_withdraw_network_goes_through_the_cone(self, monkeypatch):
+        """Originated networks stay a router-wide change: a withdrawal
+        invalidates its dependency cone through ``_in_cone``."""
+        topology, configs, state = self._state()
+        calls = []
+        shipped = bgpsim._in_cone
+
+        def spy(entry, dirty):
+            calls.append(entry)
+            return shipped(entry, dirty)
+
+        monkeypatch.setattr(bgpsim, "_in_cone", spy)
+        edited = copy.deepcopy(configs)
+        assert withdraw_network(edited, "R3")
+        assert config_delta(state.simulation, edited).dirty == {"R3"}
+        stats = state.resimulate(copy.deepcopy(edited))
+        assert calls
+        assert stats.invalidated_entries > 0
+        _assert_matches_full(state, edited, topology)
+
+    @pytest.mark.parametrize("edit", [drop_core_list_entry, withdraw_network])
+    def test_earlier_simulation_is_never_mutated(self, edit):
+        _topology, configs, state = self._state()
+        earlier = state.simulation
+        before = rib_snapshots(earlier)
+        edited = copy.deepcopy(configs)
+        assert edit(edited, "R3")
+        state.resimulate(copy.deepcopy(edited))
+        assert state.simulation is not earlier
+        assert rib_snapshots(earlier) == before
+        fresh = BgpSimulation(copy.deepcopy(configs))
+        fresh.run()
+        assert before == rib_snapshots(fresh)
 
 
 class TestRoledDifferential:
@@ -358,7 +456,7 @@ class TestRoledDifferential:
             mutation = rng.choice(MUTATIONS)
             if not mutation(nxt[router], rng):
                 _announce_extra_network(nxt[router], rng)
-            stats = state.resimulate(copy.deepcopy(nxt), {router})
+            stats = state.resimulate(copy.deepcopy(nxt))
             assert stats.incremental
             _assert_matches_full(state, nxt, topology)
             current = nxt
@@ -421,7 +519,7 @@ class TestWarmGlobalCheck:
         assert second.holds == first.holds
         assert second.describe() == first.describe()
 
-    def test_changed_router_is_fingerprint_detected(self):
+    def test_changed_router_is_detected_from_the_configs(self):
         topology, configs = _network("mesh")
         good = check_global_no_transit(copy.deepcopy(configs), topology)
         assert good.holds

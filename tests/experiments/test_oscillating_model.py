@@ -61,46 +61,22 @@ class TestStrategies:
             model.feedback("x")
 
 
-class TestExplicitDeltas:
-    """The model names the routers it rewrites between rounds."""
-
-    def test_first_draft_has_no_delta(self, model):
-        model.generate()
-        assert model.last_changed is None
-
-    def test_later_drafts_name_the_touched_routers(self, model, star7):
-        model.generate()
-        model.feedback("x")
-        configs = model.generate()
-        assert model.last_changed is not None
-        # every filter owner plus the customer router
-        assert "R1" in model.last_changed
-        # the delta names every router whose config could differ
-        # between consecutive drafts
-        touched = {
-            name
-            for name, config in configs.items()
-            if any(
-                map_name.startswith(("FILTER_COMM_OUT_", "DENY_ISP"))
-                for map_name in config.route_maps
-            )
-        }
-        assert touched <= model.last_changed
+class TestDerivedDeltas:
+    """The global re-check derives each round's delta from the drafts."""
 
     def test_rounds_resimulate_incrementally(self, star7):
         from repro.lightyear.compose import IncrementalGlobalChecker
 
         model = OscillatingGlobalModel(star7)
         checker = IncrementalGlobalChecker()
-        check_global_no_transit(
-            model.generate(), star7.topology,
-            checker=checker, changed_routers=model.last_changed,
-        )
+        first = model.generate()
+        check_global_no_transit(first, star7.topology, checker=checker)
         assert checker.last_stats.mode == "full"  # cold start
         model.feedback("x")
-        check_global_no_transit(
-            model.generate(), star7.topology,
-            checker=checker, changed_routers=model.last_changed,
-        )
+        second = model.generate()
+        check_global_no_transit(second, star7.topology, checker=checker)
         assert checker.last_stats.incremental
-        assert checker._fingerprints is None  # explicit, not derived
+        # every router whose draft differs, and no other
+        rewritten = {name for name in second if second[name] != first[name]}
+        assert "R1" in rewritten
+        assert checker.last_stats.dirty_routers == len(rewritten)

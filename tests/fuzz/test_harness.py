@@ -7,7 +7,10 @@ cone cut to one hop, so an entry learned downstream of a changed router
 outlives its advertiser's withdrawal — planted behind the hidden
 ``shallow-invalidation`` flag), it finds the divergence, shrinks it,
 and emits a corpus record that fails while the bug is planted and
-passes the moment it is fixed.
+passes the moment it is fixed.  A second planted bug,
+``delta-ignores-lists``, makes the derived config delta blind to the
+lists a session's route map matches on; the fuzzer must find that one
+through an internal-session list edit.
 """
 
 import json
@@ -32,12 +35,16 @@ from repro.fuzz.harness import (
 from repro.service import scheduler
 from repro.service.scheduler import WorkUnit
 
-# Seed 55's scenario sequence is clean at index 0 and hits the planted
+# Seed 67's scenario sequence is clean at index 0 and hits the planted
 # bug at index 1, so two iterations exercise a clean index and a
 # finding one.
-PLANTED_SEED = 55
+PLANTED_SEED = 67
 PLANTED_ITERATIONS = 2
 PLANTED = ("shallow-invalidation",)
+
+# Seed 17 does the same for the list-blind config delta.
+LISTS_SEED = 17
+LISTS_PLANTED = ("delta-ignores-lists",)
 
 
 class TestRunFuzzIteration:
@@ -70,8 +77,8 @@ class TestPlantedBugContract:
         assert finding.mismatch and "diverged" in finding.mismatch
 
     def test_shrinker_minimized_the_scenario(self, finding):
-        """The generated scenario at (55, 1) carries four edits on an
-        8-router network; the planted cone bug needs one withdrawal
+        """The generated scenario at (67, 1) carries four edits on a
+        7-router ring; the planted cone bug needs one withdrawal
         (incremental re-simulation only runs after an edit) on a
         4-router one, so the shrunk repro is strictly smaller."""
         from repro.fuzz.scenarios import scenario_at
@@ -104,6 +111,36 @@ class TestPlantedBugContract:
         assert name.startswith("fuzz-")
         assert name.endswith(".json")
         assert repro_filename(finding.repro) == name
+
+
+class TestListBlindDeltaIsFound:
+    """The derived delta must compare the lists a session's map matches
+    on: with that comparison planted away, a prefix-list edit under an
+    unchanged core export map leaves the warm RIBs stale."""
+
+    @pytest.fixture(scope="class")
+    def finding(self):
+        return run_fuzz_iteration(LISTS_SEED, 1, planted=LISTS_PLANTED)
+
+    def test_clean_index_stays_clean(self):
+        assert run_fuzz_iteration(LISTS_SEED, 0, planted=LISTS_PLANTED).ok
+
+    def test_planted_bug_is_found_through_a_list_edit(self, finding):
+        assert not finding.ok
+        assert finding.combo["incremental_simulation"]
+        shrunk = finding.repro["scenario"]
+        assert [edit["op"] for edit in shrunk["edits"]] == [
+            "drop_core_list_entry"
+        ]
+
+    def test_corpus_record_fails_planted_and_passes_fixed(self, finding):
+        record = finding.repro
+        _plant_bug("delta-ignores-lists", True)
+        try:
+            assert replay_record(record) is not None
+        finally:
+            _plant_bug("delta-ignores-lists", False)
+        assert replay_record(record) is None
 
 
 class TestRunFuzz:

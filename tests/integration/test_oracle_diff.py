@@ -47,6 +47,7 @@ from repro.lightyear import (
     verify_invariants,
 )
 from repro.lightyear.compose import reset_simulation_states
+from repro.netmodel.ip import Ipv4Address
 from repro.netmodel.routing_policy import PolicyEvaluationError
 from repro.symbolic.memo import cache_totals, reset_caches
 from repro.topology.families import generate_network
@@ -205,12 +206,17 @@ class TestOracleIdentities:
     def test_all_dirty_worklist_reaches_the_full_fixpoint(
         self, family, size, extra
     ):
-        """Incremental re-convergence with every router changed runs
-        the worklist from freshly originated RIBs only, and must land
-        on the same RIBs as a full ``run()``."""
+        """Incremental re-convergence with every router changed
+        router-wide runs the worklist from freshly originated RIBs
+        only, and must land on the same RIBs as a full ``run()``.  A
+        new router-id on every router is such a change: it touches no
+        session policy, yet the derived delta cannot scope it."""
         _topology, configs = _network(family, size, extra)
         state = SimulationState(copy.deepcopy(configs))
-        state.resimulate(copy.deepcopy(configs), set(configs))
+        configs = copy.deepcopy(configs)
+        for index, config in enumerate(configs.values()):
+            config.bgp.router_id = Ipv4Address.parse(f"192.0.2.{index + 1}")
+        state.resimulate(copy.deepcopy(configs))
         stats = state.last_stats
         assert stats.mode == "incremental"
         assert stats.dirty_routers == len(configs)
