@@ -15,14 +15,16 @@ output for this case "is not informative enough" for GPT-4 to self-fix).
 
 from __future__ import annotations
 
-from typing import Optional
+import re
+from dataclasses import replace
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..netmodel.acl import AccessList, AclEntry
 from ..netmodel.aspath import AsPathAccessList
 from ..netmodel.bgp import BgpNeighbor, Redistribution
 from ..netmodel.communities import Community, CommunityError, CommunityList, CommunityListEntry
 from ..netmodel.device import RouterConfig, Vendor
-from ..netmodel.diagnostics import Diagnostics, ParseResult
+from ..netmodel.diagnostics import Diagnostics, ParseResult, ParseWarning
 from ..netmodel.interfaces import Interface
 from ..netmodel.ip import AddressError, Ipv4Address, Prefix, PrefixRange
 from ..netmodel.prefixlist import PrefixList
@@ -42,7 +44,8 @@ from ..netmodel.routing_policy import (
     SetMed,
     SetNextHop,
 )
-from ..symbolic.memo import ParseMemo
+from ..obs import counter
+from ..symbolic.memo import MemoCache, ParseMemo, memoization_enabled
 from .lexer import ConfigLine, tokenize
 
 __all__ = ["parse_cisco"]
@@ -64,9 +67,157 @@ _BLOCK_CHILD_KEYWORDS = frozenset(
 )
 
 
-_PARSE_MEMO = ParseMemo(
-    "cisco-parse", lambda text, filename: _CiscoParser(filename).parse(text)
+# The keyword sequences ``_CiscoParser._dispatch`` handles at top level.
+# Each one sets or clears the parser's block context, so the lines from
+# one of them to the next (a *stanza*) parse the same whatever precedes
+# them.
+_TOP_LEVEL = tuple((keyword,) for keyword in FORBIDDEN_KEYWORDS) + (
+    ("hostname",),
+    ("interface",),
+    ("router", "bgp"),
+    ("router", "ospf"),
+    ("route-map",),
+    ("ip", "prefix-list"),
+    ("ip", "community-list"),
+    ("ip", "as-path", "access-list"),
+    ("access-list",),
+    ("ip", "access-list", "standard"),
+    ("ip", "routing"),
+    ("no", "ip"),
 )
+
+# The start of every line that opens a stanza.  ASCII matching can only
+# miss a top-level line (one that uses a no-break space, say), and a
+# missed line stays in the stanza before it, which parses it just as the
+# whole text would.
+_STANZA_START = re.compile(
+    r"^[ \t]*(?:%s)(?!\S)"
+    % "|".join(r"[ \t]+".join(map(re.escape, words)) for words in _TOP_LEVEL),
+    re.ASCII | re.IGNORECASE | re.MULTILINE,
+)
+
+# Line breaks that ``str.splitlines`` (and so the lexer) honours besides
+# ``\n``; a text holding one is parsed whole.
+_OTHER_LINE_BREAKS = re.compile("[\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+
+# Named policy structures a text may build up across stanzas: the
+# config attribute, the attribute holding the structure's entries, and
+# whether entries are kept sorted by ``seq``.
+_MERGED = (
+    ("route_maps", "clauses", True),
+    ("prefix_lists", "entries", True),
+    ("community_lists", "entries", False),
+    ("as_path_lists", "entries", False),
+    ("access_lists", "entries", False),
+)
+
+# One parsed stanza: its config fragment, its warnings (no filename,
+# lines counted from the stanza's first line) and the prefix lists it
+# numbered itself (an entry without ``seq``).
+_Fragment = Tuple[RouterConfig, Tuple[ParseWarning, ...], FrozenSet[str]]
+
+# Stanza text -> fragment.  Drafts of one network share most stanzas
+# (a faulted draft differs from its pristine in one or two), so a
+# campaign pass parses each distinct stanza once.
+_STANZA_MEMO = MemoCache("cisco-stanza", max_entries=4096)
+
+_FALLBACKS = counter("cisco.parse.fallback")
+
+
+def _parse_text(text: str, filename: str) -> ParseResult:
+    """Parse a text stanza by stanza through the stanza memo, or whole
+    when memoization is off or assembly would have to merge state."""
+    if not memoization_enabled():
+        return _CiscoParser(filename).parse(text)
+    if _OTHER_LINE_BREAKS.search(text) is None:
+        result = _assemble(_fragments(text), filename)
+        if result is not None:
+            return result
+    _FALLBACKS.inc()
+    return _CiscoParser(filename).parse(text)
+
+
+def _fragments(text: str) -> List[Tuple[int, _Fragment]]:
+    """``(lines before the stanza, fragment)`` per stanza, in text order."""
+    starts = [match.start() for match in _STANZA_START.finditer(text)]
+    if not starts or starts[0] > 0:
+        starts.insert(0, 0)  # lines before the first stanza
+    fragments = []
+    offset = 0
+    for index, start in enumerate(starts):
+        if index:
+            offset += text.count("\n", starts[index - 1], start)
+        end = starts[index + 1] if index + 1 < len(starts) else len(text)
+        stanza = text[start:end]
+        hit, fragment = _STANZA_MEMO.lookup(stanza)
+        if not hit:
+            parser = _CiscoParser("")
+            parser.parse(stanza)
+            fragment = (
+                parser.config,
+                tuple(parser.diagnostics.warnings),
+                frozenset(parser.unsequenced),
+            )
+            _STANZA_MEMO.store(stanza, fragment)
+        fragments.append((offset, fragment))
+    return fragments
+
+
+def _assemble(
+    fragments: List[Tuple[int, _Fragment]], filename: str
+) -> Optional[ParseResult]:
+    """One text's result from its stanza fragments, or ``None`` where
+    the whole-text parse would carry one stanza's state into another's
+    (the cases :func:`parse_cisco` lists).  Fragments are shared, never
+    edited: a structure built by several stanzas is a new object."""
+    config = RouterConfig(hostname="", vendor=Vendor.CISCO)
+    diagnostics = Diagnostics(filename=filename)
+    parts: Dict[str, Dict[str, list]] = {kind: {} for kind, _, _ in _MERGED}
+    for offset, (fragment, warnings, unsequenced) in fragments:
+        if fragment.hostname:
+            config.hostname = fragment.hostname
+        if not config.interfaces.keys().isdisjoint(fragment.interfaces):
+            return None
+        config.interfaces.update(fragment.interfaces)
+        if fragment.bgp is not None:
+            if config.bgp is not None:
+                return None
+            config.bgp = fragment.bgp
+        if fragment.ospf is not None:
+            if config.ospf is not None:
+                return None
+            config.ospf = fragment.ospf
+        if not parts["prefix_lists"].keys().isdisjoint(unsequenced):
+            return None
+        for kind, _, _ in _MERGED:
+            for name, structure in getattr(fragment, kind).items():
+                parts[kind].setdefault(name, []).append(structure)
+        diagnostics.warnings.extend(
+            replace(warning, filename=filename, line=offset + warning.line)
+            for warning in warnings
+        )
+    for kind, attribute, sequenced in _MERGED:
+        merged = getattr(config, kind)
+        for name, structures in parts[kind].items():
+            if len(structures) == 1:
+                merged[name] = structures[0]
+                continue
+            entries = [
+                entry
+                for structure in structures
+                for entry in getattr(structure, attribute)
+            ]
+            if sequenced:
+                if kind == "route_maps" and len(
+                    {clause.seq for clause in entries}
+                ) < len(entries):
+                    return None
+                entries.sort(key=lambda entry: entry.seq)
+            merged[name] = type(structures[0])(name, entries)
+    return ParseResult(config, diagnostics)
+
+
+_PARSE_MEMO = ParseMemo("cisco-parse", _parse_text)
 
 
 def parse_cisco(
@@ -77,7 +228,25 @@ def parse_cisco(
     ``default_hostname`` names the router when the text has no
     ``hostname`` line.  Results are memoized on all three arguments and
     shared: a repeat call returns the same object, so callers must treat
-    it as read-only and edit a ``copy.deepcopy`` of it.
+    it as read-only and edit an :func:`~repro.netmodel.value.ir_copy`
+    of it.
+
+    Behind that whole-text memo sits a stanza memo.  A text is split at
+    every line whose keyword the parser handles at top level (each one
+    sets or clears its block context; indentation plays no part, so a
+    misplaced ``neighbor`` stays in its stanza).  Each distinct stanza
+    is parsed once, whatever file it is in, with line numbers counted
+    from the stanza, and the result is assembled in text order: route-map
+    clauses and list entries merge by name, and each warning gets the
+    filename and its line in the text.  A fresh result shares the
+    stanzas' fragments, which is why results are read-only.  Where the
+    whole-text parse would carry state from one stanza into another --
+    a repeated ``interface``, ``router bgp`` or ``router ospf``, a
+    route-map ``(name, seq)`` given twice, a prefix-list line without
+    ``seq`` after an earlier entry of its list -- or the text has a line
+    break other than ``\\n``, the text is parsed whole and the
+    ``cisco.parse.fallback`` counter counts it.  With memoization off
+    every text is parsed whole.
     """
     return _PARSE_MEMO.parse(text, filename, default_hostname)
 
@@ -93,6 +262,9 @@ class _CiscoParser:
         self._current_clause: Optional[RouteMapClause] = None
         self._current_map: Optional[RouteMap] = None
         self._current_acl: Optional[AccessList] = None
+        # Prefix lists given an entry without ``seq``, numbered from the
+        # entries parsed so far.
+        self.unsequenced: Set[str] = set()
 
     # -- top level ----------------------------------------------------------
 
@@ -568,6 +740,8 @@ class _CiscoParser:
         prefix_list = self.config.prefix_lists.get(name) or PrefixList(name)
         self.config.add_prefix_list(prefix_list)
         prefix_list.add(action, prefix_range, seq=seq)
+        if seq is None:
+            self.unsequenced.add(name)
 
     def _parse_community_list(self, line: ConfigLine) -> None:
         # ip community-list [standard|expanded] NAME permit|deny VALUE...

@@ -73,6 +73,7 @@ __all__ = [
     "PROFILES",
     "Scenario",
     "ScenarioResult",
+    "UnpicklableWorkItem",
     "build_grid",
     "execute_scenario",
     "fold_journal",
@@ -1202,6 +1203,11 @@ class CampaignStalled(CampaignInterrupted):
     attempt and was killed."""
 
 
+class UnpicklableWorkItem(CampaignInterrupted):
+    """A work item could not be pickled for a worker process, so its
+    unit failed at dispatch without running; the message names it."""
+
+
 def _interrupted_message(
     cause: str, journal: Optional[Path], completed: int, total: int
 ) -> str:
@@ -1225,8 +1231,17 @@ def _interrupted_error(
     total: int,
 ) -> CampaignInterrupted:
     """The error for work units that failed on every attempt:
+    :class:`UnpicklableWorkItem` if one could not be dispatched, else
     :class:`CampaignStalled` if one was a stall kill after ``timeout``
     seconds without progress."""
+    for unit in failed:
+        if unit.error is not None:
+            return UnpicklableWorkItem(
+                _interrupted_message(unit.error, journal, completed, total),
+                journal=journal,
+                completed=completed,
+                total=total,
+            )
     stalled = any(unit.stalled for unit in failed)
     cause = f"{len(failed)} unit(s) failed on every attempt: " + (
         f"no progress within {timeout:g}s (hung worker?)"

@@ -104,7 +104,7 @@ def materialize_network(
 
     Memoized on the coordinate tuple: calls with equal coordinates share
     one network, which is read-only (a caller that edits its topology
-    edits a ``copy.deepcopy``).
+    edits an :func:`~repro.netmodel.value.ir_copy`).
     """
     if family not in SEEDED_FAMILIES:
         topology_seed = 0  # the hand-shaped families ignore it

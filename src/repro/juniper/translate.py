@@ -23,7 +23,6 @@ highlights:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import List, Set
 
@@ -38,6 +37,7 @@ from ..netmodel.routing_policy import (
     RouteMap,
     RouteMapClause,
 )
+from ..netmodel.value import ir_copy
 
 __all__ = ["TranslationNotes", "translate_cisco_to_juniper"]
 
@@ -61,7 +61,7 @@ def translate_cisco_to_juniper(
 ) -> "tuple[RouterConfig, TranslationNotes]":
     """Translate a Cisco IR config into an equivalent Juniper IR config."""
     notes = TranslationNotes()
-    juniper = copy.deepcopy(cisco)
+    juniper = ir_copy(cisco)
     juniper.vendor = Vendor.JUNIPER
     _lower_ranged_prefix_lists(juniper, notes)
     _guard_all_export_policies(juniper, notes)

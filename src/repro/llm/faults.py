@@ -17,13 +17,13 @@ match statement in a separate route-map stanza").
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import ErrorCategory
 from ..netmodel.device import RouterConfig
+from ..netmodel.value import ir_copy
 from ..symbolic.memo import MemoCache
 
 __all__ = ["DraftState", "Fault", "FaultTargetError"]
@@ -83,9 +83,9 @@ _RENDER_MEMO = MemoCache("draft-render", max_entries=128)
 class DraftState:
     """A draft configuration: pristine reference plus active faults.
 
-    Rendering copies the reference's mutable containers (its immutable
-    value leaves are shared, see
-    :class:`~repro.netmodel.value.ImmutableValue`), applies every active
+    Rendering copies the reference with
+    :func:`~repro.netmodel.value.ir_copy` (mutable containers are
+    rebuilt, immutable value leaves shared), applies every active
     fault's IR transform in injection order, renders text, then applies
     text transforms (for errors — like invalid syntax — that the IR
     cannot express) in the same order.  With no IR fault active there
@@ -97,7 +97,7 @@ class DraftState:
     (faults compare by value, transforms included, so a different fault
     under a reused key never hits another fault's text).  The pristine
     is shared and read-only: it is keyed by identity, so a caller that
-    edits a reference edits a ``copy.deepcopy``.
+    edits a reference edits an ``ir_copy``.
     """
 
     def __init__(
@@ -161,7 +161,7 @@ class DraftState:
         every active IR transform applied, which the caller may edit.
         ``repro lint --fault``, ``lint --validate`` and white-box tests
         use it."""
-        config = copy.deepcopy(self._pristine)
+        config = ir_copy(self._pristine)
         for fault in self._active.values():
             if fault.ir_transform is not None:
                 fault.ir_transform(config)

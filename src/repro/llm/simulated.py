@@ -45,9 +45,6 @@ class CorrectionStats:
     regressions: int = 0
     unmatched: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.__dict__)
-
 
 class SimulatedGPT4:
     """One chat session of the simulated model."""

@@ -37,8 +37,8 @@ _SETUP_MEMO = MemoCache("synthesis-setup", max_entries=16)
 
 def _setup(topology: Topology) -> Tuple[Dict[str, RouterConfig], Dict[str, Fault]]:
     """The topology's reference configs and fault catalog, shared by
-    every session on it and read-only: a caller that edits one edits a
-    ``copy.deepcopy``."""
+    every session on it and read-only: a caller that edits one edits an
+    :func:`~repro.netmodel.value.ir_copy`."""
     hit, entry = _SETUP_MEMO.lookup(id(topology))
     if not hit:
         references = build_reference_configs(topology)

@@ -29,7 +29,8 @@ def reference_translation(source: Optional[RouterConfig] = None) -> RouterConfig
 
     Memoized on the identity of ``source``, so every chat over the one
     shared source parse shares one read-only pristine (and its rendered
-    drafts); a caller that edits it edits a ``copy.deepcopy``.
+    drafts); a caller that edits it edits an
+    :func:`~repro.netmodel.value.ir_copy`.
     """
     if source is None:
         source = load_translation_source()

@@ -48,11 +48,6 @@ class Interface:
         prefix = Prefix.parse(f"{addr_part}/{len_part}")
         return cls(name=name, address=address, prefix=prefix, **kwargs)  # type: ignore[arg-type]
 
-    @property
-    def connected_prefix(self) -> Optional[Prefix]:
-        """The subnet this interface attaches to (alias for ``prefix``)."""
-        return self.prefix
-
     def cidr(self) -> str:
         """Render ``address/length`` or raise if unnumbered."""
         if self.address is None or self.prefix is None:

@@ -66,9 +66,15 @@ class Ipv4Address(ImmutableValue):
         return cls(value)
 
     def __str__(self) -> str:
-        return ".".join(
-            str((self.value >> shift) & 0xFF) for shift in (24, 16, 8, 0)
-        )
+        # Neighbours are keyed by this string, so it is built once per
+        # instance; the value is frozen, so the cache cannot go stale.
+        # It is not a field: eq, hash and repr ignore it.
+        text = self.__dict__.get("_dotted")
+        if text is None:
+            value = self.value
+            text = f"{value >> 24}.{(value >> 16) & 255}.{(value >> 8) & 255}.{value & 255}"
+            object.__setattr__(self, "_dotted", text)
+        return text
 
 
 @dataclass(frozen=True, order=True)

@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .ip import Ipv4Address, Prefix
+from .value import ImmutableValue
 
 __all__ = ["OspfNetworkStatement", "OspfProcess"]
 
 
 @dataclass(frozen=True)
-class OspfNetworkStatement:
+class OspfNetworkStatement(ImmutableValue):
     """A Cisco ``network <addr> <wildcard> area <n>`` statement."""
 
     prefix: Prefix

@@ -1,10 +1,12 @@
-"""The deep-copy rule for deeply immutable IR values."""
+"""The deep-copy rule for deeply immutable IR values, and the IR copy
+that follows it."""
 
 from __future__ import annotations
 
+import enum
 from typing import Any, Dict
 
-__all__ = ["ImmutableValue"]
+__all__ = ["ImmutableValue", "ir_copy"]
 
 
 class ImmutableValue:
@@ -22,3 +24,29 @@ class ImmutableValue:
 
     def __deepcopy__(self, memo: Dict[int, Any]) -> "ImmutableValue":
         return self
+
+
+_SHARED = (ImmutableValue, str, int, float, type(None), enum.Enum)
+
+
+def ir_copy(value: Any) -> Any:
+    """A copy of an IR value that the caller may edit: every list, dict
+    and mutable IR object is rebuilt, and every :class:`ImmutableValue`,
+    string, number and enum is shared.
+
+    It equals ``copy.deepcopy(value)`` for the IR, which never holds
+    one mutable object in two places, and skips deepcopy's memo and
+    reduce protocol.
+    """
+    kind = type(value)
+    if kind is list:
+        return [ir_copy(item) for item in value]
+    if kind is dict:
+        return {key: ir_copy(item) for key, item in value.items()}
+    if isinstance(value, _SHARED):
+        return value
+    clone = object.__new__(kind)
+    clone.__dict__.update(
+        (name, ir_copy(item)) for name, item in value.__dict__.items()
+    )
+    return clone

@@ -40,6 +40,7 @@ import json
 import logging
 import multiprocessing
 import multiprocessing.connection
+import pickle
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field
@@ -102,6 +103,9 @@ class WorkUnit:
     done_keys: Set[str] = field(default_factory=set)
     slot: Optional[int] = None
     stalled: bool = False  # last forfeit was a stall kill, not a death
+    # Why the unit failed at dispatch without running (an item that
+    # cannot be pickled); retrying cannot help it.
+    error: Optional[str] = None
 
     @property
     def keys(self) -> List[str]:
@@ -168,6 +172,7 @@ class CampaignState:
                     "done": len(unit.done_keys),
                     "attempts": unit.attempts,
                     "slot": unit.slot,
+                    "error": unit.error,
                 }
                 for unit in self.units
             ],
@@ -766,12 +771,25 @@ class CampaignService:
                 "trace": state.trace,
                 "lint": state.lint,
             }
+            # Pickled here, not by the queue's feeder thread: that one
+            # drops a payload it cannot pickle and leaves the unit
+            # running with no worker on it.  Such a unit fails now.
+            try:
+                message = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                unit.state = "failed"
+                unit.error = _unpicklable(unit.items, exc)
+                _LOGGER.error(
+                    "campaign %s unit %d failed at dispatch: %s",
+                    state.id, unit.index, unit.error,
+                )
+                continue
             unit.state = "running"
             unit.slot = slot.index
             unit.attempts += 1
             slot.unit = (state.id, unit.index)
             slot.last_progress = time.monotonic()
-            slot.tasks.put(payload)
+            slot.tasks.put(message)
 
     def _next_pending(self) -> Optional[Tuple[CampaignState, WorkUnit]]:
         for campaign_id in sorted(self._campaigns):
@@ -780,6 +798,19 @@ class CampaignService:
                 if unit.state == "pending":
                     return state, unit
         return None
+
+
+def _unpicklable(items: List[Any], error: Exception) -> str:
+    """Name the first of ``items`` that cannot be pickled."""
+    for item in items:
+        try:
+            pickle.dumps(item, pickle.HIGHEST_PROTOCOL)
+        except Exception as item_error:
+            return (
+                f"work item {item.key()!r} cannot be pickled for a "
+                f"worker: {item_error}"
+            )
+    return f"the unit's payload cannot be pickled for a worker: {error}"
 
 
 def run_waves(

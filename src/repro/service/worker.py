@@ -29,6 +29,7 @@ hard death (SIGKILL, OOM) is caught by the process liveness check.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import threading
 from pathlib import Path
@@ -99,9 +100,12 @@ def worker_main(
     beat.start()
     try:
         while True:
-            task = task_queue.get()
-            if task is None:
+            message = task_queue.get()
+            if message is None:
                 break
+            # The scheduler pickled the unit itself (an unpicklable item
+            # fails there), so the items are unpickled here.
+            task = pickle.loads(message)
             campaign = task["campaign"]
             unit = task["unit"]
             skip = set(task.get("skip") or ())

@@ -106,9 +106,10 @@ class ParseMemo(MemoCache):
     keyed on ``(text, filename, default_hostname)``; a config whose text
     names no host is named ``default_hostname``.  A hit returns the
     stored result itself: results are shared and read-only, so a caller
-    that edits one edits a ``copy.deepcopy``.  128 entries hold the
-    drafts of a few recent scenarios (a declined correction re-sends an
-    unchanged draft)."""
+    that edits one edits an :func:`~repro.netmodel.value.ir_copy`.  128
+    entries hold the drafts of a few recent scenarios (a declined
+    correction re-sends an unchanged draft).  The Cisco parser puts a
+    stanza memo behind this one (see ``parse_cisco``)."""
 
     def __init__(self, name: str, parser: Callable[[str, str], ParseResult]) -> None:
         super().__init__(name, max_entries=128)

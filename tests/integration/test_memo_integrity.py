@@ -5,12 +5,15 @@ are shared: a memo hit hands every caller the stored object itself, so
 the program must never edit one.  This test drives the real users of
 those memos — the translation loop, a small linted synthesis campaign,
 and snapshots of both dialects — then recomputes every
-``cisco-parse``, ``juniper-parse``, ``campion-compare`` and
-``draft-render`` entry with memoization off, and rebuilds every shared
-network's reference configs and fault catalog from scratch.  Code that
-mutated a shared object leaves an entry that no longer matches its key.
-A linted campaign hands clean drafts' pristines to the analyzer itself,
-so every shared pristine must render exactly as it did before the run.
+``cisco-parse``, ``cisco-stanza``, ``juniper-parse``,
+``campion-compare`` and ``draft-render`` entry with memoization off,
+and rebuilds every shared network's reference configs and fault catalog
+from scratch.  Code that mutated a shared object leaves an entry that
+no longer matches its key.  A linted campaign hands clean drafts'
+pristines to the analyzer itself, so every shared pristine must render
+exactly as it did before the run.  Assembled Cisco parses share stanza
+fragments across drafts, so every memoized fragment and every pristine
+must also be unchanged by a linted run that reuses them.
 
 BGP session derivation is checked here too, against a plain restatement
 of its rule, on config sets where two routers share an address.
@@ -25,6 +28,7 @@ from repro.batfish.bgpsim import BgpSimulation
 from repro.campion import compare_configs
 from repro.cisco import generate_cisco, parse_cisco
 from repro.cisco.parser import _PARSE_MEMO as CISCO_MEMO
+from repro.cisco.parser import _STANZA_MEMO, _CiscoParser
 from repro.core import toggles
 from repro.core.orchestrator import _COMPARE_MEMO
 from repro.experiments.campaign import (
@@ -56,13 +60,20 @@ def _assert_entries_match_recompute(*required):
     from scratch; each memo named in ``required`` holds entries."""
     entries = {
         memo.name: dict(memo._entries)
-        for memo in (CISCO_MEMO, JUNIPER_MEMO, _COMPARE_MEMO, _RENDER_MEMO)
+        for memo in (
+            CISCO_MEMO, _STANZA_MEMO, JUNIPER_MEMO, _COMPARE_MEMO, _RENDER_MEMO
+        )
     }
     for name in required:
         assert entries[name], f"{name} memo is empty: nothing was checked"
     with toggles.scoped(memoization=False):
         for key, stored in entries["cisco-parse"].items():
             assert stored == parse_cisco(*key), key[1:]
+        for stanza, (config, warnings, _unsequenced) in entries[
+            "cisco-stanza"
+        ].items():
+            fresh = _CiscoParser("").parse(stanza)
+            assert (config, list(warnings)) == (fresh.config, fresh.warnings)
         for key, stored in entries["juniper-parse"].items():
             assert stored == parse_juniper(*key), key[1:]
         for original, translated, report in entries["campion-compare"].values():
@@ -126,7 +137,9 @@ def test_linted_campaign_leaves_shared_entries_intact():
     finally:
         set_campaign_lint(False)
     assert all(row.error is None for row in summary.rows)
-    _assert_entries_match_recompute("cisco-parse", "draft-render")
+    _assert_entries_match_recompute(
+        "cisco-parse", "cisco-stanza", "draft-render"
+    )
     _assert_shared_setup_matches_fresh_build()
 
 
@@ -176,6 +189,62 @@ def test_linted_campaign_leaves_shared_pristines_unchanged(monkeypatch):
     for key, (references, texts) in before.items():
         assert shared[key] is references
         assert _texts(references) == texts
+
+
+def _fresh_fragment(stanza):
+    parser = _CiscoParser("")
+    parser.parse(stanza)
+    return (
+        parser.config,
+        tuple(parser.diagnostics.warnings),
+        frozenset(parser.unsequenced),
+    )
+
+
+def _shared_fingerprints():
+    """A structural fingerprint of every memoized stanza fragment and
+    every shared pristine: their reprs, which spell out every field and
+    every key order."""
+    fragments = {
+        stanza: repr(fragment) for stanza, fragment in _STANZA_MEMO._entries.items()
+    }
+    pristines = {
+        (key, name): repr(config)
+        for key, (_topology, references, _catalog) in _SETUP_MEMO._entries.items()
+        for name, config in references.items()
+    }
+    return fragments, pristines
+
+
+def test_linted_smoke_grid_leaves_stanza_fragments_and_pristines_unchanged(
+    monkeypatch,
+):
+    # The CI smoke grid, plus a profile that never fixes, so final
+    # drafts keep IR faults and assembled parses of faulted texts reach
+    # the verifiers and the analyzer.
+    monkeypatch.setitem(PROFILES, "stubborn", BehaviorProfile.never_fix())
+    grid = build_grid(
+        ("star", "chain"), (4, 6), 1, profiles=("default", "sloppy", "stubborn")
+    )
+    set_campaign_lint(True)
+    try:
+        first = run_campaign(grid, workers=1)
+        before = _shared_fingerprints()
+        second = run_campaign(grid, workers=1)
+    finally:
+        set_campaign_lint(False)
+    assert all(row.error is None for row in first.rows + second.rows)
+    assert any(row.lint_high for row in second.rows)
+    fragments, pristines = before
+    assert fragments and pristines, "nothing was shared: nothing was checked"
+    assert _STANZA_MEMO.hits > len(fragments)
+    assert _shared_fingerprints() == before
+    # An edit that repeats itself on every use leaves the fingerprints
+    # as they were; the fragments must also still be what their stanzas
+    # parse to.
+    assert fragments == {
+        stanza: repr(_fresh_fragment(stanza)) for stanza in fragments
+    }
 
 
 def _sessions_by_rule(configs):
