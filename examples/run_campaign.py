@@ -13,7 +13,11 @@ equivalent of::
         --sizes 4,6 --seeds 2 --workers 4 --journal campaign_journal.jsonl
 
 Re-running after an interruption picks up where the journal left off
-(``resume=True`` below), producing the same summary byte for byte.
+(``resume=True`` below).  The rerun writes the same
+``campaign_results.json`` byte for byte, but its printed output can
+differ.  The campaign line shows wall-clock time, and the ``symbolic
+cache``, ``route datapath`` and per-cache hit lines count work inside
+each worker's memos, which depends on which worker draws which unit.
 """
 
 import sys

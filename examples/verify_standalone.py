@@ -7,20 +7,19 @@ Usage::
 The verifiers COSYNTH orchestrates are ordinary libraries.  This example
 drives each one by hand on a small two-router network:
 
-1. the Batfish-substitute session (parse warnings, policy search, BGP
-   simulation);
+1. the Batfish substitute: a snapshot's parse warnings, BGP
+   simulation, and a symbolic route-policy search;
 2. the Campion differ on a config pair;
 3. the Lightyear local-invariant checker.
 """
 
-from repro.batfish import Session
+from repro.batfish import BgpSimulation, Snapshot
 from repro.campion import compare_configs
-from repro.cisco import parse_cisco
 from repro.juniper import translate_cisco_to_juniper
 from repro.lightyear import no_transit_invariants, verify_invariants
-from repro.netmodel import Action, Community
+from repro.netmodel import Action
 from repro.sampleconfigs import load_translation_source
-from repro.symbolic import RouteConstraint
+from repro.symbolic import RouteConstraint, search_route_policies
 from repro.topology import generate_star_network
 from repro.topology.reference import build_reference_configs
 
@@ -49,23 +48,33 @@ router bgp 200
 def batfish_demo() -> None:
     print("1. Batfish substitute")
     print("-" * 72)
-    session = Session()
-    session.init_snapshot_from_texts({"edge1.cfg": A_CFG, "edge2.cfg": B_CFG})
-    print(f"parse warnings: {len(session.q.parse_warning())}")
-    for row in session.q.bgp_session_compatibility():
-        status = "established" if row.established else "incompatible"
-        print(f"  session {row.node} -> {row.remote_ip}: {status}")
+    snapshot = Snapshot.from_texts({"edge1.cfg": A_CFG, "edge2.cfg": B_CFG})
+    warnings = sum(len(found) for found in snapshot.warnings.values())
+    print(f"parse warnings: {warnings}")
+    configs = {config.hostname: config for config in snapshot.configs.values()}
+    simulation = BgpSimulation(configs)
+    simulation.run()
+    established = set()
+    for session in simulation.sessions:
+        established.add((session.local_router, session.remote_ip))
+        established.add((session.remote_router, session.local_ip))
+    for name, config in configs.items():
+        for neighbor in config.bgp.sorted_neighbors():
+            up = (name, neighbor.ip) in established
+            status = "established" if up else "incompatible"
+            print(f"  session {name} -> {neighbor.ip}: {status}")
     print("  edge2's RIB:")
-    for row in session.q.routes("edge2"):
+    for prefix, entry in sorted(simulation.rib("edge2").items()):
+        communities = ", ".join(sorted(str(c) for c in entry.route.communities))
         print(
-            f"    {row['prefix']} via {row['learned_from']} "
-            f"communities [{row['communities']}]"
+            f"    {prefix} via {entry.learned_from or 'local'} "
+            f"communities [{communities}]"
         )
-    witnesses = session.q.search_route_policies(
-        "edge1",
+    witnesses = search_route_policies(
+        configs["edge1"],
         "TO_PEER",
-        action="permit",
-        input_constraints=RouteConstraint.any_route(),
+        Action.PERMIT,
+        constraint=RouteConstraint.any_route(),
         limit=1,
     )
     print(f"  TO_PEER permits e.g.: {witnesses[0].input_route.describe()}")

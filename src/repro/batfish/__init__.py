@@ -1,5 +1,6 @@
-"""Batfish substitute: snapshots, parse warnings, symbolic policy
-questions, and BGP control-plane simulation behind a pybatfish-like API.
+"""Batfish substitute: snapshots with per-file parse warnings, and BGP
+control-plane simulation.  Symbolic route-policy search lives in
+:mod:`repro.symbolic`.
 """
 
 from .bgpsim import (
@@ -13,17 +14,13 @@ from .bgpsim import (
     set_incremental_simulation,
     sim_totals,
 )
-from .session import BfSessionError, BgpSessionRow, Session
 from .snapshot import Snapshot, detect_vendor
 
 __all__ = [
-    "BfSessionError",
     "BgpSession",
-    "BgpSessionRow",
     "BgpSimulation",
     "ResimStats",
     "RibEntry",
-    "Session",
     "SimulationState",
     "Snapshot",
     "detect_vendor",

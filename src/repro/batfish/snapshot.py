@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..cisco import parse_cisco
 from ..juniper import parse_juniper
@@ -53,16 +53,6 @@ class Snapshot:
             snapshot.add_file(filename, text)
         return snapshot
 
-    @classmethod
-    def from_directory(cls, path: "Path | str", name: Optional[str] = None) -> "Snapshot":
-        """Parse every ``*.cfg``/``*.conf`` file in a directory."""
-        directory = Path(path)
-        texts: Dict[str, str] = {}
-        for pattern in ("*.cfg", "*.conf"):
-            for file_path in sorted(directory.glob(pattern)):
-                texts[file_path.name] = file_path.read_text()
-        return cls.from_texts(texts, name=name or directory.name)
-
     def add_file(self, filename: str, text: str) -> RouterConfig:
         """Parse and add (or replace) one config file."""
         self.texts[filename] = text
@@ -80,18 +70,3 @@ class Snapshot:
         for filename, text in self.texts.items():
             (directory / filename).write_text(text)
         return directory
-
-    def config_by_hostname(self, hostname: str) -> Optional[RouterConfig]:
-        for config in self.configs.values():
-            if config.hostname == hostname:
-                return config
-        return None
-
-    def all_warnings(self) -> List[ParseWarning]:
-        collected: List[ParseWarning] = []
-        for filename in sorted(self.warnings):
-            collected.extend(self.warnings[filename])
-        return collected
-
-    def hostnames(self) -> List[str]:
-        return sorted(config.hostname for config in self.configs.values())

@@ -9,7 +9,7 @@ to the parser.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 __all__ = ["ConfigLine", "tokenize"]
 
@@ -61,21 +61,3 @@ def tokenize(text: str) -> List[ConfigLine]:
             )
         )
     return lines
-
-
-def iter_blocks(lines: List[ConfigLine]) -> Iterator[Tuple[ConfigLine, List[ConfigLine]]]:
-    """Yield (header, children) pairs using indentation for nesting.
-
-    A line at indent 0 is a header; subsequent lines with greater indent
-    are its children.  IOS emits one level of nesting for the blocks the
-    experiments use (interface, router, route-map stanzas).
-    """
-    index = 0
-    while index < len(lines):
-        header = lines[index]
-        index += 1
-        children: List[ConfigLine] = []
-        while index < len(lines) and lines[index].indent > header.indent:
-            children.append(lines[index])
-            index += 1
-        yield header, children

@@ -48,15 +48,6 @@ class Modularizer:
 
     # -- prompts ------------------------------------------------------------
 
-    def global_task_prompt(self) -> str:
-        """The (inferior, §4.1) single global prompt — used only by the
-        local-vs-global comparison experiment."""
-        return (
-            f"{_GLOBAL_POLICY}\n\nGenerate Cisco configuration files for "
-            f"all routers of the following network.\n"
-            f"{self._describe_topology()}"
-        )
-
     def router_task_prompt(self, router_name: str) -> str:
         """The per-router prompt: role sentence + local topology + local
         policy (for the hub)."""
@@ -146,11 +137,6 @@ class Modularizer:
                 f"everything else"
             )
         return f"Local policy for {router_name}: " + "; ".join(clauses) + "."
-
-    def _describe_topology(self) -> str:
-        from ..topology.generator import _describe
-
-        return _describe(self._topology)
 
     # -- local specifications ---------------------------------------------------
 

@@ -5,8 +5,10 @@ algorithms that must agree — the semantic oracles the differential
 fuzzer compares:
 
 * ``incremental_simulation`` (:func:`repro.batfish.bgpsim.
-  set_incremental_simulation`): re-converge only the dependency cone of
-  the changed routers, or re-run the whole BGP simulation;
+  set_incremental_simulation`): re-converge only what a config delta
+  touches (the sessions whose policy changed for a policy-only edit,
+  the dependency cone of the changed routers for any other edit), or
+  re-run the whole BGP simulation;
 * ``memoization`` (:func:`repro.symbolic.memo.set_memoization`): answer
   repeated symbolic questions, Cisco and Juniper parses, Campion
   compares and draft renders from the memo caches, or recompute them.

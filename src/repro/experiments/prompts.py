@@ -46,15 +46,6 @@ def sample_synthesis_prompts(seed: int = 0) -> List[Tuple[str, str]]:
     )
 
 
-def all_stage_prompts(records, stage: str) -> List[str]:
-    """Every automated prompt of one stage, in order."""
-    return [
-        record.text
-        for record in records
-        if record.kind is PromptKind.AUTOMATED and record.stage == stage
-    ]
-
-
 def _first_per_stage(records, stages) -> List[Tuple[str, str]]:
     found: Dict[str, str] = {}
     for record in records:

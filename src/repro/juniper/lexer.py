@@ -31,10 +31,6 @@ class Statement:
     def keyword(self) -> str:
         return self.words[0] if self.words else ""
 
-    @property
-    def is_block(self) -> bool:
-        return bool(self.children)
-
     def text(self) -> str:
         return " ".join(self.words)
 

@@ -20,7 +20,7 @@ from .synthesis_faults import (
     multihome_fault_target,
     synthesis_fault_catalog,
 )
-from .synthesis_model import make_synthesis_model, make_synthesis_models
+from .synthesis_model import make_synthesis_models
 from .translation_faults import (
     DEFAULT_INITIAL_FAULTS,
     SIDE_POOL_FAULTS,
@@ -49,7 +49,6 @@ __all__ = [
     "default_fault_assignment",
     "fault_designations",
     "multihome_fault_target",
-    "make_synthesis_model",
     "make_synthesis_models",
     "make_translation_model",
     "reference_translation",

@@ -43,15 +43,6 @@ class ChatTranscript:
     def add_assistant(self, content: str) -> None:
         self.messages.append(ChatMessage(ChatRole.ASSISTANT, content))
 
-    def prompt_count(self) -> int:
-        return sum(1 for item in self.messages if item.role is ChatRole.USER)
-
-    def last_response(self) -> str:
-        for message in reversed(self.messages):
-            if message.role is ChatRole.ASSISTANT:
-                return message.content
-        return ""
-
 
 class LLMClient(Protocol):
     """The minimal interface COSYNTH needs from a language model."""

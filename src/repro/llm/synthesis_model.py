@@ -27,7 +27,7 @@ from .synthesis_faults import (
     synthesis_fault_catalog,
 )
 
-__all__ = ["make_synthesis_models", "make_synthesis_model"]
+__all__ = ["make_synthesis_models"]
 
 # Per-topology set-up, keyed on id(topology); each entry holds the
 # topology, so its id cannot be reused while the entry lives.  Reuse is
@@ -45,31 +45,6 @@ def _setup(topology: Topology) -> Tuple[Dict[str, RouterConfig], Dict[str, Fault
         entry = (topology, references, synthesis_fault_catalog(topology))
         _SETUP_MEMO.store(id(topology), entry)
     return entry[1], entry[2]
-
-
-def make_synthesis_model(
-    router_name: str,
-    topology: Topology,
-    iip_ids: Iterable[str] = (),
-    seed: int = 0,
-    profile: Optional[BehaviorProfile] = None,
-    fault_keys: Optional[Sequence[str]] = None,
-) -> SimulatedGPT4:
-    """One chat session primed to generate ``router_name``'s config."""
-    references, catalog = _setup(topology)
-    if router_name not in references:
-        raise KeyError(f"unknown router {router_name!r}")
-    if fault_keys is None:
-        fault_keys = _default_assignment(topology).get(router_name, [])
-    return _session(
-        router_name,
-        references[router_name],
-        catalog,
-        fault_keys,
-        set(iip_ids),
-        seed,
-        profile,
-    )
 
 
 def make_synthesis_models(

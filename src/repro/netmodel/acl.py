@@ -10,7 +10,7 @@ prefix lists, but length-insensitively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from .ip import AddressError, Ipv4Address, Prefix, PrefixRange
 from .value import ImmutableValue
@@ -56,18 +56,6 @@ class AclEntry(ImmutableValue):
         entry is expressible as a prefix."""
         inverted = ~self.wildcard & 0xFFFFFFFF
         return (self.wildcard & (self.wildcard + 1)) == 0 or inverted == 0xFFFFFFFF
-
-    def as_prefix_range(self) -> Optional[PrefixRange]:
-        """The dominant prefix-range equivalent for contiguous wildcards.
-
-        ``permit 1.2.3.0 0.0.0.255`` matches every prefix whose network
-        address lies in 1.2.3.0/24 — the ``orlonger`` cone of 1.2.3.0/24
-        plus a handful of *shorter* aligned prefixes covered by
-        :meth:`as_prefix_ranges`.  Non-contiguous wildcards have no
-        prefix form.
-        """
-        ranges = self.as_prefix_ranges()
-        return ranges[0] if ranges else None
 
     def as_prefix_ranges(self) -> List[PrefixRange]:
         """The exact prefix-range decomposition for contiguous wildcards.

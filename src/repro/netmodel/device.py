@@ -17,7 +17,6 @@ from .aspath import AsPathAccessList
 from .bgp import BgpProcess
 from .communities import CommunityList
 from .interfaces import Interface
-from .ip import Ipv4Address
 from .ospf import OspfProcess
 from .prefixlist import PrefixList
 from .routing_policy import RouteMap
@@ -112,12 +111,6 @@ class RouterConfig:
         return self.ospf
 
     # -- queries used by verifiers ------------------------------------------
-
-    def interface_with_address(self, address: Ipv4Address) -> Optional[Interface]:
-        for interface in self.interfaces.values():
-            if interface.address == address:
-                return interface
-        return None
 
     def sorted_interfaces(self) -> List[Interface]:
         return [self.interfaces[name] for name in sorted(self.interfaces)]

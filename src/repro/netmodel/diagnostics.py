@@ -2,9 +2,9 @@
 
 The syntax-verifier leg of COSYNTH is built on these: parsers never
 raise on unrecognized input (real configs are full of statements outside
-the modelled feature surface); they record :class:`ParseWarning` objects
-that the Batfish-substitute surfaces exactly the way ``pybatfish``'s
-``parseWarning`` question would.
+the modelled feature surface); they record :class:`ParseWarning` objects,
+which a :class:`~repro.batfish.snapshot.Snapshot` keeps per file (the
+counterpart of Batfish's ``parseWarning`` question).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from .value import ImmutableValue
 
@@ -132,16 +132,6 @@ class Prefix(ImmutableValue):
         """The network address as an :class:`Ipv4Address`."""
         return Ipv4Address(self.network)
 
-    @property
-    def first_value(self) -> int:
-        """Lowest address integer covered by this prefix."""
-        return self.network
-
-    @property
-    def last_value(self) -> int:
-        """Highest address integer covered by this prefix."""
-        return self.network | (~_mask(self.length) & 0xFFFFFFFF)
-
     def mask_string(self) -> str:
         """The subnet mask in dotted-quad form (Cisco style)."""
         return str(Ipv4Address(_mask(self.length)))
@@ -156,21 +146,9 @@ class Prefix(ImmutableValue):
             return False
         return (other.network & _mask(self.length)) == self.network
 
-    def contains_address(self, address: Ipv4Address) -> bool:
-        """True if ``address`` falls inside this prefix."""
-        return (address.value & _mask(self.length)) == self.network
-
     def overlaps(self, other: "Prefix") -> bool:
         """True if the two prefixes share any address."""
         return self.contains(other) or other.contains(self)
-
-    def subprefixes(self, length: int) -> Iterator["Prefix"]:
-        """Yield all sub-prefixes of the given (longer) length."""
-        if length < self.length:
-            raise AddressError("subprefix length must not be shorter")
-        step = 1 << (32 - length)
-        for network in range(self.first_value, self.last_value + 1, step):
-            yield Prefix(network, length)
 
     def __str__(self) -> str:
         return f"{self.address}/{self.length}"
@@ -201,11 +179,6 @@ class PrefixRange(ImmutableValue):
     def exact(cls, prefix: Prefix) -> "PrefixRange":
         """A range matching exactly one prefix."""
         return cls(prefix, prefix.length, prefix.length)
-
-    @classmethod
-    def at_least(cls, prefix: Prefix, low: int) -> "PrefixRange":
-        """Cisco ``ge low`` with no ``le``: lengths ``low..32``."""
-        return cls(prefix, low, MAX_PREFIX_LENGTH)
 
     @classmethod
     def orlonger(cls, prefix: Prefix) -> "PrefixRange":
@@ -289,8 +262,3 @@ def _cone_complement(outer: Prefix, inner: Prefix) -> List[Prefix]:
         taken = inner.network & _mask(length)
         siblings.append(Prefix(taken ^ branch_bit, length))
     return siblings
-
-
-def summarize_ranges(ranges: List[PrefixRange]) -> str:
-    """Human-readable, comma-separated rendering of a range list."""
-    return ", ".join(str(item) for item in sorted(ranges))

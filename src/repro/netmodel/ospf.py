@@ -9,7 +9,7 @@ Interface` and the process-level structure here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .ip import Ipv4Address, Prefix
 from .value import ImmutableValue
@@ -60,11 +60,3 @@ class OspfProcess:
             if statement.prefix.contains(prefix):
                 return statement.area
         return None
-
-    def interface_areas(self) -> List[Tuple[str, int]]:
-        """Flattened (interface, area) pairs from the Junos-style table."""
-        pairs: List[Tuple[str, int]] = []
-        for area, names in sorted(self.area_interfaces.items()):
-            for name in names:
-                pairs.append((name, area))
-        return pairs

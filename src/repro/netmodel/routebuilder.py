@@ -23,7 +23,7 @@ from typing import FrozenSet, Iterable, List, Optional, Set
 from .aspath import AsPath
 from .communities import Community, intern_communities
 from .ip import Ipv4Address
-from .route import ROUTES_BUILT, ROUTES_REUSED, Origin, Protocol, Route
+from .route import ROUTES_BUILT, ROUTES_REUSED, Protocol, Route
 
 __all__ = ["RouteBuilder", "export_route"]
 
@@ -129,11 +129,6 @@ class RouteBuilder:
 
     def set_next_hop(self, next_hop: Optional[Ipv4Address]) -> "RouteBuilder":
         self.next_hop = next_hop
-        self._dirty = True
-        return self
-
-    def set_origin(self, origin: Origin) -> "RouteBuilder":
-        self.origin = origin
         self._dirty = True
         return self
 

@@ -113,10 +113,6 @@ class Timer:
         if seconds > self.max_s:
             self.max_s = seconds
 
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.count if self.count else 0.0
-
     def reset(self) -> None:
         self.count = 0
         self.total_s = 0.0

@@ -25,7 +25,7 @@ from .memo import (
     reset_caches,
     set_memoization,
 )
-from .search import PolicySearchResult, policy_always, search_route_policies
+from .search import PolicySearchResult, search_route_policies
 
 __all__ = [
     "BehaviorDifference",
@@ -42,7 +42,6 @@ __all__ = [
     "mentioned_communities",
     "mentioned_prefix_ranges",
     "mentioned_protocols",
-    "policy_always",
     "reset_caches",
     "search_route_policies",
     "set_memoization",

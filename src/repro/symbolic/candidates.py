@@ -340,14 +340,6 @@ class CandidateUniverse:
             _ROUTES_CACHE.store(key, routes)
         return routes
 
-    def size_estimate(self) -> int:
-        """Grid cardinality before constraint filtering."""
-        return (
-            len(self.candidate_prefixes())
-            * len(self.candidate_community_sets())
-            * len(self.candidate_protocols())
-        )
-
 
 def _dedupe(items: Sequence) -> List:
     """Order-preserving deduplication (hashable items)."""

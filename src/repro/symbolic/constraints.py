@@ -43,11 +43,6 @@ class RouteConstraint:
         """Routes that carry ``community`` (the §4 semantic question)."""
         return cls(required_communities=frozenset({community}))
 
-    @classmethod
-    def without_community(cls, community: Community) -> "RouteConstraint":
-        """Routes that do not carry ``community``."""
-        return cls(forbidden_communities=frozenset({community}))
-
     def admits(self, route: Route) -> bool:
         """Whether a concrete route lies in the constrained space."""
         if self.prefix_ranges and not any(

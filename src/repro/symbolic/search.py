@@ -79,22 +79,6 @@ def search_route_policies(
     return results
 
 
-def policy_always(
-    config: RouterConfig,
-    policy: "RouteMap | str",
-    action: Action,
-    constraint: Optional[RouteConstraint] = None,
-) -> Optional[PolicySearchResult]:
-    """Check a universal property: every route in the space gets ``action``.
-
-    Returns ``None`` when the property holds, else the first
-    counterexample (a route receiving the opposite disposition).
-    """
-    opposite = Action.DENY if action is Action.PERMIT else Action.PERMIT
-    witnesses = search_route_policies(config, policy, opposite, constraint, limit=1)
-    return witnesses[0] if witnesses else None
-
-
 def _resolve(config: RouterConfig, policy: "RouteMap | str") -> RouteMap:
     if isinstance(policy, RouteMap):
         return policy

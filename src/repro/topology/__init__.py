@@ -29,7 +29,6 @@ from .model import (
 from .verifier import (
     TopologyIssue,
     TopologyIssueKind,
-    verify_network,
     verify_topology,
 )
 
@@ -60,6 +59,5 @@ __all__ = [
     "generate_waxman_network",
     "ingress_community",
     "is_hub_star",
-    "verify_network",
     "verify_topology",
 ]

@@ -58,7 +58,6 @@ __all__ = [
     "GeneratedNetwork",
     "SEEDED_FAMILIES",
     "attachment_index",
-    "customer_attachment",
     "generate_chain_network",
     "generate_dumbbell_network",
     "generate_mesh_network",
@@ -95,14 +94,6 @@ class GeneratedNetwork:
 
 
 # -- role helpers ------------------------------------------------------------
-
-
-def customer_attachment(topology: Topology) -> Optional[ExternalPeer]:
-    """The first CUSTOMER external peer, or None if there is none."""
-    for peer in topology.externals:
-        if peer.peer_name == "CUSTOMER":
-            return peer
-    return None
 
 
 def isp_attachments(topology: Topology) -> List[ExternalPeer]:

@@ -114,10 +114,7 @@ class Topology:
     def router_names(self) -> List[str]:
         return sorted(self.routers, key=_router_sort_key)
 
-    def externals_of(self, router_name: str) -> List[ExternalPeer]:
-        return [item for item in self.externals if item.router == router_name]
-
-    # -- JSON round-trip -------------------------------------------------------
+    # -- JSON export -----------------------------------------------------------
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -163,65 +160,6 @@ class Topology:
                 for item in self.externals
             ],
         }
-
-    @classmethod
-    def from_json(cls, text: str) -> "Topology":
-        return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Topology":
-        topology = cls(name=data.get("name", "network"))
-        for name, router_data in data.get("routers", {}).items():
-            interfaces = [
-                InterfaceSpec(
-                    name=interface_name,
-                    address=Ipv4Address.parse(cidr.split("/")[0]),
-                    prefix=Prefix.parse(cidr),
-                )
-                for interface_name, cidr in router_data.get("interfaces", {}).items()
-            ]
-            neighbors = [
-                NeighborSpec(
-                    ip=Ipv4Address.parse(item["ip"]),
-                    asn=int(item["asn"]),
-                    peer_name=item.get("peer", ""),
-                )
-                for item in router_data.get("neighbors", [])
-            ]
-            networks = [
-                Prefix.parse(item) for item in router_data.get("networks", [])
-            ]
-            topology.add_router(
-                RouterSpec(
-                    name=name,
-                    asn=int(router_data["asn"]),
-                    router_id=Ipv4Address.parse(router_data["router_id"]),
-                    interfaces=interfaces,
-                    neighbors=neighbors,
-                    networks=networks,
-                )
-            )
-        for link_data in data.get("links", []):
-            topology.links.append(
-                Link(
-                    router_a=link_data["a"][0],
-                    interface_a=link_data["a"][1],
-                    router_b=link_data["b"][0],
-                    interface_b=link_data["b"][1],
-                    subnet=Prefix.parse(link_data["subnet"]),
-                )
-            )
-        for peer_data in data.get("external_peers", []):
-            topology.externals.append(
-                ExternalPeer(
-                    router=peer_data["router"],
-                    interface=peer_data["interface"],
-                    peer_name=peer_data["peer"],
-                    peer_ip=Ipv4Address.parse(peer_data["peer_ip"]),
-                    peer_asn=int(peer_data["peer_asn"]),
-                )
-            )
-        return topology
 
 
 def _router_sort_key(name: str) -> Tuple[int, str]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List
 
 from ..netmodel.device import RouterConfig
-from .model import RouterSpec, Topology
+from .model import RouterSpec
 
 __all__ = ["TopologyIssue", "TopologyIssueKind", "verify_topology"]
 
@@ -51,25 +51,6 @@ def verify_topology(config: RouterConfig, spec: RouterSpec) -> List[TopologyIssu
     issues: List[TopologyIssue] = []
     issues.extend(_check_interfaces(config, spec))
     issues.extend(_check_bgp(config, spec))
-    return issues
-
-
-def verify_network(
-    configs: "dict[str, RouterConfig]", topology: Topology
-) -> List[TopologyIssue]:
-    """Check every router in a snapshot against the topology."""
-    issues: List[TopologyIssue] = []
-    for name in topology.router_names():
-        if name not in configs:
-            issues.append(
-                TopologyIssue(
-                    kind=TopologyIssueKind.MISSING_BGP,
-                    router=name,
-                    message=f"No configuration found for router {name}",
-                )
-            )
-            continue
-        issues.extend(verify_topology(configs[name], topology.router(name)))
     return issues
 
 

@@ -2,9 +2,11 @@
 
 import copy
 
+import pytest
+
 from repro.batfish import BgpSimulation
 from repro.cisco import generate_cisco, parse_cisco
-from repro.netmodel import Community, Prefix
+from repro.netmodel import Action, Community, Ipv4Address, Prefix, Route
 from repro.netmodel.aspath import AsPath
 
 
@@ -55,7 +57,7 @@ class TestSessions:
         configs = _two_routers()
         configs["A"].bgp.neighbors["1.0.0.2"].remote_as = 2
         # Add a neighbor address no router owns.
-        from repro.netmodel import BgpNeighbor, Ipv4Address
+        from repro.netmodel import BgpNeighbor
 
         configs["A"].bgp.add_neighbor(
             BgpNeighbor(ip=Ipv4Address.parse("7.7.7.7"), remote_as=7)
@@ -133,6 +135,14 @@ class TestPropagation:
 
 
 class TestStarNoTransit:
+    def test_reference_star_sessions(self, star7_configs):
+        sim = BgpSimulation(star7_configs)
+        pairs = sorted(
+            tuple(sorted((s.local_router, s.remote_router))) for s in sim.sessions
+        )
+        # One session per spoke; the ISPs and the customer have no device.
+        assert pairs == [("R1", f"R{i}") for i in range(2, 8)]
+
     def test_reference_star_blocks_transit(self, star7_configs, star7):
         texts = {
             name: generate_cisco(cfg) for name, cfg in star7_configs.items()
@@ -161,11 +171,111 @@ class TestStarNoTransit:
         assert sim.has_route("R3", Prefix.parse("1.0.0.0/24"))
 
 
+    def test_spoke_rib_holds_own_and_customer_prefixes(self, star7_configs):
+        sim = BgpSimulation(star7_configs)
+        # R2 originates its two networks and hears only the customer
+        # prefix from the hub: no other spoke's routes transit to it.
+        assert sorted(str(prefix) for prefix in sim.rib("R2")) == [
+            "1.0.0.0/24",
+            "100.0.0.0/24",
+            "200.2.0.0/24",
+        ]
+        assert sim.provenance("R2", Prefix.parse("100.0.0.0/24")) == "R1"
+        assert not sim.has_route("R2", Prefix.parse("2.0.0.0/24"))
+
+    def test_hub_export_finder_denies_other_isp_tag(self, star7_configs):
+        sim = BgpSimulation(star7_configs)
+        finder = sim.export_clause_finder("R1", Ipv4Address.parse("1.0.0.2"))
+        assert finder is not None
+        base = Route(prefix=Prefix.parse("2.0.0.0/24"))
+        assert finder(base).action is Action.PERMIT
+        tagged = Route(
+            prefix=Prefix.parse("2.0.0.0/24"),
+            communities=frozenset({Community(101, 1)}),
+        )
+        # R3's ISP tag hits an explicit deny clause toward R2.
+        assert finder(tagged).action is Action.DENY
+
+
+class TestAccessors:
+    def test_lone_router_has_no_sessions(self):
+        configs = _two_routers()
+        del configs["B"]
+        sim = BgpSimulation(configs)
+        assert sim.sessions == []
+        assert sorted(str(prefix) for prefix in sim.rib("A")) == ["10.1.0.0/16"]
+
+    def test_session_reversed_swaps_ends(self):
+        (session,) = BgpSimulation(_two_routers()).sessions
+        back = session.reversed()
+        assert (back.local_router, back.remote_router) == (
+            session.remote_router,
+            session.local_router,
+        )
+        assert (back.local_ip, back.remote_ip) == (
+            session.remote_ip,
+            session.local_ip,
+        )
+        assert back.reversed() == session
+
+    def test_run_converges_once(self):
+        sim = BgpSimulation(_two_routers())
+        iterations = sim.run()
+        evaluations = sim.evaluations
+        assert sim.run() == iterations
+        assert sim.evaluations == evaluations
+
+    def test_rib_is_a_copy(self):
+        sim = BgpSimulation(_two_routers())
+        sim.rib("A").clear()
+        assert sim.has_route("A", Prefix.parse("10.2.0.0/16"))
+
+    def test_rib_entry_of_unknown_router_raises(self):
+        sim = BgpSimulation(_two_routers())
+        with pytest.raises(KeyError):
+            sim.rib_entry("ghost", Prefix.parse("10.1.0.0/16"))
+
+    def test_export_finder_without_policy_is_none(self):
+        sim = BgpSimulation(_two_routers())
+        assert sim.export_clause_finder("A", Ipv4Address.parse("1.0.0.2")) is None
+        assert sim.export_clause_finder("A", Ipv4Address.parse("9.9.9.9")) is None
+
+    def test_successor_leaves_original_untouched(self):
+        configs = _two_routers()
+        sim = BgpSimulation(configs)
+        sim.run()
+        blocked = _two_routers(extra_a=" neighbor 1.0.0.2 route-map BLOCK out\n")
+        text = generate_cisco(blocked["A"]) + "route-map BLOCK deny 10\n"
+        edited = dict(configs, A=parse_cisco(text).config)
+        successor = sim.successor(edited, {"A"})
+        successor.run()
+        assert not successor.has_route("B", Prefix.parse("10.1.0.0/16"))
+        assert sim.has_route("B", Prefix.parse("10.1.0.0/16"))
+        assert successor.sessions == sim.sessions
+
+    def test_successor_converges_like_a_fresh_run(self):
+        configs = _two_routers()
+        sim = BgpSimulation(configs)
+        sim.run()
+        tagged = _two_routers(extra_b=" neighbor 1.0.0.1 route-map TAG in\n")
+        text = (
+            generate_cisco(tagged["B"])
+            + "route-map TAG permit 10\n set community 100:1 additive\n"
+        )
+        edited = dict(configs, B=parse_cisco(text).config)
+        successor = sim.successor(edited, {"B"})
+        successor.run()
+        fresh = BgpSimulation(edited)
+        for name in ("A", "B"):
+            assert successor.rib(name) == fresh.rib(name)
+        entry = successor.rib_entry("B", Prefix.parse("10.1.0.0/16"))
+        assert Community(100, 1) in entry.route.communities
+
+
 class TestBestPath:
     def test_local_pref_wins(self):
         """Higher local-pref beats shorter AS path."""
         from repro.batfish.bgpsim import RibEntry
-        from repro.netmodel import Route
 
         low = RibEntry(
             route=Route(prefix=Prefix.parse("9.0.0.0/8"), local_pref=100),
@@ -186,7 +296,6 @@ class TestBestPath:
 
     def test_shorter_as_path_wins(self):
         from repro.batfish.bgpsim import RibEntry
-        from repro.netmodel import Route
 
         short = RibEntry(
             route=Route(prefix=Prefix.parse("9.0.0.0/8"), as_path=AsPath.of((1,))),
@@ -204,7 +313,6 @@ class TestBestPath:
 
     def test_lower_med_wins(self):
         from repro.batfish.bgpsim import RibEntry
-        from repro.netmodel import Route
 
         cheap = RibEntry(
             route=Route(prefix=Prefix.parse("9.0.0.0/8"), med=10),

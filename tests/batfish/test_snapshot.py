@@ -1,6 +1,7 @@
 """Tests for snapshots and vendor detection."""
 
 from repro.batfish import Snapshot, detect_vendor
+from repro.cisco import generate_cisco
 from repro.netmodel import Vendor
 from repro.sampleconfigs import BATFISH_EXAMPLE_CISCO
 
@@ -43,30 +44,39 @@ class TestSnapshot:
         assert snapshot.configs["j9.conf"].hostname == "j9"
         assert snapshot.configs["j1.conf"].hostname == "j1"
 
-    def test_config_by_hostname(self):
-        snapshot = Snapshot.from_texts({"x.cfg": BATFISH_EXAMPLE_CISCO})
-        assert snapshot.config_by_hostname("as100border1") is not None
-        assert snapshot.config_by_hostname("ghost") is None
-
     def test_warnings_collected_per_file(self):
-        snapshot = Snapshot.from_texts({"bad.cfg": "exit\nrouter bgp 1\n"})
+        snapshot = Snapshot.from_texts(
+            {"good.cfg": "hostname g\n", "bad.cfg": "exit\nrouter bgp 1\n"}
+        )
         assert snapshot.warnings["bad.cfg"]
-        assert snapshot.all_warnings()
+        assert snapshot.warnings["good.cfg"] == []
+
+    def test_generated_star_parses_clean(self, star7_configs):
+        snapshot = Snapshot.from_texts(
+            {f"{name}.cfg": generate_cisco(cfg) for name, cfg in star7_configs.items()}
+        )
+        assert all(found == [] for found in snapshot.warnings.values())
+
+    def test_undefined_references_of_parsed_file(self):
+        text = (
+            "router bgp 1\n"
+            " neighbor 1.0.0.2 remote-as 2\n"
+            " neighbor 1.0.0.2 route-map GHOST out\n"
+        )
+        snapshot = Snapshot.from_texts({"r.cfg": text})
+        assert snapshot.configs["r.cfg"].undefined_references() == ["route-map GHOST"]
 
     def test_add_file_replaces(self):
         snapshot = Snapshot.from_texts({"r.cfg": "exit\n"})
-        assert snapshot.all_warnings()
+        assert snapshot.warnings["r.cfg"]
         snapshot.add_file("r.cfg", "router bgp 1\n")
-        assert not snapshot.all_warnings()
+        assert snapshot.warnings["r.cfg"] == []
 
     def test_write_and_reload(self, tmp_path):
         snapshot = Snapshot.from_texts({"c1.cfg": BATFISH_EXAMPLE_CISCO})
         directory = snapshot.write_to(tmp_path / "snap")
-        reloaded = Snapshot.from_directory(directory)
-        assert reloaded.hostnames() == snapshot.hostnames()
-
-    def test_hostnames_sorted(self):
-        snapshot = Snapshot.from_texts(
-            {"b.cfg": "hostname bbb\n", "a.cfg": "hostname aaa\n"}
+        reloaded = Snapshot.from_texts(
+            {path.name: path.read_text() for path in directory.glob("*.cfg")}
         )
-        assert snapshot.hostnames() == ["aaa", "bbb"]
+        assert reloaded.texts == snapshot.texts
+        assert reloaded.configs["c1.cfg"].hostname == "as100border1"

@@ -1,6 +1,6 @@
 """Tests for the IOS line tokenizer."""
 
-from repro.cisco.lexer import iter_blocks, tokenize
+from repro.cisco.lexer import tokenize
 
 
 class TestTokenize:
@@ -37,20 +37,3 @@ class TestTokenize:
     def test_starts_with_too_short(self):
         (line,) = tokenize("router\n")
         assert not line.starts_with("router", "bgp")
-
-
-class TestIterBlocks:
-    def test_groups_children_by_indent(self):
-        lines = tokenize(
-            "interface eth0\n ip address 1.0.0.1 255.255.255.0\nhostname r1\n"
-        )
-        blocks = list(iter_blocks(lines))
-        assert len(blocks) == 2
-        header, children = blocks[0]
-        assert header.keyword == "interface"
-        assert len(children) == 1
-
-    def test_header_without_children(self):
-        lines = tokenize("hostname r1\n")
-        blocks = list(iter_blocks(lines))
-        assert blocks[0][1] == []

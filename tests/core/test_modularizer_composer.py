@@ -32,11 +32,6 @@ class TestModularizer:
         prompt = Modularizer(star7.topology).router_task_prompt("R4")
         assert "Local policy" not in prompt
 
-    def test_global_prompt_describes_whole_network(self, star7):
-        prompt = Modularizer(star7.topology).global_task_prompt()
-        assert "all routers" in prompt
-        assert "Router R1 is connected to Router R7" in prompt
-
     def test_local_invariants_sliced_by_router(self, star7):
         modularizer = Modularizer(star7.topology)
         all_invariants = modularizer.local_invariants()
@@ -56,7 +51,7 @@ class TestComposer:
         composer.put("R1", "hostname R1\n")
         composer.put("R2", "hostname R2\n")
         snapshot = composer.compose()
-        assert snapshot.hostnames() == ["R1", "R2"]
+        assert [c.hostname for c in snapshot.configs.values()] == ["R1", "R2"]
         assert composer.routers() == ["R1", "R2"]
 
     def test_put_replaces(self):
@@ -64,7 +59,7 @@ class TestComposer:
         composer.put("R1", "hostname old\n")
         composer.put("R1", "hostname new\n")
         snapshot = composer.compose()
-        assert snapshot.config_by_hostname("new") is not None
+        assert [c.hostname for c in snapshot.configs.values()] == ["new"]
 
     def test_write_to_disk(self, tmp_path):
         composer = Composer()

@@ -9,12 +9,12 @@ class TestLexer:
     def test_leaf_statement(self):
         (stmt,) = lex_juniper("host-name r1;")
         assert stmt.words == ("host-name", "r1")
-        assert not stmt.is_block
+        assert stmt.children == []
 
     def test_block_statement(self):
         (stmt,) = lex_juniper("system { host-name r1; }")
         assert stmt.keyword == "system"
-        assert stmt.is_block
+        assert stmt.children
         assert stmt.children[0].words == ("host-name", "r1")
 
     def test_nested_blocks(self):

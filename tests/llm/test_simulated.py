@@ -4,6 +4,7 @@ import pytest
 
 from repro.llm import (
     BehaviorProfile,
+    ChatRole,
     make_translation_model,
 )
 
@@ -30,8 +31,9 @@ class TestChatFlow:
         model = _model()
         model.send("Translate.")
         model.send("fix the MED")
-        assert model.transcript.prompt_count() == 2
-        assert model.transcript.last_response()
+        roles = [message.role for message in model.transcript.messages]
+        assert roles == [ChatRole.USER, ChatRole.ASSISTANT] * 2
+        assert model.transcript.messages[-1].content
 
     def test_unmatched_prompt_is_noop(self):
         model = _model()

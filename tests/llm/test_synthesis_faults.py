@@ -7,7 +7,7 @@ from repro.lightyear import no_transit_invariants, verify_invariants
 from repro.llm import (
     IIP_SUPPRESSED_FAULTS,
     default_fault_assignment,
-    make_synthesis_model,
+    make_synthesis_models,
     synthesis_fault_catalog,
 )
 from repro.llm.faults import DraftState
@@ -125,23 +125,19 @@ class TestAssignmentAndIips:
             default_fault_assignment(3)
 
     def test_iip_suppression(self, star7):
-        with_iips = make_synthesis_model(
-            "R1", star7.topology, iip_ids=IIP_SUPPRESSED_FAULTS.values()
-        )
+        with_iips = make_synthesis_models(
+            star7.topology, iip_ids=IIP_SUPPRESSED_FAULTS.values()
+        )["R1"]
         with_iips.send("generate R1")
         suppressed = set(IIP_SUPPRESSED_FAULTS)
         assert not (suppressed & set(with_iips.active_fault_keys()))
 
     def test_no_iips_means_more_faults(self, star7):
-        bare = make_synthesis_model("R1", star7.topology, iip_ids=())
+        bare = make_synthesis_models(star7.topology, iip_ids=())["R1"]
         bare.send("generate R1")
         assert "cli_keywords" in bare.active_fault_keys()
 
-    def test_unknown_router_raises(self, star7):
-        with pytest.raises(KeyError):
-            make_synthesis_model("R99", star7.topology)
-
     def test_per_router_seeds_differ(self, star7):
-        a = make_synthesis_model("R2", star7.topology, seed=0)
-        b = make_synthesis_model("R3", star7.topology, seed=0)
+        models = make_synthesis_models(star7.topology, seed=0)
+        a, b = models["R2"], models["R3"]
         assert a._rng.random() != b._rng.random()

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.netmodel import AccessList, AclEntry, Prefix
+from repro.netmodel import AccessList, AclEntry, Ipv4Address, Prefix
 from repro.netmodel.ip import AddressError
 
 
@@ -19,6 +19,12 @@ class TestAclEntry:
         assert entry.matches_prefix(Prefix.parse("1.2.3.128/25"))
         assert not entry.matches_prefix(Prefix.parse("1.2.4.0/24"))
 
+    def test_matches_address_ignores_wildcard_bits(self):
+        entry = AclEntry.from_strings("permit", "10.0.0.0", "0.0.255.255")
+        assert entry.matches_address(Ipv4Address.parse("10.0.7.9").value)
+        assert entry.matches_address(Ipv4Address.parse("10.0.255.255").value)
+        assert not entry.matches_address(Ipv4Address.parse("10.1.0.0").value)
+
     def test_any(self):
         entry = AclEntry.any()
         assert entry.matches_prefix(Prefix.parse("9.9.9.0/24"))
@@ -32,19 +38,19 @@ class TestAclEntry:
         assert AclEntry.from_strings("permit", "1.2.3.0", "0.0.255.0").is_contiguous() is False
         assert AclEntry.any().is_contiguous()
 
-    def test_as_prefix_range_contiguous(self):
+    def test_as_prefix_ranges_contiguous(self):
         entry = AclEntry.from_strings("permit", "1.2.3.0", "0.0.0.255")
-        prefix_range = entry.as_prefix_range()
+        prefix_range = entry.as_prefix_ranges()[0]
         assert str(prefix_range.prefix) == "1.2.3.0/24"
         assert prefix_range.high == 32
 
-    def test_as_prefix_range_host(self):
+    def test_as_prefix_ranges_host(self):
         entry = AclEntry.from_strings("permit", "1.1.1.1")
-        assert str(entry.as_prefix_range().prefix) == "1.1.1.1/32"
+        assert str(entry.as_prefix_ranges()[0].prefix) == "1.1.1.1/32"
 
-    def test_as_prefix_range_non_contiguous_is_none(self):
+    def test_as_prefix_ranges_non_contiguous_is_empty(self):
         entry = AclEntry.from_strings("permit", "1.2.3.0", "0.0.255.0")
-        assert entry.as_prefix_range() is None
+        assert entry.as_prefix_ranges() == []
 
     def test_render_forms(self):
         assert AclEntry.any().render_cisco() == "permit any"

@@ -1,6 +1,7 @@
 """Tests for interfaces, BGP/OSPF processes, and RouterConfig."""
 
 from repro.netmodel import (
+    AccessList,
     BgpNeighbor,
     BgpProcess,
     Interface,
@@ -93,12 +94,12 @@ class TestOspfProcess:
         assert ospf.covers(Prefix.parse("1.0.3.0/24")) == 7
         assert ospf.covers(Prefix.parse("9.0.0.0/24")) is None
 
-    def test_interface_areas(self):
+    def test_area_interfaces_deduplicated(self):
         ospf = OspfProcess()
         ospf.add_area_interface(0, "eth0")
         ospf.add_area_interface(1, "eth1")
         ospf.add_area_interface(0, "eth0")
-        assert ospf.interface_areas() == [("eth0", 0), ("eth1", 1)]
+        assert ospf.area_interfaces == {0: ["eth0"], 1: ["eth1"]}
 
 
 class TestRouterConfig:
@@ -107,6 +108,14 @@ class TestRouterConfig:
         assert cfg.get_prefix_list("x") is None
         assert cfg.get_community_list("x") is None
         assert cfg.get_as_path_list("x") is None
+
+    def test_access_list_registry(self):
+        cfg = RouterConfig(hostname="r1")
+        assert cfg.get_access_list("10") is None
+        acl = cfg.add_access_list(AccessList("10"))
+        assert cfg.get_access_list("10") is acl
+        replacement = cfg.add_access_list(AccessList("10"))
+        assert cfg.get_access_list("10") is replacement
 
     def test_ensure_bgp_idempotent(self):
         cfg = RouterConfig(hostname="r1")
@@ -118,13 +127,6 @@ class TestRouterConfig:
         cfg = RouterConfig(hostname="r1")
         ospf = cfg.ensure_ospf(1)
         assert cfg.ensure_ospf(2) is ospf
-
-    def test_interface_with_address(self):
-        cfg = RouterConfig(hostname="r1")
-        iface = Interface.with_address("eth0", "2.0.0.1/24")
-        cfg.add_interface(iface)
-        assert cfg.interface_with_address(Ipv4Address.parse("2.0.0.1")) is iface
-        assert cfg.interface_with_address(Ipv4Address.parse("9.9.9.9")) is None
 
     def test_sorted_interfaces(self):
         cfg = RouterConfig(hostname="r1")

@@ -20,7 +20,7 @@ class TestPrefixList:
     def test_ge_24_matches_longer(self):
         """The paper's our-networks list: permit 1.2.3.0/24 ge 24."""
         plist = PrefixList("our-networks")
-        plist.add("permit", PrefixRange.at_least(Prefix.parse("1.2.3.0/24"), 24))
+        plist.add("permit", PrefixRange(Prefix.parse("1.2.3.0/24"), 24, 32))
         assert plist.permits(Prefix.parse("1.2.3.0/24"))
         assert plist.permits(Prefix.parse("1.2.3.0/25"))
         assert plist.permits(Prefix.parse("1.2.3.77/32"))
@@ -56,7 +56,7 @@ class TestPrefixList:
 
     def test_render_cisco_ge(self):
         entry = PrefixListEntry(
-            5, "permit", PrefixRange.at_least(Prefix.parse("1.2.3.0/24"), 25)
+            5, "permit", PrefixRange(Prefix.parse("1.2.3.0/24"), 25, 32)
         )
         assert "ge 25" in entry.render_cisco("p")
 

@@ -8,6 +8,7 @@ from repro.netmodel import (
     Route,
     RouteBuilder,
 )
+from repro.netmodel.aspath import AsPath
 
 
 def _route(**kwargs):
@@ -64,6 +65,14 @@ class TestRouteTransforms:
 
     def test_describe_empty_communities(self):
         assert "{}" in _route().describe()
+
+    def test_decision_slice_prefers_the_better_route(self):
+        assert _route(local_pref=200).decision_slice() < _route().decision_slice()
+        shorter = _route(as_path=AsPath.of((1,)))
+        longer = _route(as_path=AsPath.of((2, 1)))
+        assert shorter.decision_slice() < longer.decision_slice()
+        assert _route(med=1).decision_slice() < _route(med=2).decision_slice()
+        assert _route(med=3).decision_slice() == (-100, 0, 3)
 
     def test_equality_is_structural(self):
         assert _route() == _route()

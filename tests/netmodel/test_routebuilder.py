@@ -14,8 +14,8 @@ from repro.netmodel import (
     intern_communities,
     route_totals,
 )
-from repro.netmodel import Origin
 from repro.netmodel.aspath import AsPath
+from repro.netmodel.routebuilder import export_route
 from repro.netmodel.routing_policy import (
     SetAsPathPrepend,
     SetCommunity,
@@ -103,10 +103,22 @@ class TestBuilderTransactions:
         builder.set_med(1)
         assert builder.dirty
 
-    def test_set_origin(self):
-        builder = RouteBuilder(_route())
-        builder.set_origin(Origin.INCOMPLETE)
-        assert builder.freeze().origin is Origin.INCOMPLETE
+
+class TestExportFastPath:
+    def test_export_route_matches_the_builder(self):
+        base = _route(
+            as_path=AsPath.of((7,)),
+            communities=frozenset({Community(100, 1)}),
+            med=5,
+            local_pref=200,
+        )
+        hop = Ipv4Address.parse("1.0.0.1")
+        fast = export_route(base, 3, hop)
+        built = RouteBuilder(base).prepend_as(3).set_next_hop(hop).freeze()
+        assert fast == built
+        assert fast.as_path.asns == (3, 7)
+        assert fast.next_hop == hop
+        assert base.as_path.asns == (7,)
 
 
 class TestRouteSerialization:

@@ -127,9 +127,3 @@ class TestCandidateUniverse:
         )
         universe.add_constraint(constraint)
         assert Prefix.parse("7.7.7.0/24") in universe.candidate_prefixes()
-
-    def test_size_estimate_matches_iteration(self):
-        config, rm = _config_with_policy()
-        universe = CandidateUniverse()
-        universe.add_policy(config, rm)
-        assert universe.size_estimate() == len(list(universe.routes()))

@@ -41,8 +41,10 @@ class TestRouteConstraint:
             _route(communities=frozenset({Community(1, 1), Community(2, 2)}))
         )
 
-    def test_without_community(self):
-        constraint = RouteConstraint.without_community(Community(100, 1))
+    def test_forbidden_community(self):
+        constraint = RouteConstraint(
+            forbidden_communities=frozenset({Community(100, 1)})
+        )
         assert constraint.admits(_route())
         assert not constraint.admits(
             _route(communities=frozenset({Community(100, 1)}))

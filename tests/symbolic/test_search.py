@@ -18,7 +18,6 @@ from repro.netmodel import (
 )
 from repro.symbolic import (
     RouteConstraint,
-    policy_always,
     search_route_policies,
 )
 
@@ -97,12 +96,24 @@ class TestSearch:
         assert "denies" in results[0].describe()
 
 
-class TestPolicyAlways:
-    def test_holds(self, config):
-        constraint = RouteConstraint.with_community(Community(100, 1))
-        assert policy_always(config, "filter", Action.DENY, constraint) is None
+class TestReferenceStar:
+    """The §4 semantic question on the star's reference hub config."""
 
-    def test_counterexample(self, config):
-        counterexample = policy_always(config, "filter", Action.PERMIT)
-        assert counterexample is not None
-        assert counterexample.action is Action.DENY
+    def test_other_isp_tag_is_filtered(self, star7_configs):
+        results = search_route_policies(
+            star7_configs["R1"],
+            "FILTER_COMM_OUT_R2",
+            Action.PERMIT,
+            constraint=RouteConstraint.with_community(Community(101, 1)),
+        )
+        assert results == []  # R3's tag is filtered at R2's egress
+
+    def test_own_tag_is_not_filtered(self, star7_configs):
+        results = search_route_policies(
+            star7_configs["R1"],
+            "FILTER_COMM_OUT_R2",
+            Action.PERMIT,
+            constraint=RouteConstraint.with_community(Community(100, 1)),
+        )
+        # R2's own tag is not filtered toward R2 (AS-loop handles it).
+        assert results

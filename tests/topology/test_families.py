@@ -7,6 +7,7 @@ global no-transit check — out of the box.
 """
 
 import copy
+import json
 
 import pytest
 
@@ -74,10 +75,9 @@ class TestGenerators:
             generate_network("torus", 5)
 
     @pytest.mark.parametrize("family", NON_STAR_FAMILIES)
-    def test_json_round_trip(self, family):
+    def test_json_export(self, family):
         topology = generate_network(family, 5).topology
-        restored = Topology.from_json(topology.to_json())
-        assert restored.to_dict() == topology.to_dict()
+        assert json.loads(topology.to_json()) == topology.to_dict()
 
     def test_expected_link_counts(self):
         assert len(generate_network("chain", 6).topology.links) == 5

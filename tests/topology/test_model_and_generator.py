@@ -1,4 +1,4 @@
-"""Tests for the topology model, JSON round-trip, and star generator."""
+"""Tests for the topology model, JSON export, and star generator."""
 
 import json
 
@@ -6,11 +6,17 @@ import pytest
 
 from repro.netmodel import Ipv4Address, Prefix
 from repro.topology import (
-    Topology,
     generate_star_network,
     ingress_community,
 )
 from repro.topology.generator import CUSTOMER_ASN
+from repro.topology.reference import (
+    community_list_number,
+    core_export_map_name,
+    egress_map_name,
+    ingress_map_name,
+    isp_prefix_list_name,
+)
 
 
 class TestStarGenerator:
@@ -52,8 +58,11 @@ class TestStarGenerator:
         assert customer.peer_name == "CUSTOMER"
 
     def test_isp_attachments(self, star7):
-        externals = star7.topology.externals_of("R2")
-        (isp,) = [e for e in externals if e.peer_name == "ISP_2"]
+        (isp,) = [
+            e
+            for e in star7.topology.externals
+            if e.router == "R2" and e.peer_name == "ISP_2"
+        ]
         assert isp.peer_asn == 1002
         assert str(isp.peer_ip) == "200.2.0.2"
 
@@ -90,12 +99,43 @@ class TestIngressCommunity:
             ingress_community(1)
 
 
-class TestJsonRoundTrip:
-    def test_roundtrip_preserves_everything(self, star7):
-        text = star7.topology.to_json()
-        rebuilt = Topology.from_json(text)
-        assert rebuilt.to_dict() == star7.topology.to_dict()
+class TestReferenceNames:
+    def test_community_list_number(self):
+        assert community_list_number(2) == 1
+        assert community_list_number(7) == 6
+        with pytest.raises(ValueError):
+            community_list_number(1)
 
+    def test_hub_policy_uses_the_named_maps(self, star7_configs):
+        hub = star7_configs["R1"]
+        for index in range(2, 8):
+            assert ingress_map_name(index) in hub.route_maps
+            assert egress_map_name(index) in hub.route_maps
+            assert str(community_list_number(index)) in hub.community_lists
+        assert core_export_map_name(2) == "EXPORT_CORE_R2"
+        assert isp_prefix_list_name(2) == "PL_ISP_R2"
+
+
+class TestRouterSpecLookups:
+    def test_connected_prefixes(self, star7):
+        spec = star7.topology.router("R2")
+        assert [str(p) for p in spec.connected_prefixes()] == [
+            "1.0.0.0/24",
+            "200.2.0.0/24",
+        ]
+
+    def test_neighbor_with_ip(self, star7):
+        spec = star7.topology.router("R2")
+        assert spec.neighbor_with_ip(Ipv4Address.parse("1.0.0.1")).peer_name == "R1"
+        assert spec.neighbor_with_ip(Ipv4Address.parse("9.9.9.9")) is None
+
+    def test_interface_lookup(self, star7):
+        spec = star7.topology.router("R2")
+        assert str(spec.interface("eth0/1").address) == "200.2.0.1"
+        assert spec.interface("eth9/9") is None
+
+
+class TestJsonExport:
     def test_json_is_valid_and_sorted(self, star7):
         data = json.loads(star7.topology.to_json())
         assert set(data) == {"external_peers", "links", "name", "routers"}
@@ -107,7 +147,6 @@ class TestJsonRoundTrip:
         assert r2["router_id"] == "1.0.0.2"
         assert "eth0/0" in r2["interfaces"]
 
-    def test_from_dict_parses_neighbors(self, star7):
-        rebuilt = Topology.from_dict(star7.topology.to_dict())
-        r2 = rebuilt.router("R2")
-        assert len(r2.neighbors) == 2
+    def test_neighbors_exported(self, star7):
+        r2 = star7.topology.to_dict()["routers"]["R2"]
+        assert len(r2["neighbors"]) == 2

@@ -10,6 +10,7 @@ and flip for exactly the implicated roles when a policy is broken.
 import pytest
 
 from repro.cisco import generate_cisco, parse_cisco
+from repro.netmodel import Ipv4Address
 from repro.lightyear import (
     check_composition,
     check_global_no_transit,
@@ -21,8 +22,14 @@ from repro.topology import (
     RoleKind,
     generate_network,
 )
+from repro.topology.model import ExternalPeer
 from repro.topology.reference import build_reference_configs
-from repro.topology.roles import egress_map_of, ingress_map_of
+from repro.topology.roles import (
+    attachment_isp_index,
+    customer_ordinal,
+    egress_map_of,
+    ingress_map_of,
+)
 from repro.topology.verifier import verify_topology
 
 ROLED = "c2i2h2p1"  # 2 customers, 2 dual-homed ISPs, 1 peer -> 7 attachments
@@ -162,3 +169,42 @@ class TestCompositionGrouping:
         # all cross-ISP ordered pairs, none of the intra-ISP ones:
         # 2 homes x 2 homes x 2 directions = 8
         assert len(result.covered_pairs) == 8
+
+
+class TestSlotHelpers:
+    @pytest.mark.parametrize(
+        "peer_name, ordinal",
+        [("CUSTOMER", 1), ("CUSTOMER_3", 3), ("ISP_2", None), ("CUSTOMER_X", None)],
+    )
+    def test_customer_ordinal(self, peer_name, ordinal):
+        assert customer_ordinal(peer_name) == ordinal
+
+    def test_isp_index_from_peer_name(self):
+        peer = ExternalPeer("R1", "eth0/1", "ISP_5", Ipv4Address.parse("9.0.0.2"), 5)
+        assert attachment_isp_index(peer) == 5
+
+    def test_isp_index_falls_back_to_router(self):
+        peer = ExternalPeer("R4", "eth0/1", "UPSTREAM", Ipv4Address.parse("9.0.0.2"), 5)
+        assert attachment_isp_index(peer) == 4
+
+    def test_isp_index_without_digits_raises(self):
+        peer = ExternalPeer("hub", "eth0/1", "UPSTREAM", Ipv4Address.parse("9.0.0.2"), 5)
+        with pytest.raises(ValueError):
+            attachment_isp_index(peer)
+
+    def test_attachments_of_lists_hosted_ones(self):
+        topology = generate_network("random", 8, seed=1, roles=ROLED).topology
+        roles = RoleAssignment.from_topology(topology)
+        hosted = {
+            name: [a.peer.peer_name for a in roles.attachments_of(name)]
+            for name in topology.router_names()
+        }
+        assert sorted(
+            peer for peers in hosted.values() for peer in peers
+        ) == sorted(a.peer.peer_name for a in roles.transit_forbidden())
+        assert all(len(peers) <= 1 for peers in hosted.values())
+        assert [] in hosted.values()  # some routers host no attachment
+        configs = build_reference_configs(topology)
+        for name, peers in hosted.items():
+            # Only a router hosting an ISP or peer carries border policy.
+            assert bool(configs[name].route_maps) == bool(peers)

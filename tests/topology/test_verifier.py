@@ -5,7 +5,7 @@ import copy
 import pytest
 
 from repro.netmodel import BgpNeighbor, Ipv4Address, Prefix
-from repro.topology import TopologyIssueKind, verify_network, verify_topology
+from repro.topology import TopologyIssueKind, verify_topology
 from repro.topology.reference import build_reference_configs
 
 
@@ -112,18 +112,15 @@ class TestVerifyTopology:
         assert issue.kind is TopologyIssueKind.MISSING_BGP
 
 
-class TestVerifyNetwork:
+class TestReferenceNetwork:
     def test_all_reference_configs_clean(self, star7, star7_configs):
-        assert verify_network(star7_configs, star7.topology) == []
-
-    def test_missing_router_reported(self, star7, star7_configs):
-        configs = dict(star7_configs)
-        del configs["R4"]
-        issues = verify_network(configs, star7.topology)
-        assert any(i.router == "R4" for i in issues)
+        for name in star7.topology.router_names():
+            spec = star7.topology.router(name)
+            assert verify_topology(star7_configs[name], spec) == []
 
     def test_issues_attributed_to_router(self, star7, star7_configs):
         configs = copy.deepcopy(star7_configs)
         configs["R3"].bgp.asn = 1
-        issues = verify_network(configs, star7.topology)
+        issues = verify_topology(configs["R3"], star7.topology.router("R3"))
+        assert issues
         assert all(i.router == "R3" for i in issues)
