@@ -36,9 +36,6 @@ class Severity(enum.Enum):
         """Sort key: most severe first."""
         return _SEVERITY_RANK[self]
 
-    def __str__(self) -> str:
-        return self.value
-
 
 _SEVERITY_RANK = {Severity.HIGH: 0, Severity.MEDIUM: 1, Severity.LOW: 2}
 

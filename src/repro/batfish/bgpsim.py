@@ -327,11 +327,6 @@ class BgpSimulation:
     def has_route(self, hostname: str, prefix: Prefix) -> bool:
         return self.rib_entry(hostname, prefix) is not None
 
-    def provenance(self, hostname: str, prefix: Prefix) -> Optional[str]:
-        """Hostname of the originator of the installed route, if any."""
-        entry = self.rib_entry(hostname, prefix)
-        return entry.origin_router if entry is not None else None
-
     def export_clause_finder(self, hostname: str, neighbor_ip: Ipv4Address):
         """The bound ``find_clause`` of ``hostname``'s export map toward
         ``neighbor_ip``: the first clause that accepts a route, ``None``

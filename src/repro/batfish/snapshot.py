@@ -62,11 +62,3 @@ class Snapshot:
         self.configs[filename] = config
         self.warnings[filename] = list(result.warnings)
         return config
-
-    def write_to(self, path: "Path | str") -> Path:
-        """Materialize the snapshot as a config folder on disk."""
-        directory = Path(path)
-        directory.mkdir(parents=True, exist_ok=True)
-        for filename, text in self.texts.items():
-            (directory / filename).write_text(text)
-        return directory

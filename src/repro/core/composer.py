@@ -2,13 +2,11 @@
 
 "The Composer puts back the pieces (in our case in a folder for
 Batfish)."  It collects the per-router config texts produced by the
-per-router chats into a :class:`~repro.batfish.snapshot.Snapshot` and
-can materialize that snapshot as an on-disk folder.
+per-router chats into a :class:`~repro.batfish.snapshot.Snapshot`.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Dict
 
 from ..batfish.snapshot import Snapshot
@@ -27,14 +25,6 @@ class Composer:
         """Add or replace one router's configuration."""
         self._texts[f"{router_name}.cfg"] = config_text
 
-    def routers(self) -> list:
-        return sorted(name[: -len(".cfg")] for name in self._texts)
-
     def compose(self) -> Snapshot:
         """Parse the accumulated configs as one snapshot."""
         return Snapshot.from_texts(dict(self._texts), name=self._name)
-
-    def write_to(self, path: "Path | str") -> Path:
-        """Materialize the snapshot folder (what the paper hands to
-        Batfish)."""
-        return self.compose().write_to(path)

@@ -10,7 +10,7 @@ database content.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable
 
 __all__ = ["DEFAULT_IIP_IDS", "IIPDatabase", "InitialInstructionPrompt"]
 
@@ -70,27 +70,15 @@ DEFAULT_IIP_IDS = tuple(item.iip_id for item in _BUILTIN_IIPS)
 class IIPDatabase:
     """The expert-curated store of initial instruction prompts."""
 
-    def __init__(self, include_builtin: bool = True) -> None:
-        self._prompts: Dict[str, InitialInstructionPrompt] = {}
-        if include_builtin:
-            for prompt in _BUILTIN_IIPS:
-                self._prompts[prompt.iip_id] = prompt
+    def __init__(self) -> None:
+        self._prompts: Dict[str, InitialInstructionPrompt] = {
+            prompt.iip_id: prompt for prompt in _BUILTIN_IIPS
+        }
 
-    def register(self, prompt: InitialInstructionPrompt) -> None:
-        """Add (or replace) an IIP — the database grows over time."""
-        self._prompts[prompt.iip_id] = prompt
-
-    def get(self, iip_id: str) -> Optional[InitialInstructionPrompt]:
-        return self._prompts.get(iip_id)
-
-    def ids(self) -> List[str]:
-        return sorted(self._prompts)
-
-    def compose_preamble(self, iip_ids: Optional[Iterable[str]] = None) -> str:
+    def compose_preamble(self, iip_ids: Iterable[str]) -> str:
         """The instruction block prepended to a chat's first prompt."""
-        selected = list(iip_ids) if iip_ids is not None else self.ids()
         lines = []
-        for iip_id in selected:
+        for iip_id in iip_ids:
             prompt = self._prompts.get(iip_id)
             if prompt is None:
                 raise KeyError(f"unknown IIP {iip_id!r}")

@@ -43,10 +43,8 @@ __all__ = [
     "apply",
     "deviations",
     "preserved",
-    "restore_defaults",
     "scoped",
     "snapshot",
-    "toggle_names",
 ]
 
 
@@ -91,11 +89,6 @@ def _specs() -> Dict[str, _ToggleSpec]:
     return _SPECS
 
 
-def toggle_names() -> List[str]:
-    """Every registered toggle name, in registry order."""
-    return list(DEFAULTS)
-
-
 def snapshot() -> Dict[str, Any]:
     """The current value of every registered toggle."""
     return {name: spec.get() for name, spec in _specs().items()}
@@ -114,11 +107,6 @@ def apply(values: Dict[str, Any]) -> None:
         raise ValueError(f"unknown toggle(s) {unknown} (known: {known})")
     for name, value in values.items():
         specs[name].set(value)
-
-
-def restore_defaults() -> None:
-    """Put every toggle back to its documented default."""
-    apply(dict(DEFAULTS))
 
 
 def deviations() -> List[Tuple[str, Any, Any]]:

@@ -9,7 +9,7 @@ back-edge) from data rather than prose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 __all__ = ["SessionTranscript", "TranscriptEvent"]
 
@@ -66,9 +66,3 @@ class SessionTranscript:
 
     def punts(self) -> int:
         return sum(1 for event in self.events if event.kind == "punt")
-
-    def counts(self) -> Dict[str, int]:
-        result: Dict[str, int] = {}
-        for event in self.events:
-            result[event.kind] = result.get(event.kind, 0) + 1
-        return result

@@ -27,18 +27,6 @@ class ErrorCategory(enum.Enum):
     TOPOLOGY = "topology"
     SEMANTIC = "semantic"
 
-    @property
-    def verifier(self) -> str:
-        """The verifier responsible for this category."""
-        return {
-            ErrorCategory.SYNTAX: "batfish-parse",
-            ErrorCategory.STRUCTURAL: "campion",
-            ErrorCategory.ATTRIBUTE: "campion",
-            ErrorCategory.POLICY: "campion",
-            ErrorCategory.TOPOLOGY: "topology-verifier",
-            ErrorCategory.SEMANTIC: "batfish-search-route-policies",
-        }[self]
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -54,7 +42,3 @@ class Finding:
     message: str
     router: str = ""
     detail: object = None
-
-    def describe(self) -> str:
-        scope = f"[{self.router}] " if self.router else ""
-        return f"{scope}{self.category.value}: {self.message}"

@@ -81,9 +81,7 @@ __all__ = [
     "run_scenario",
     "scenario_seed",
     "service_journals",
-    "campaign_lint",
     "set_campaign_lint",
-    "summary_from_journal",
     "summary_from_journals",
     "topology_seed",
 ]
@@ -138,10 +136,6 @@ def set_campaign_lint(enabled: bool) -> None:
     """Enable per-scenario static analysis of the synthesized drafts."""
     global _LINT_ENABLED
     _LINT_ENABLED = bool(enabled)
-
-
-def campaign_lint() -> bool:
-    return _LINT_ENABLED
 
 
 @dataclass(frozen=True)
@@ -286,7 +280,8 @@ def build_grid(
     hand-shaped families have a fixed layout, and silently ignoring an
     axis would fake coverage.
     """
-    from ..topology.families import SEEDED_FAMILIES
+    from ..topology.families import MAX_SIZE, MIN_SIZE, SEEDED_FAMILIES
+    from ..topology.generator import MAX_ROUTERS
     from ..topology.randomnet import (
         _check_knobs,
         coerce_placement,
@@ -302,6 +297,15 @@ def build_grid(
         if profile not in PROFILES:
             known = ", ".join(sorted(PROFILES))
             raise ValueError(f"unknown profile {profile!r} (known: {known})")
+    for family in families:
+        # The star keeps its own, wider generator bound.
+        top = MAX_ROUTERS if family == "star" else MAX_SIZE
+        for size in sizes:
+            if not MIN_SIZE <= size <= top:
+                raise ValueError(
+                    f"{family} size must be in [{MIN_SIZE}, {top}], "
+                    f"got {size}"
+                )
     unseeded = sorted(set(families) - SEEDED_FAMILIES)
     for spec in roles:
         parsed = RoleSpec.coerce(spec)
@@ -715,18 +719,6 @@ def _summarize(
         resumed=resumed,
         metrics=metrics_merge({}, *(record.metrics for record in ordered)),
     )
-
-
-def summary_from_journal(path: "Path | str") -> "CampaignSummary":
-    """Rebuild a campaign summary from one journal without running
-    anything (the ``repro campaign --report`` offline mode).
-
-    With a v2+ journal (header carries the grid's keys) the rows come
-    back in grid order, so the written JSON/CSV summaries are
-    byte-identical to the live run's.  Older journals fall back to
-    completion order.
-    """
-    return summary_from_journals([path])
 
 
 def summary_from_journals(paths: Sequence["Path | str"]) -> "CampaignSummary":

@@ -68,14 +68,6 @@ class NoTransitExperiment:
     def human_prompts(self) -> int:
         return self.result.prompt_log.human
 
-    def resolutions(self) -> List[tuple]:
-        """(router, fault_key, how) across all per-router chats."""
-        rows = []
-        for name in sorted(self.models):
-            for key, how in self.models[name].resolution_log:
-                rows.append((name, key, how))
-        return rows
-
     def initial_draft_fault_counts(self) -> Dict[str, int]:
         """How many faults each router's first draft carried (before any
         correction) — reconstructed from resolutions plus leftovers."""

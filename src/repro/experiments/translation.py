@@ -85,7 +85,7 @@ class TranslationExperiment:
             fault = catalog[key]
             if fault.label in seen_labels:
                 continue
-            if key not in resolved_by and key not in self._encountered_keys():
+            if key not in resolved_by and key not in DEFAULT_INITIAL_FAULTS:
                 continue
             seen_labels.add(fault.label)
             rows.append(
@@ -98,11 +98,6 @@ class TranslationExperiment:
                 )
             )
         return rows
-
-    def _encountered_keys(self) -> set:
-        keys = set(DEFAULT_INITIAL_FAULTS)
-        keys.update(key for key, _ in self.model.resolution_log)
-        return keys
 
 
 def _type_name(category_value: str) -> str:

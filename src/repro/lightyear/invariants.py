@@ -58,14 +58,6 @@ class EgressFilterInvariant:
     def direction(self) -> str:
         return "export"
 
-    def describe(self) -> str:
-        rendered = ", ".join(sorted(str(item) for item in self.forbidden))
-        return (
-            f"on {self.router}, routes carrying any of the communities "
-            f"{{{rendered}}} must be denied at the egress to neighbor "
-            f"{self.neighbor_ip}"
-        )
-
 
 @dataclass(frozen=True)
 class EgressPrependInvariant:
@@ -85,13 +77,6 @@ class EgressPrependInvariant:
     @property
     def direction(self) -> str:
         return "export"
-
-    def describe(self) -> str:
-        return (
-            f"on {self.router}, every route exported to neighbor "
-            f"{self.neighbor_ip} must have AS {self.asn} prepended "
-            f"{self.count} time(s)"
-        )
 
 
 LocalInvariant = (

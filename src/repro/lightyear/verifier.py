@@ -51,9 +51,6 @@ class InvariantViolation:
     witness: Route
     message: str
 
-    def describe(self) -> str:
-        return self.message
-
 
 def verify_invariants(
     configs: "dict[str, RouterConfig]", invariants: List[object]

@@ -9,13 +9,14 @@ client can replace it behind the same :class:`LLMClient` protocol.
 from .behavior import BehaviorProfile, CorrectionOutcome, sample_outcome
 from .client import ChatMessage, ChatRole, ChatTranscript, LLMClient
 from .faults import DraftState, Fault, FaultTargetError
-from .replay import ReplayClient, responses_of
+from .replay import ReplayClient
 from .simulated import CorrectionStats, SimulatedGPT4
 from .synthesis_faults import (
     IIP_SUPPRESSED_FAULTS,
     MULTIHOME_FAULT_KEY,
     border_fault_assignment,
     default_fault_assignment,
+    fault_assignment,
     fault_designations,
     multihome_fault_target,
     synthesis_fault_catalog,
@@ -47,12 +48,12 @@ __all__ = [
     "SimulatedGPT4",
     "border_fault_assignment",
     "default_fault_assignment",
+    "fault_assignment",
     "fault_designations",
     "multihome_fault_target",
     "make_synthesis_models",
     "make_translation_model",
     "reference_translation",
-    "responses_of",
     "sample_outcome",
     "synthesis_fault_catalog",
     "translation_fault_catalog",

@@ -9,11 +9,11 @@ sequences.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
-from .client import ChatRole, ChatTranscript
+from .client import ChatTranscript
 
-__all__ = ["ReplayClient", "responses_of"]
+__all__ = ["ReplayClient"]
 
 
 class ReplayClient:
@@ -43,19 +43,3 @@ class ReplayClient:
     def exhausted(self) -> bool:
         """True once every recorded response has been served."""
         return self._cursor >= len(self._responses)
-
-    def prompts_received(self) -> List[str]:
-        return [
-            message.content
-            for message in self.transcript.messages
-            if message.role is ChatRole.USER
-        ]
-
-
-def responses_of(transcript: ChatTranscript) -> List[str]:
-    """Extract the assistant turns of a transcript, for replaying."""
-    return [
-        message.content
-        for message in transcript.messages
-        if message.role is ChatRole.ASSISTANT
-    ]

@@ -56,6 +56,7 @@ __all__ = [
     "SYNTHESIS_SIDE_POOL",
     "border_fault_assignment",
     "default_fault_assignment",
+    "fault_assignment",
     "fault_designations",
     "multihome_fault_target",
     "synthesis_fault_catalog",
@@ -122,7 +123,8 @@ def border_fault_assignment(topology: Topology) -> Dict[str, List[str]]:
     actually owns its map, and only when that router carries an ISP.
     The addressed topology faults (missing neighbor/network) resolve
     their targets per router, so R2 carries them in every family just
-    as it does in the star.
+    as it does in the star wherever its target exists (see
+    :func:`fault_assignment`).
     """
     names = topology.router_names()
     count = len(names)
@@ -135,22 +137,10 @@ def border_fault_assignment(topology: Topology) -> Dict[str, List[str]]:
         if router in assignment:
             assignment[router].extend(keys)
 
-    # Addressed faults land only where their target artifact exists:
-    # on an irregular (random/waxman) graph R2 may announce no link
-    # subnet and R3 may carry no external interface, and assigning a
-    # fault with no target would abort the draft with FaultTargetError.
-    network_targets = _link_network_targets(topology)
-    neighbor_targets = _internal_neighbor_targets(topology)
-    interface_targets = _interface_targets(topology)
     put("R1", "cli_keywords", "extra_network", "extra_neighbor")
-    put("R2", "cli_keywords", "wrong_router_id")
-    if "R2" in neighbor_targets:
-        put("R2", "missing_neighbor")
-    if "R2" in network_targets:
-        put("R2", "missing_network")
-    put("R3", "wrong_local_as")
-    if "R3" in interface_targets:
-        put("R3", "wrong_interface_ip")
+    put("R2", "cli_keywords", "wrong_router_id", "missing_neighbor",
+        "missing_network")
+    put("R3", "wrong_local_as", "wrong_interface_ip")
     and_or_router, _ = _and_or_owner(topology)
     put(and_or_router, "and_or_semantics")
     if "R3" in isp_routers:
@@ -168,17 +158,40 @@ def border_fault_assignment(topology: Topology) -> Dict[str, List[str]]:
     return assignment
 
 
+def fault_assignment(topology: Topology) -> Dict[str, List[str]]:
+    """The default seed's per-router fault keys for ``topology``.
+
+    Hub-shaped networks take the star layout, everything else the
+    border layout.  Either way an addressed fault lands only where its
+    target artifact exists: a hub-shaped random graph's R2 may announce
+    no link subnet, a border R3 may carry no external interface, and
+    assigning a fault with no target would abort the draft with
+    FaultTargetError.
+    """
+    assignment = (
+        default_fault_assignment(len(topology.routers))
+        if is_hub_star(topology)
+        else border_fault_assignment(topology)
+    )
+    for key, targets_of in (
+        ("missing_neighbor", _internal_neighbor_targets),
+        ("missing_network", _link_network_targets),
+        ("wrong_interface_ip", _interface_targets),
+    ):
+        targets = targets_of(topology)
+        for router, keys in assignment.items():
+            if key in keys and router not in targets:
+                keys.remove(key)
+    return assignment
+
+
 def fault_designations(topology: Topology) -> Dict[str, str]:
     """Which router each fault key is designated to land on, derived
     from the topology's default assignment (first carrier in router
     order).  Side-pool faults default to R1.  Faults absent from the
     assignment (e.g. ``missing_ingress_tag`` below five routers) are
     absent from the mapping."""
-    assignment = (
-        default_fault_assignment(len(topology.routers))
-        if is_hub_star(topology)
-        else border_fault_assignment(topology)
-    )
+    assignment = fault_assignment(topology)
     designations: Dict[str, str] = {}
     for router in topology.router_names():
         for key in assignment.get(router, []):

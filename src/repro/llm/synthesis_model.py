@@ -22,8 +22,7 @@ from .simulated import SimulatedGPT4
 from .synthesis_faults import (
     IIP_SUPPRESSED_FAULTS,
     SYNTHESIS_SIDE_POOL,
-    border_fault_assignment,
-    default_fault_assignment,
+    fault_assignment,
     synthesis_fault_catalog,
 )
 
@@ -71,21 +70,13 @@ def make_synthesis_models(
         fault_keys = assignment.get(name) if assignment is not None else None
         if fault_keys is None:
             if defaults is None:
-                defaults = _default_assignment(topology)
+                defaults = fault_assignment(topology)
             fault_keys = defaults.get(name, [])
         models[name] = _session(
             name, references[name], catalog, fault_keys, active_iips, seed,
             profile,
         )
     return models
-
-
-def _default_assignment(topology: Topology) -> Dict[str, List[str]]:
-    from ..topology.families import is_hub_star
-
-    if is_hub_star(topology):
-        return default_fault_assignment(len(topology.routers))
-    return border_fault_assignment(topology)
 
 
 def _session(

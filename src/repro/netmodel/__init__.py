@@ -27,8 +27,6 @@ from .route import (
     Origin,
     Protocol,
     Route,
-    reset_route_stats,
-    route_totals,
 )
 from .routebuilder import RouteBuilder
 from .routing_policy import (
@@ -108,6 +106,4 @@ __all__ = [
     "intern_communities",
     "path_through",
     "permit_all",
-    "reset_route_stats",
-    "route_totals",
 ]

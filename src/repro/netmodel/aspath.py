@@ -44,20 +44,8 @@ class AsPath(ImmutableValue):
             _INTERNED_PATHS[asns] = path
         return path
 
-    @classmethod
-    def parse(cls, text: str) -> "AsPath":
-        parts = text.split()
-        return cls.of(tuple(int(part) for part in parts))
-
-    def prepend(self, asn: int, count: int = 1) -> "AsPath":
-        """Return the canonical path with ``asn`` prepended ``count`` times."""
-        return AsPath.of((asn,) * count + self.asns)
-
     def contains(self, asn: int) -> bool:
         return asn in self.asns
-
-    def __len__(self) -> int:
-        return len(self.asns)
 
     def render(self) -> str:
         """Space-separated string form used by regex matching."""

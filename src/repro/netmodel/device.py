@@ -30,9 +30,6 @@ class Vendor(enum.Enum):
     CISCO = "cisco"
     JUNIPER = "juniper"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass
 class RouterConfig:

@@ -35,25 +35,6 @@ class Interface:
     shutdown: bool = False
     unit: int = 0
 
-    @classmethod
-    def with_address(cls, name: str, cidr: str, **kwargs: object) -> "Interface":
-        """Build from ``a.b.c.d/len`` where the address keeps host bits.
-
-        >>> iface = Interface.with_address("eth0/1", "2.0.0.1/24")
-        >>> str(iface.address), str(iface.prefix)
-        ('2.0.0.1', '2.0.0.0/24')
-        """
-        addr_part, _, len_part = cidr.partition("/")
-        address = Ipv4Address.parse(addr_part)
-        prefix = Prefix.parse(f"{addr_part}/{len_part}")
-        return cls(name=name, address=address, prefix=prefix, **kwargs)  # type: ignore[arg-type]
-
-    def cidr(self) -> str:
-        """Render ``address/length`` or raise if unnumbered."""
-        if self.address is None or self.prefix is None:
-            raise ValueError(f"interface {self.name} has no address")
-        return f"{self.address}/{self.prefix.length}"
-
     def is_loopback(self) -> bool:
         """True for loopback interfaces on either vendor naming scheme."""
         lowered = self.name.lower()

@@ -210,10 +210,6 @@ class PrefixRange(ImmutableValue):
             return None
         return PrefixRange(base, low, high)
 
-    def example(self) -> Prefix:
-        """A concrete prefix matched by this range (for counterexamples)."""
-        return Prefix(self.prefix.network, self.low)
-
     def subtract(self, other: "PrefixRange") -> List["PrefixRange"]:
         """Ranges matching what ``self`` matches but ``other`` does not.
 

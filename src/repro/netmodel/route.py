@@ -38,8 +38,6 @@ __all__ = [
     "ROUTES_BUILT",
     "ROUTES_REUSED",
     "Route",
-    "reset_route_stats",
-    "route_totals",
 ]
 
 
@@ -74,20 +72,6 @@ ROUTES_BUILT = counter("route.routes_built")
 #: Routes reused instead of rebuilt: no-change freeze() calls plus
 #: bgpsim's per-session candidate reuses across fixpoint rounds.
 ROUTES_REUSED = counter("route.routes_reused")
-
-
-def reset_route_stats() -> None:
-    ROUTES_BUILT.reset()
-    ROUTES_REUSED.reset()
-
-
-def route_totals() -> dict:
-    """Process-wide route-datapath accounting (builder freezes vs
-    no-change reuses) for campaign/bench reporting."""
-    return {
-        "routes_built": ROUTES_BUILT.value,
-        "routes_reused": ROUTES_REUSED.value,
-    }
 
 
 # -- the value type ------------------------------------------------------------

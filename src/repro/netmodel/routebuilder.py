@@ -168,11 +168,6 @@ class RouteBuilder:
 
     # -- the single exit -------------------------------------------------------
 
-    @property
-    def dirty(self) -> bool:
-        """Whether any mutation was recorded since seeding."""
-        return self._dirty
-
     def freeze(self) -> Route:
         """The accumulated route as one canonical immutable ``Route``.
 

@@ -144,9 +144,6 @@ class MatchCondition(ImmutableValue):
     def matches(self, route: Route, context: PolicyContext) -> bool:
         raise NotImplementedError
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class MatchPrefixList(MatchCondition):
@@ -164,9 +161,6 @@ class MatchPrefixList(MatchCondition):
                 router=getattr(context, "hostname", None),
             )
         return prefix_list.permits(route.prefix)
-
-    def describe(self) -> str:
-        return f"prefix-list {self.name}"
 
 
 @dataclass(frozen=True)
@@ -187,9 +181,6 @@ class MatchAcl(MatchCondition):
             )
         return access_list.permits_prefix(route.prefix)
 
-    def describe(self) -> str:
-        return f"access-list {self.name}"
-
 
 @dataclass(frozen=True)
 class MatchPrefixRanges(MatchCondition):
@@ -199,10 +190,6 @@ class MatchPrefixRanges(MatchCondition):
 
     def matches(self, route: Route, context: PolicyContext) -> bool:
         return any(item.matches(route.prefix) for item in self.ranges)
-
-    def describe(self) -> str:
-        rendered = ", ".join(str(item) for item in self.ranges)
-        return f"route-filter [{rendered}]"
 
 
 @dataclass(frozen=True)
@@ -222,9 +209,6 @@ class MatchCommunityList(MatchCondition):
             )
         return community_list.permits(route.communities)
 
-    def describe(self) -> str:
-        return f"community-list {self.name}"
-
 
 @dataclass(frozen=True)
 class MatchCommunityInline(MatchCondition):
@@ -240,9 +224,6 @@ class MatchCommunityInline(MatchCondition):
 
     def matches(self, route: Route, context: PolicyContext) -> bool:
         return self.community in route.communities
-
-    def describe(self) -> str:
-        return f"community {self.community} (inline; invalid IOS syntax)"
 
 
 @dataclass(frozen=True)
@@ -262,9 +243,6 @@ class MatchAsPathList(MatchCondition):
             )
         return as_path_list.permits(route.as_path)
 
-    def describe(self) -> str:
-        return f"as-path list {self.name}"
-
 
 @dataclass(frozen=True)
 class MatchProtocol(MatchCondition):
@@ -274,9 +252,6 @@ class MatchProtocol(MatchCondition):
 
     def matches(self, route: Route, context: PolicyContext) -> bool:
         return route.protocol == self.protocol
-
-    def describe(self) -> str:
-        return f"protocol {self.protocol.value}"
 
 
 @dataclass(frozen=True)
@@ -289,9 +264,6 @@ class SetAction(ImmutableValue):
     """
 
     def apply_to(self, builder: RouteBuilder) -> None:
-        raise NotImplementedError
-
-    def describe(self) -> str:
         raise NotImplementedError
 
 
@@ -315,11 +287,6 @@ class SetCommunity(SetAction):
             return
         builder.set_communities(self.communities)
 
-    def describe(self) -> str:
-        rendered = " ".join(str(item) for item in self.communities)
-        suffix = " additive" if self.additive else ""
-        return f"set community {rendered}{suffix}"
-
 
 @dataclass(frozen=True)
 class SetMed(SetAction):
@@ -329,9 +296,6 @@ class SetMed(SetAction):
 
     def apply_to(self, builder: RouteBuilder) -> None:
         builder.set_med(self.med)
-
-    def describe(self) -> str:
-        return f"set metric {self.med}"
 
 
 @dataclass(frozen=True)
@@ -343,9 +307,6 @@ class SetLocalPref(SetAction):
     def apply_to(self, builder: RouteBuilder) -> None:
         builder.set_local_pref(self.local_pref)
 
-    def describe(self) -> str:
-        return f"set local-preference {self.local_pref}"
-
 
 @dataclass(frozen=True)
 class SetNextHop(SetAction):
@@ -355,9 +316,6 @@ class SetNextHop(SetAction):
 
     def apply_to(self, builder: RouteBuilder) -> None:
         builder.set_next_hop(self.next_hop)
-
-    def describe(self) -> str:
-        return f"set ip next-hop {self.next_hop}"
 
 
 @dataclass(frozen=True)
@@ -369,9 +327,6 @@ class SetAsPathPrepend(SetAction):
 
     def apply_to(self, builder: RouteBuilder) -> None:
         builder.prepend_as(self.asn, self.count)
-
-    def describe(self) -> str:
-        return f"set as-path prepend {' '.join([str(self.asn)] * self.count)}"
 
 
 @dataclass
@@ -403,12 +358,6 @@ class RouteMapClause:
         """Record every set action on the shared builder."""
         for set_action in self.sets:
             set_action.apply_to(builder)
-
-    def describe(self) -> str:
-        label = self.term_name or str(self.seq)
-        matches = "; ".join(c.describe() for c in self.matches) or "any"
-        sets = "; ".join(s.describe() for s in self.sets) or "none"
-        return f"clause {label} {self.action}: match [{matches}] set [{sets}]"
 
 
 @dataclass(frozen=True)

@@ -21,16 +21,13 @@ from .metrics import (
     gauge,
     merge,
     reset_metrics,
-    snapshot,
     timer,
 )
 from .prom import render_prometheus, sanitize_metric_name
 from .tracing import (
     drain_events,
-    open_spans,
     set_tracing,
     span,
-    span_events,
     tracing_enabled,
     validate_trace,
     validate_trace_file,
@@ -49,14 +46,11 @@ __all__ = [
     "drain_events",
     "gauge",
     "merge",
-    "open_spans",
     "render_prometheus",
     "reset_metrics",
     "sanitize_metric_name",
     "set_tracing",
-    "snapshot",
     "span",
-    "span_events",
     "timer",
     "tracing_enabled",
     "validate_trace",

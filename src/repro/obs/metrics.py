@@ -20,9 +20,9 @@ private state.
 
 Shipping semantics are the point: workers are separate processes, each
 with its own registry, so campaign/service workers measure a scenario by
-``snapshot`` → work → ``snapshot`` → :func:`delta`, send the (small, flat,
-JSON-safe) delta dict over the existing result pipes, and the parent
-folds them with :func:`merge`.  Deltas of monotonic series subtract;
+``counters_snapshot`` → work → ``counters_snapshot`` → :func:`delta`,
+send the (small, flat, JSON-safe) delta dict over the existing result
+pipes, and the parent folds them with :func:`merge`.  Deltas of monotonic series subtract;
 gauges are levels and are excluded from ``counters_snapshot``; ``.max_s``
 keys take the *after* value in a delta and merge by ``max``.
 """
@@ -44,7 +44,6 @@ __all__ = [
     "gauge",
     "merge",
     "reset_metrics",
-    "snapshot",
     "timer",
 ]
 
@@ -78,9 +77,6 @@ class Gauge:
     def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
@@ -187,20 +183,6 @@ class MetricsRegistry:
     # (first span of a phase, a new memo cache), and iterating a dict
     # during insertion raises.
 
-    def snapshot(self) -> Dict[str, float]:
-        """Every series (counters, gauges, timer triples), zeros included."""
-        out: Dict[str, float] = {}
-        with self._lock:
-            for c in self._counters.values():
-                out[c.name] = c.value
-            for g in self._gauges.values():
-                out[g.name] = g.value
-            for t in self._timers.values():
-                out[f"{t.name}.count"] = t.count
-                out[f"{t.name}.total_s"] = t.total_s
-                out[f"{t.name}.max_s"] = t.max_s
-        return out
-
     def counters_snapshot(self) -> Dict[str, float]:
         """Only the monotonic series — what :func:`delta` is defined over.
 
@@ -290,10 +272,6 @@ def gauge(name: str) -> Gauge:
 
 def timer(name: str) -> Timer:
     return REGISTRY.timer(name)
-
-
-def snapshot() -> Dict[str, float]:
-    return REGISTRY.snapshot()
 
 
 def counters_snapshot() -> Dict[str, float]:

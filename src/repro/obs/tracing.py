@@ -32,10 +32,8 @@ from .metrics import REGISTRY
 
 __all__ = [
     "drain_events",
-    "open_spans",
     "set_tracing",
     "span",
-    "span_events",
     "tracing_enabled",
     "validate_trace",
     "validate_trace_file",
@@ -64,11 +62,6 @@ def _stack() -> List[str]:
         stack = []
         _local.stack = stack
     return stack
-
-
-def open_spans() -> int:
-    """Spans currently open on *this* thread (hygiene-fixture probe)."""
-    return len(_stack())
 
 
 @contextmanager
@@ -110,12 +103,6 @@ def drain_events() -> List[Dict[str, Any]]:
         drained = _events
         _events = []
     return drained
-
-
-def span_events() -> List[Dict[str, Any]]:
-    """Peek at the buffer without clearing it."""
-    with _events_lock:
-        return list(_events)
 
 
 def write_trace(path: str, events: List[Dict[str, Any]]) -> None:

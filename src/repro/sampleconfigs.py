@@ -18,7 +18,6 @@ from .netmodel.device import RouterConfig
 __all__ = [
     "BATFISH_EXAMPLE_CISCO",
     "BATFISH_EXAMPLE_CISCO_2",
-    "load_second_source",
     "load_translation_source",
 ]
 
@@ -138,12 +137,3 @@ router bgp 200
  neighbor 4.5.6.2 remote-as 400
  neighbor 4.5.6.2 route-map from_peer in
 """
-
-
-def load_second_source() -> RouterConfig:
-    """Parse the second bundled Cisco config (warning-free)."""
-    result = parse_cisco(BATFISH_EXAMPLE_CISCO_2, filename="as200edge1.cfg")
-    if result.warnings:
-        rendered = "; ".join(warning.render() for warning in result.warnings)
-        raise ValueError(f"second bundled config failed to parse: {rendered}")
-    return result.config

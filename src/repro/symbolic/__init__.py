@@ -19,7 +19,6 @@ from .constraints import RouteConstraint
 from .diff import BehaviorDifference, DifferenceKind, compare_policies
 from .memo import (
     MemoCache,
-    cache_stats,
     cache_totals,
     memoization_enabled,
     reset_caches,
@@ -34,7 +33,6 @@ __all__ = [
     "MemoCache",
     "PolicySearchResult",
     "RouteConstraint",
-    "cache_stats",
     "cache_totals",
     "canonical_route_map_key",
     "compare_policies",

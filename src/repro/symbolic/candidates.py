@@ -249,9 +249,6 @@ class CandidateUniverse:
         if constraint.protocol is not None:
             self._protocols = _dedupe(self._protocols + [constraint.protocol])
 
-    def add_prefix(self, prefix: Prefix) -> None:
-        self._ranges = _dedupe(self._ranges + [PrefixRange.exact(prefix)])
-
     # -- grid construction ---------------------------------------------------
 
     def candidate_prefixes(self) -> List[Prefix]:

@@ -56,22 +56,3 @@ class RouteConstraint:
         if self.protocol is not None and route.protocol != self.protocol:
             return False
         return True
-
-    def describe(self) -> str:
-        parts = []
-        if self.prefix_ranges:
-            rendered = ", ".join(str(item) for item in self.prefix_ranges)
-            parts.append(f"prefix in [{rendered}]")
-        if self.required_communities:
-            rendered = ", ".join(
-                sorted(str(item) for item in self.required_communities)
-            )
-            parts.append(f"has communities {{{rendered}}}")
-        if self.forbidden_communities:
-            rendered = ", ".join(
-                sorted(str(item) for item in self.forbidden_communities)
-            )
-            parts.append(f"lacks communities {{{rendered}}}")
-        if self.protocol is not None:
-            parts.append(f"protocol {self.protocol.value}")
-        return " and ".join(parts) if parts else "any route"

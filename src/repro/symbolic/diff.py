@@ -45,23 +45,6 @@ class BehaviorDifference:
     translated_action: Action
     detail: str = ""
 
-    def describe(self) -> str:
-        if self.kind is DifferenceKind.DISPOSITION:
-            original = (
-                "ACCEPT" if self.original_action is Action.PERMIT else "REJECT"
-            )
-            translated = (
-                "ACCEPT" if self.translated_action is Action.PERMIT else "REJECT"
-            )
-            return (
-                f"for the prefix {self.route.prefix}, the original policy "
-                f"performs {original} but the translation performs {translated}"
-            )
-        return (
-            f"for the prefix {self.route.prefix}, both policies accept "
-            f"the route but transform it differently: {self.detail}"
-        )
-
 
 def compare_policies(
     original_config: RouterConfig,

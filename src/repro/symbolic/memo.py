@@ -27,7 +27,6 @@ from ..obs import counter
 __all__ = [
     "MemoCache",
     "ParseMemo",
-    "cache_stats",
     "cache_totals",
     "memo_totals",
     "memoization_enabled",
@@ -141,18 +140,6 @@ def reset_caches() -> None:
     """Drop every entry and zero every counter."""
     for cache in _REGISTRY:
         cache.clear()
-
-
-def cache_stats() -> Dict[str, Dict[str, int]]:
-    """Per-cache ``{name: {hits, misses, entries}}``."""
-    return {
-        cache.name: {
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "entries": len(cache),
-        }
-        for cache in _REGISTRY
-    }
 
 
 def cache_totals() -> Tuple[int, int]:

@@ -30,13 +30,6 @@ class PolicySearchResult:
     output_route: Optional[Route]
     policy_name: str
 
-    def describe(self) -> str:
-        verdict = "permits" if self.action is Action.PERMIT else "denies"
-        return (
-            f"route-map {self.policy_name} {verdict} the route "
-            f"[{self.input_route.describe()}]"
-        )
-
 
 def search_route_policies(
     config: RouterConfig,

@@ -88,10 +88,6 @@ class GeneratedNetwork:
     roles: Optional[str] = None
     place: Optional[str] = None
 
-    @property
-    def size(self) -> int:
-        return len(self.topology.routers)
-
 
 # -- role helpers ------------------------------------------------------------
 

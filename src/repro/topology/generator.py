@@ -59,10 +59,6 @@ class StarNetwork:
     topology: Topology
     description: str
 
-    @property
-    def size(self) -> int:
-        return len(self.topology.routers)
-
 
 def generate_star_network(router_count: int) -> StarNetwork:
     """Build the n-router star of Figure 4."""

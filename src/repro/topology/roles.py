@@ -65,10 +65,6 @@ class RoleKind(enum.Enum):
     PROVIDER = "provider"  # transit-forbidden ISP with reachability needs
     PEER = "peer"  # transit-forbidden, no reachability obligation
 
-    @property
-    def transit_forbidden(self) -> bool:
-        return self is not RoleKind.CUSTOMER
-
 
 _SPEC_PATTERN = re.compile(
     r"^c(?P<customers>\d+)i(?P<isps>\d+)h(?P<homes>\d+)(p(?P<peers>\d+))?$"
@@ -259,9 +255,6 @@ class RoleAssignment:
             if attachment.router == router
         ]
 
-    def is_multi_homed(self, index: int) -> bool:
-        return len(self.groups.get(index, ())) > 1
-
     def role_names(self) -> List[str]:
         """Every distinct role label: customers first, then ISPs/peers."""
         names = [attachment.role_name for attachment in self.customers]
@@ -271,22 +264,6 @@ class RoleAssignment:
                 seen.add(attachment.role_name)
                 names.append(attachment.role_name)
         return names
-
-    def describe(self) -> str:
-        isps = sum(
-            1
-            for index in self.indices()
-            if self.groups[index][0].kind is RoleKind.PROVIDER
-        )
-        peers = len(self.indices()) - isps
-        multi = sum(1 for index in self.indices() if self.is_multi_homed(index))
-        text = (
-            f"{len(self.customers)} customer(s), {isps} ISP(s) "
-            f"({multi} multi-homed)"
-        )
-        if peers:
-            text += f", {peers} transit-forbidden peer(s)"
-        return text
 
 
 def ingress_map_of(topology: Topology, router: str) -> Optional[str]:

@@ -42,9 +42,6 @@ class TopologyIssue:
     router: str
     message: str
 
-    def describe(self) -> str:
-        return self.message
-
 
 def verify_topology(config: RouterConfig, spec: RouterSpec) -> List[TopologyIssue]:
     """Check one router's config against its topology specification."""

@@ -19,9 +19,6 @@ class TestSeverity:
     def test_rank_orders_high_first(self):
         assert Severity.HIGH.rank < Severity.MEDIUM.rank < Severity.LOW.rank
 
-    def test_str_is_the_wire_value(self):
-        assert str(Severity.HIGH) == "high"
-
 
 class TestFinding:
     def test_site_includes_clause_and_line(self):

@@ -80,15 +80,15 @@ class TestPropagation:
 
     def test_provenance_tracked(self):
         sim = BgpSimulation(_two_routers())
-        assert sim.provenance("A", Prefix.parse("10.2.0.0/16")) == "B"
-        assert sim.provenance("A", Prefix.parse("10.1.0.0/16")) == "A"
+        assert sim.rib_entry("A", Prefix.parse("10.2.0.0/16")).origin_router == "B"
+        assert sim.rib_entry("A", Prefix.parse("10.1.0.0/16")).origin_router == "A"
 
     def test_local_origination_beats_learned(self):
         configs = _two_routers(
             extra_b=" network 10.1.0.0 mask 255.255.0.0\n"
         )
         sim = BgpSimulation(configs)
-        assert sim.provenance("B", Prefix.parse("10.1.0.0/16")) == "B"
+        assert sim.rib_entry("B", Prefix.parse("10.1.0.0/16")).origin_router == "B"
 
     def test_export_policy_applied(self):
         configs = _two_routers(
@@ -180,7 +180,7 @@ class TestStarNoTransit:
             "100.0.0.0/24",
             "200.2.0.0/24",
         ]
-        assert sim.provenance("R2", Prefix.parse("100.0.0.0/24")) == "R1"
+        assert sim.rib_entry("R2", Prefix.parse("100.0.0.0/24")).origin_router == "R1"
         assert not sim.has_route("R2", Prefix.parse("2.0.0.0/24"))
 
     def test_hub_export_finder_denies_other_isp_tag(self, star7_configs):

@@ -71,12 +71,3 @@ class TestSnapshot:
         assert snapshot.warnings["r.cfg"]
         snapshot.add_file("r.cfg", "router bgp 1\n")
         assert snapshot.warnings["r.cfg"] == []
-
-    def test_write_and_reload(self, tmp_path):
-        snapshot = Snapshot.from_texts({"c1.cfg": BATFISH_EXAMPLE_CISCO})
-        directory = snapshot.write_to(tmp_path / "snap")
-        reloaded = Snapshot.from_texts(
-            {path.name: path.read_text() for path in directory.glob("*.cfg")}
-        )
-        assert reloaded.texts == snapshot.texts
-        assert reloaded.configs["c1.cfg"].hostname == "as100border1"

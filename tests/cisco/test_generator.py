@@ -18,14 +18,20 @@ class TestGenerate:
 
     def test_interface_rendered_with_mask(self):
         cfg = RouterConfig(hostname="r")
-        cfg.add_interface(Interface.with_address("eth0/0", "2.0.0.1/24"))
+        cfg.add_interface(Interface(
+            "eth0/0", address=Ipv4Address.parse("2.0.0.1"),
+            prefix=Prefix.parse("2.0.0.1/24"),
+        ))
         text = generate_cisco(cfg)
         assert "ip address 2.0.0.1 255.255.255.0" in text
 
     def test_ospf_cost_rendered(self):
         cfg = RouterConfig(hostname="r")
         cfg.add_interface(
-            Interface.with_address("Loopback0", "1.1.1.1/32", ospf_cost=1)
+            Interface(
+                "Loopback0", address=Ipv4Address.parse("1.1.1.1"),
+                prefix=Prefix.parse("1.1.1.1/32"), ospf_cost=1,
+            )
         )
         assert "ip ospf cost 1" in generate_cisco(cfg)
 

@@ -25,7 +25,7 @@ def _toggle_hygiene():
     yield
     leaked = toggles.deviations()
     planted = sorted(_planted_bugs())
-    toggles.restore_defaults()
+    toggles.apply(dict(toggles.DEFAULTS))
     for name in planted:
         _plant_bug(name, False)
     assert not leaked, (
@@ -50,12 +50,13 @@ def _metrics_hygiene():
     registry after every test keeps each test's deltas self-contained.
     """
     from repro import obs
+    from repro.obs.tracing import _stack
 
     yield
     dirty_gauges = [
         (g.name, g.value) for g in obs.REGISTRY.gauges() if g.value
     ]
-    open_spans = obs.open_spans()
+    open_spans = len(_stack())
     traced = obs.tracing_enabled()
     obs.set_tracing(False)
     obs.drain_events()

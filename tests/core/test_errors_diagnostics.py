@@ -4,34 +4,7 @@ from repro.errors import ErrorCategory, Finding
 from repro.netmodel.diagnostics import Diagnostics, ParseStatus, ParseWarning
 
 
-class TestErrorCategory:
-    def test_every_category_names_its_verifier(self):
-        for category in ErrorCategory:
-            assert category.verifier
-
-    def test_syntax_belongs_to_batfish(self):
-        assert ErrorCategory.SYNTAX.verifier == "batfish-parse"
-
-    def test_campion_owns_three_classes(self):
-        owned = [
-            category
-            for category in ErrorCategory
-            if category.verifier == "campion"
-        ]
-        assert len(owned) == 3
-
-
 class TestFinding:
-    def test_describe_with_router(self):
-        finding = Finding(
-            category=ErrorCategory.TOPOLOGY, message="msg", router="R3"
-        )
-        assert finding.describe() == "[R3] topology: msg"
-
-    def test_describe_without_router(self):
-        finding = Finding(category=ErrorCategory.SYNTAX, message="msg")
-        assert finding.describe() == "syntax: msg"
-
     def test_detail_carried(self):
         detail = object()
         finding = Finding(

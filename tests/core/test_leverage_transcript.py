@@ -89,13 +89,6 @@ class TestSessionTranscript:
         transcript.record("punt", "semantic", "stuck")
         assert transcript.punts() == 2
 
-    def test_counts(self):
-        transcript = SessionTranscript()
-        transcript.record("draft", "task", "x")
-        transcript.record("verify", "syntax", "y")
-        transcript.record("verify", "syntax", "z")
-        assert transcript.counts() == {"draft": 1, "verify": 2}
-
     def test_router_attribution(self):
         transcript = SessionTranscript()
         event = transcript.record("verify", "topology", "x", router="R2")

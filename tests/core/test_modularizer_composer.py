@@ -52,7 +52,6 @@ class TestComposer:
         composer.put("R2", "hostname R2\n")
         snapshot = composer.compose()
         assert [c.hostname for c in snapshot.configs.values()] == ["R1", "R2"]
-        assert composer.routers() == ["R1", "R2"]
 
     def test_put_replaces(self):
         composer = Composer()
@@ -60,12 +59,6 @@ class TestComposer:
         composer.put("R1", "hostname new\n")
         snapshot = composer.compose()
         assert [c.hostname for c in snapshot.configs.values()] == ["new"]
-
-    def test_write_to_disk(self, tmp_path):
-        composer = Composer()
-        composer.put("R1", "hostname R1\n")
-        directory = composer.write_to(tmp_path / "out")
-        assert (directory / "R1.cfg").read_text() == "hostname R1\n"
 
 
 class TestScriptedHuman:

@@ -73,7 +73,7 @@ class TestTranslationOrchestrator:
             human=False,
         )
         assert not result.verified
-        assert result.transcript.counts().get("abandoned") == 1
+        assert [e.kind for e in result.transcript.events].count("abandoned") == 1
 
     def test_findings_seen_recorded(self):
         result, _ = _translation_run(

@@ -12,7 +12,7 @@ from repro.symbolic.memo import memoization_enabled
 
 class TestSnapshot:
     def test_registry_is_exactly_the_two_oracles(self):
-        assert toggles.toggle_names() == [
+        assert list(toggles.snapshot()) == [
             "incremental_simulation",
             "memoization",
         ]
@@ -54,11 +54,6 @@ class TestApply:
     def test_retired_toggles_are_unknown(self):
         with pytest.raises(ValueError, match="route_model"):
             toggles.apply({"route_model": "v1"})
-
-    def test_restore_defaults(self):
-        toggles.apply({"incremental_simulation": False, "memoization": False})
-        toggles.restore_defaults()
-        assert toggles.snapshot() == dict(toggles.DEFAULTS)
 
 
 class TestScopes:

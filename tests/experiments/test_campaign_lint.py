@@ -24,16 +24,17 @@ from repro.core import toggles
 from repro.experiments.campaign import (
     JOURNAL_VERSION,
     PROFILES,
+    _LINT_MEMO,
     _lint_drafts,
     build_grid,
-    campaign_lint,
     run_campaign,
     set_campaign_lint,
     summary_from_journals,
 )
 from repro.llm import BehaviorProfile, fault_designations, synthesis_fault_catalog
 from repro.llm.faults import DraftState
-from repro.symbolic.memo import cache_stats, reset_caches
+from repro.experiments import campaign as campaign_module
+from repro.symbolic.memo import reset_caches
 from repro.topology.families import generate_network
 from repro.topology.reference import build_reference_configs
 
@@ -55,10 +56,10 @@ def lint_enabled():
 
 class TestLintToggle:
     def test_default_is_off(self):
-        assert campaign_lint() is False
+        assert campaign_module._LINT_ENABLED is False
 
     def test_toggle_round_trips(self, lint_enabled):
-        assert campaign_lint() is True
+        assert campaign_module._LINT_ENABLED is True
 
 
 class TestLintedCampaign:
@@ -173,11 +174,10 @@ class TestLintMemo:
         reset_caches()
         analyzer_inputs.clear()
         run_campaign(grid, workers=1)
-        stats = cache_stats()["campaign-lint"]
         assert len(analyzer_inputs) == distinct
         assert len(_distinct_texts(analyzer_inputs)) == distinct
-        assert stats["misses"] == distinct
-        assert stats["hits"] == len(grid) - distinct
+        assert _LINT_MEMO.misses == distinct
+        assert _LINT_MEMO.hits == len(grid) - distinct
 
     def test_counts_match_an_unmemoized_campaign(
         self, lint_enabled, cold_memos, stubborn
@@ -187,7 +187,7 @@ class TestLintMemo:
             profiles=("default", "sloppy", "stubborn"),
         )
         memoized = run_campaign(grid, workers=1)
-        assert cache_stats()["campaign-lint"]["hits"] > 0
+        assert _LINT_MEMO.hits > 0
         with toggles.scoped(memoization=False):
             unmemoized = run_campaign(grid, workers=1)
         assert _lint_counts(memoized) == _lint_counts(unmemoized)

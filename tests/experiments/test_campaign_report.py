@@ -15,7 +15,6 @@ from repro.experiments.campaign import (
     build_grid,
     run_campaign,
     service_journals,
-    summary_from_journal,
     summary_from_journals,
 )
 
@@ -43,7 +42,7 @@ def live(tmp_path_factory):
 class TestSummaryFromJournal:
     def test_round_trips_the_live_summary(self, live, tmp_path):
         journal, artifacts, summary = live
-        report = summary_from_journal(journal)
+        report = summary_from_journals([journal])
         assert report.rows == summary.rows
         assert report.total == summary.total
         assert not report.incomplete
@@ -54,12 +53,12 @@ class TestSummaryFromJournal:
         _journal, artifacts, _summary = live
         journal = tmp_path / "par.jsonl"
         run_campaign(_grid(), workers=4, journal_path=journal)
-        report = summary_from_journal(journal)
+        report = summary_from_journals([journal])
         assert _artifacts(report, tmp_path, "par_report") == artifacts
 
     def test_carries_cache_and_sim_accounting(self, live):
         journal, _artifacts_, summary = live
-        report = summary_from_journal(journal)
+        report = summary_from_journals([journal])
         assert (report.cache_hits, report.cache_misses) == (
             summary.cache_hits, summary.cache_misses,
         )
@@ -71,14 +70,14 @@ class TestSummaryFromJournal:
     def test_partial_journal_reports_incomplete(self, tmp_path):
         journal = tmp_path / "partial.jsonl"
         run_campaign(_grid(), workers=1, journal_path=journal, limit=2)
-        report = summary_from_journal(journal)
+        report = summary_from_journals([journal])
         assert len(report.rows) == 2
         assert report.total == len(_grid())
         assert report.incomplete
 
     def test_missing_journal_raises(self, tmp_path):
         with pytest.raises(ValueError, match="does not exist"):
-            summary_from_journal(tmp_path / "nope.jsonl")
+            summary_from_journals([tmp_path / "nope.jsonl"])
 
     def test_resume_under_different_grid_reports_the_new_grid(self, tmp_path):
         """Resuming a journal with a different grid appends a fresh
@@ -90,7 +89,7 @@ class TestSummaryFromJournal:
             _grid(), journal_path=journal, resume=True
         )
         assert not live.incomplete
-        report = summary_from_journal(journal)
+        report = summary_from_journals([journal])
         assert report.rows == live.rows
         assert report.total == len(_grid())
         assert not report.incomplete
@@ -106,7 +105,7 @@ class TestSummaryFromJournal:
         legacy.write_text(
             "\n".join([json.dumps(header, sort_keys=True)] + lines[1:]) + "\n"
         )
-        report = summary_from_journal(legacy)
+        report = summary_from_journals([legacy])
         assert sorted(map(repr, report.rows)) == sorted(map(repr, summary.rows))
         assert report.total == len(report.rows)
 
@@ -209,7 +208,7 @@ class TestMultiJournalMerge:
         assert not merged.incomplete
         # the duplicated scenario keeps the later journal's record
         duplicated = merged.rows[1]
-        later = summary_from_journal(second).rows[0]
+        later = summary_from_journals([second]).rows[0]
         assert duplicated == later
 
     def test_merge_is_deterministic(self, journals, tmp_path):
@@ -229,12 +228,6 @@ class TestMultiJournalMerge:
         }
         # reversed argument order reorders rows (first appearance wins)
         assert [r.family for r in backward.rows] == ["chain", "star", "chain"]
-
-    def test_single_journal_path_unchanged(self, journals):
-        _tmp, first, _second = journals
-        assert summary_from_journals([first]).rows == summary_from_journal(
-            first
-        ).rows
 
     def test_missing_journal_in_list_raises(self, journals, tmp_path):
         _tmp, first, _second = journals
@@ -302,7 +295,7 @@ class TestServiceDirectoryExpansion:
     ):
         _tmp, directory, source = campaign_dir
         merged = summary_from_journals([directory])
-        single = summary_from_journal(source)
+        single = summary_from_journals([source])
         assert _artifacts(merged, tmp_path, "dir") == _artifacts(
             single, tmp_path, "single"
         )

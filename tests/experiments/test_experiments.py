@@ -67,7 +67,11 @@ class TestNoTransitExperiment:
 
     def test_resolutions_cover_table3_classes(self):
         experiment = run_no_transit_experiment(seed=0)
-        keys = {key for _, key, _ in experiment.resolutions()}
+        keys = {
+            key
+            for model in experiment.models.values()
+            for key, _ in model.resolution_log
+        }
         assert "wrong_router_id" in keys
         assert "missing_neighbor" in keys
         assert "and_or_semantics" in keys

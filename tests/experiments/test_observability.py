@@ -105,11 +105,11 @@ class TestTraces:
         assert validate_trace_file(str(trace))[0] == len(events)
 
     def test_tracing_is_off_again_after_the_run(self, tmp_path):
-        from repro.obs import span_events, tracing_enabled
+        from repro.obs import drain_events, tracing_enabled
 
         run_campaign(_grid(), workers=1, trace_path=tmp_path / "t.json")
         assert not tracing_enabled()
-        assert span_events() == []
+        assert drain_events() == []
 
 
 class TestProfileRendering:

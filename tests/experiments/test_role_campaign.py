@@ -15,7 +15,7 @@ from repro.experiments.campaign import (
     fold_journal,
     run_campaign,
     scenario_seed,
-    summary_from_journal,
+    summary_from_journals,
     topology_seed,
 )
 
@@ -92,7 +92,7 @@ class TestRoledCampaign:
         folded = fold_journal(journal)
         (record,) = folded.values()
         assert record.row == summary.rows[0]
-        report = summary_from_journal(journal)
+        report = summary_from_journals([journal])
         assert report.rows == summary.rows
 
     def test_artifacts_carry_the_axes(self, outcome):

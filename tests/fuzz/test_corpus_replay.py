@@ -46,7 +46,7 @@ def test_corpus_file_is_well_formed(path):
     assert record["kind"] == "fuzz_repro"
     assert record["mismatch"]  # what the fuzzer saw at capture time
     assert set(record["combo"]) == set(record["baseline"])
-    assert sorted(record["combo"]) == sorted(toggles.toggle_names())
+    assert sorted(record["combo"]) == sorted(toggles.DEFAULTS)
 
 
 @pytest.mark.parametrize(

@@ -49,4 +49,4 @@ class TestCombos:
         assert combos[0] == BASELINE
         assert not any(BASELINE.values())
         for combo in combos:
-            assert list(combo) == toggles.toggle_names()
+            assert list(combo) == list(toggles.DEFAULTS)

@@ -85,8 +85,12 @@ def route_maps(draw, prefix_list_names, community_list_names):
 @st.composite
 def router_configs(draw):
     config = RouterConfig(hostname="fuzz", vendor=Vendor.CISCO)
+    address = f"10.0.{draw(st.integers(0, 254))}.1"
     config.add_interface(
-        Interface.with_address("eth0/0", f"10.0.{draw(st.integers(0, 254))}.1/24")
+        Interface(
+            "eth0/0", address=Ipv4Address.parse(address),
+            prefix=Prefix.parse(f"{address}/24"),
+        )
     )
     plist = PrefixList("PL_X")
     for _ in range(draw(st.integers(1, 3))):

@@ -14,8 +14,6 @@ from repro.juniper import generate_juniper, parse_juniper, translate_cisco_to_ju
 from repro.sampleconfigs import (
     BATFISH_EXAMPLE_CISCO,
     BATFISH_EXAMPLE_CISCO_2,
-    load_second_source,
-    load_translation_source,
 )
 from repro.topology import generate_network, generate_star_network
 from repro.topology.reference import build_reference_configs
@@ -62,9 +60,10 @@ class TestCiscoRoundTrip:
 
 class TestJuniperRoundTrip:
     @pytest.mark.parametrize(
-        "loader", [load_translation_source, load_second_source]
+        "source", [BATFISH_EXAMPLE_CISCO, BATFISH_EXAMPLE_CISCO_2],
+        ids=["first_source", "second_source"],
     )
-    def test_translated_samples_are_fixed_points(self, loader):
-        translated, _ = translate_cisco_to_juniper(loader())
+    def test_translated_samples_are_fixed_points(self, source):
+        translated, _ = translate_cisco_to_juniper(parse_cisco(source).config)
         canonical = generate_juniper(translated)
         assert _juniper_canonical(canonical) == canonical

@@ -11,29 +11,30 @@ from repro.campion import compare_configs
 from repro.cisco import generate_cisco, parse_cisco
 from repro.juniper import generate_juniper, parse_juniper, translate_cisco_to_juniper
 from repro.netmodel import Prefix, Route, path_through
-from repro.sampleconfigs import load_second_source
+from repro.sampleconfigs import BATFISH_EXAMPLE_CISCO_2
 
 
 class TestSecondSource:
     def test_parses_clean(self):
-        config = load_second_source()
-        assert config.hostname == "as200edge1"
+        result = parse_cisco(BATFISH_EXAMPLE_CISCO_2)
+        assert not result.warnings
+        assert result.config.hostname == "as200edge1"
 
     def test_features_present(self):
-        config = load_second_source()
+        config = parse_cisco(BATFISH_EXAMPLE_CISCO_2).config
         assert "20" in config.access_lists
         assert "1" in config.as_path_lists
         assert "from_peer" in config.route_maps
 
     def test_cisco_roundtrip(self):
-        config = load_second_source()
+        config = parse_cisco(BATFISH_EXAMPLE_CISCO_2).config
         result = parse_cisco(generate_cisco(config))
         assert not result.warnings
         assert set(result.config.route_maps) == set(config.route_maps)
 
     def test_reference_translation_is_campion_clean(self):
-        source = load_second_source()
-        juniper, _ = translate_cisco_to_juniper(load_second_source())
+        source = parse_cisco(BATFISH_EXAMPLE_CISCO_2).config
+        juniper, _ = translate_cisco_to_juniper(parse_cisco(BATFISH_EXAMPLE_CISCO_2).config)
         rendered = generate_juniper(juniper)
         reparsed = parse_juniper(rendered)
         assert not reparsed.warnings
@@ -44,7 +45,7 @@ class TestSecondSource:
 
     def test_as_path_policy_survives_roundtrip(self):
         """from_peer permits only routes whose path starts at AS 400."""
-        juniper, _ = translate_cisco_to_juniper(load_second_source())
+        juniper, _ = translate_cisco_to_juniper(parse_cisco(BATFISH_EXAMPLE_CISCO_2).config)
         rebuilt = parse_juniper(generate_juniper(juniper)).config
         from_peer = rebuilt.route_maps["from_peer"]
         matching = Route(
@@ -58,7 +59,7 @@ class TestSecondSource:
         assert not from_peer.evaluate(other, rebuilt).permitted
 
     def test_acl_export_policy_survives_roundtrip(self):
-        juniper, _ = translate_cisco_to_juniper(load_second_source())
+        juniper, _ = translate_cisco_to_juniper(parse_cisco(BATFISH_EXAMPLE_CISCO_2).config)
         rebuilt = parse_juniper(generate_juniper(juniper)).config
         to_upstream = rebuilt.route_maps["to_upstream"]
         inside = Route(prefix=Prefix.parse("20.1.0.0/16"))
@@ -71,7 +72,7 @@ class TestSecondSource:
         export OSPF/connected routes the Cisco config never redistributed."""
         from repro.netmodel import Protocol
 
-        juniper, notes = translate_cisco_to_juniper(load_second_source())
+        juniper, notes = translate_cisco_to_juniper(parse_cisco(BATFISH_EXAMPLE_CISCO_2).config)
         assert "to_upstream" in notes.guarded_export_policies
         rebuilt = parse_juniper(generate_juniper(juniper)).config
         to_upstream = rebuilt.route_maps["to_upstream"]
@@ -83,8 +84,8 @@ class TestSecondSource:
     def test_shorter_aligned_prefixes_match_acl_cone(self):
         """The ACL exactness fix: 20.0.0.0/6 and /7 canonicalize to the
         ACL's base address and must stay matched after translation."""
-        source = load_second_source()
-        juniper, _ = translate_cisco_to_juniper(load_second_source())
+        source = parse_cisco(BATFISH_EXAMPLE_CISCO_2).config
+        juniper, _ = translate_cisco_to_juniper(parse_cisco(BATFISH_EXAMPLE_CISCO_2).config)
         rebuilt = parse_juniper(generate_juniper(juniper)).config
         for candidate in ("20.0.0.0/6", "20.0.0.0/7", "20.0.0.0/8"):
             route = Route(prefix=Prefix.parse(candidate))

@@ -60,7 +60,3 @@ class TestEgressPrependInvariant:
         violation = verify_invariant(hub, _invariant())
         assert violation is not None
         assert "No export route-map" in violation.message
-
-    def test_describe(self):
-        assert "prepended 2 time(s)" in _invariant().describe()
-        assert _invariant().direction == "export"

@@ -234,14 +234,11 @@ def test_rib_entry_reads_without_copying():
     for prefix, entry in rib.items():
         assert simulation.rib_entry(router, prefix) is entry
         assert simulation.has_route(router, prefix)
-        assert simulation.provenance(router, prefix) == entry.origin_router
     missing = Prefix.parse("192.0.2.0/24")
     assert simulation.rib_entry(router, missing) is None
     assert not simulation.has_route(router, missing)
-    assert simulation.provenance(router, missing) is None
     rib.clear()  # rib() still hands out a copy
     assert simulation.rib(router)
-    for lookup in (simulation.rib_entry, simulation.has_route,
-                   simulation.provenance):
+    for lookup in (simulation.rib_entry, simulation.has_route):
         with pytest.raises(KeyError):
             lookup("NO_SUCH_ROUTER", missing)

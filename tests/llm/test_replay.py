@@ -5,9 +5,9 @@ import pytest
 from repro.core import ScriptedHuman, TranslationOrchestrator
 from repro.llm import (
     BehaviorProfile,
+    ChatRole,
     ReplayClient,
     make_translation_model,
-    responses_of,
     translation_fault_catalog,
 )
 from repro.sampleconfigs import load_translation_source
@@ -35,7 +35,11 @@ class TestReplayClient:
     def test_prompts_recorded(self):
         client = ReplayClient(["a"])
         client.send("hello")
-        assert client.prompts_received() == ["hello"]
+        assert [
+            message.content
+            for message in client.transcript.messages
+            if message.role is ChatRole.USER
+        ] == ["hello"]
 
 
 class TestReplayThroughOrchestrator:
@@ -50,7 +54,11 @@ class TestReplayThroughOrchestrator:
         live = TranslationOrchestrator(source, live_model, human=human).run()
         assert live.verified
 
-        replayed_model = ReplayClient(responses_of(live_model.transcript))
+        replayed_model = ReplayClient([
+            message.content
+            for message in live_model.transcript.messages
+            if message.role is ChatRole.ASSISTANT
+        ])
         replay = TranslationOrchestrator(
             source, replayed_model, human=human
         ).run()

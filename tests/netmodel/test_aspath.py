@@ -4,34 +4,15 @@ from repro.netmodel.aspath import AsPath, AsPathAccessList, path_through
 
 
 class TestAsPath:
-    def test_parse(self):
-        assert AsPath.parse("65001 65002").asns == (65001, 65002)
-
     def test_render(self):
         assert path_through([1, 2, 3]).render() == "1 2 3"
 
     def test_empty_render(self):
         assert AsPath().render() == ""
 
-    def test_prepend(self):
-        path = path_through([200]).prepend(100)
-        assert path.asns == (100, 200)
-
-    def test_prepend_count(self):
-        path = AsPath().prepend(7, count=3)
-        assert path.asns == (7, 7, 7)
-
-    def test_prepend_returns_new(self):
-        original = path_through([1])
-        original.prepend(2)
-        assert original.asns == (1,)
-
     def test_contains(self):
         assert path_through([10, 20]).contains(20)
         assert not path_through([10, 20]).contains(30)
-
-    def test_len(self):
-        assert len(path_through([1, 2, 3])) == 3
 
 
 class TestAsPathAccessList:

@@ -23,21 +23,6 @@ from repro.netmodel.routing_policy import (
 
 
 class TestInterface:
-    def test_with_address_keeps_host_bits(self):
-        iface = Interface.with_address("eth0/1", "2.0.0.1/24")
-        assert str(iface.address) == "2.0.0.1"
-        assert str(iface.prefix) == "2.0.0.0/24"
-
-    def test_cidr(self):
-        iface = Interface.with_address("eth0", "10.0.0.5/30")
-        assert iface.cidr() == "10.0.0.5/30"
-
-    def test_cidr_unnumbered_raises(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            Interface(name="eth0").cidr()
-
     def test_is_loopback(self):
         assert Interface(name="Loopback0").is_loopback()
         assert Interface(name="lo0").is_loopback()

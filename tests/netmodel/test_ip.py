@@ -193,10 +193,6 @@ class TestPrefixRange:
         right = PrefixRange(base, 27, 32)
         assert left.intersect(right) is None
 
-    def test_example_lies_in_range(self):
-        r = PrefixRange(Prefix.parse("1.2.3.0/24"), 25, 30)
-        assert r.matches(r.example())
-
     def test_subtract_disjoint_returns_self(self):
         left = PrefixRange.exact(Prefix.parse("10.0.0.0/8"))
         right = PrefixRange.exact(Prefix.parse("11.0.0.0/8"))
@@ -263,7 +259,3 @@ class TestPrefixRangeProperties:
         in_common = common is not None and common.matches(candidate)
         expected = left.matches(candidate) and right.matches(candidate)
         assert in_common == expected
-
-    @given(prefix_ranges())
-    def test_example_is_member(self, item):
-        assert item.matches(item.example())

@@ -90,7 +90,6 @@ class TestMatchConditions:
         assert condition.matches(
             _route(communities=frozenset({Community(100, 1)})), config
         )
-        assert "invalid IOS syntax" in condition.describe()
 
     def test_match_as_path(self, config):
         condition = MatchAsPathList("paths")
@@ -140,10 +139,6 @@ class TestSetActions:
     def test_set_as_path_prepend(self):
         route = _applied(SetAsPathPrepend(100, 2), _route())
         assert route.as_path.asns == (100, 100)
-
-    def test_describe_additive_mentions_keyword(self):
-        action = SetCommunity((Community(1, 1),), additive=True)
-        assert "additive" in action.describe()
 
 
 class TestRouteMapEvaluation:
@@ -247,8 +242,3 @@ class TestRouteMapEvaluation:
     def test_permit_all_helper(self, config):
         rm = permit_all("open")
         assert rm.evaluate(_route(), config).permitted
-
-    def test_clause_describe(self):
-        clause = RouteMapClause(seq=10, action=Action.DENY)
-        clause.matches.append(MatchCommunityList("tags"))
-        assert "community-list tags" in clause.describe()

@@ -12,7 +12,6 @@ from repro.obs import (
     gauge,
     merge,
     reset_metrics,
-    snapshot,
     timer,
 )
 
@@ -38,7 +37,6 @@ class TestRegistry:
         g.inc()
         g.dec()
         assert g.value == 1.0
-        assert "t.metrics.level" in snapshot()
         assert "t.metrics.level" not in counters_snapshot()
         g.reset()
 
@@ -127,19 +125,6 @@ class TestDeltaMerge:
 
 
 class TestMigratedSurfaces:
-    def test_route_stats_live_in_the_registry(self):
-        from repro.netmodel.route import (
-            ROUTES_BUILT,
-            reset_route_stats,
-            route_totals,
-        )
-
-        reset_route_stats()
-        ROUTES_BUILT.inc()
-        assert route_totals()["routes_built"] == 1
-        assert counters_snapshot()["route.routes_built"] == 1
-        reset_route_stats()
-
     def test_sim_stats_keep_historical_keys(self):
         from repro.batfish.bgpsim import reset_sim_stats, sim_totals
 

@@ -8,15 +8,14 @@ import pytest
 from repro.obs import (
     REGISTRY,
     drain_events,
-    open_spans,
     set_tracing,
     span,
-    span_events,
     tracing_enabled,
     validate_trace,
     validate_trace_file,
     write_trace,
 )
+from repro.obs.tracing import _stack
 
 
 class TestSpanTimers:
@@ -48,7 +47,7 @@ class TestSpanTimers:
         with pytest.raises(RuntimeError):
             with span("t-boom"):
                 raise RuntimeError("inner failure")
-        assert open_spans() == 0
+        assert _stack() == []
         # The phase timer still observed the failed span.
         assert REGISTRY.timer("phase.t-boom").count == 1
 
@@ -58,17 +57,6 @@ class TestSpanTimers:
                 pass
         assert REGISTRY.timer("phase.t-outer").count == 1
         assert REGISTRY.timer("phase.t-inner").count == 1
-
-    def test_span_events_peeks_without_clearing(self):
-        set_tracing(True)
-        try:
-            with span("t-peek"):
-                pass
-            assert len(span_events()) == 1
-            assert len(span_events()) == 1
-        finally:
-            set_tracing(False)
-        assert len(drain_events()) == 1
 
     def test_concurrent_spans_do_not_corrupt_the_buffer(self):
         set_tracing(True)

@@ -69,15 +69,3 @@ class TestRouteConstraint:
                 protocol=Protocol.OSPF,
             )
         )
-
-    def test_describe_any(self):
-        assert RouteConstraint.any_route().describe() == "any route"
-
-    def test_describe_mentions_fields(self):
-        constraint = RouteConstraint(
-            required_communities=frozenset({Community(100, 1)}),
-            protocol=Protocol.BGP,
-        )
-        text = constraint.describe()
-        assert "100:1" in text
-        assert "bgp" in text

@@ -99,15 +99,6 @@ class TestComparePolicies:
         differences = compare_policies(config, rm, other, other_rm, limit=2)
         assert len(differences) <= 2
 
-    def test_describe_disposition(self):
-        config, rm, other, other_rm = _policy_pair()
-        other_rm.clauses = []
-        (difference, *_rest) = compare_policies(
-            config, rm, other, other_rm, limit=1
-        )
-        text = difference.describe()
-        assert "ACCEPT" in text or "accept" in text.lower()
-
     def test_unresolvable_translation_reported(self):
         config, rm, other, other_rm = _policy_pair()
         other.prefix_lists = {}

@@ -91,10 +91,6 @@ class TestSearch:
         results = search_route_policies(config, "filter", Action.PERMIT)
         assert results[0].output_route is not None
 
-    def test_describe(self, config):
-        results = search_route_policies(config, "filter", Action.DENY, limit=1)
-        assert "denies" in results[0].describe()
-
 
 class TestReferenceStar:
     """The §4 semantic question on the star's reference hub config."""

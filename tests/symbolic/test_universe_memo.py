@@ -13,7 +13,6 @@ from repro.llm.faults import DraftState
 from repro.cisco import generate_cisco, parse_cisco
 from repro.symbolic import (
     CandidateUniverse,
-    cache_stats,
     cache_totals,
     canonical_route_map_key,
     memoization_enabled,
@@ -95,14 +94,6 @@ class TestAccounting:
         assert second == first == []
         assert _VERDICT_CACHE.misses == misses_after_first
         assert _VERDICT_CACHE.hits >= len(invariants)
-
-    def test_cache_stats_reports_registered_caches(self):
-        stats = cache_stats()
-        assert {"universe-policy", "universe-routes", "invariant-verdict"} <= (
-            set(stats)
-        )
-        for entry in stats.values():
-            assert {"hits", "misses", "entries"} <= set(entry)
 
     def test_cache_totals_sums_hits_and_misses(self):
         config, route_map = _policy()

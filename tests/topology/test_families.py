@@ -50,7 +50,7 @@ class TestGenerators:
     def test_sizes_and_naming(self, family):
         network = generate_network(family, 6)
         assert network.family == family
-        assert network.size == 6
+        assert len(network.topology.routers) == 6
         assert network.topology.router_names() == [
             f"R{i}" for i in range(1, 7)
         ]

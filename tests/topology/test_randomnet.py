@@ -28,7 +28,7 @@ class TestRegistration:
     def test_default_generation_names_and_sizes(self, family):
         network = generate_network(family, 6)
         assert network.family == family
-        assert network.size == 6
+        assert len(network.topology.routers) == 6
         assert network.topology.name == f"{family}-6"
         assert network.seed == 0
         assert network.roles == RoleSpec.default_for(6).key()

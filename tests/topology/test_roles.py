@@ -52,7 +52,7 @@ class TestRoleAssignmentRecovery:
         roles = RoleAssignment.from_topology(topology)
         assert [a.role_name for a in roles.customers] == ["CUSTOMER"]
         assert roles.indices() == [2, 3, 4, 5]
-        assert not any(roles.is_multi_homed(i) for i in roles.indices())
+        assert not any(len(roles.groups.get(i, ())) > 1 for i in roles.indices())
         assert all(
             a.kind is RoleKind.PROVIDER for a in roles.transit_forbidden()
         )
@@ -62,8 +62,8 @@ class TestRoleAssignmentRecovery:
         roles = RoleAssignment.from_topology(topology)
         assert len(roles.customers) == 2
         assert roles.indices() == [2, 3, 4]
-        assert roles.is_multi_homed(2) and roles.is_multi_homed(3)
-        assert not roles.is_multi_homed(4)
+        assert len(roles.groups.get(2, ())) > 1 and len(roles.groups.get(3, ())) > 1
+        assert not len(roles.groups.get(4, ())) > 1
         kinds = {
             index: roles.groups[index][0].kind for index in roles.indices()
         }
