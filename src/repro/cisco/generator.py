@@ -133,7 +133,7 @@ def _render_clause_body(clause: RouteMapClause) -> List[str]:
             lines.append(f" match community {condition.community}")
         elif isinstance(condition, MatchAsPathList):
             lines.append(f" match as-path {condition.name}")
-        else:
+        else:  # Junos-only route-filter and protocol matches
             lines.append(f" ! unsupported match: {condition.describe()}")
     for set_action in clause.sets:
         if isinstance(set_action, SetCommunity):
@@ -149,8 +149,6 @@ def _render_clause_body(clause: RouteMapClause) -> List[str]:
         elif isinstance(set_action, SetAsPathPrepend):
             rendered = " ".join([str(set_action.asn)] * set_action.count)
             lines.append(f" set as-path prepend {rendered}")
-        else:
-            lines.append(f" ! unsupported set: {set_action.describe()}")
     return lines
 
 

@@ -191,6 +191,10 @@ class MatchPrefixRanges(MatchCondition):
     def matches(self, route: Route, context: PolicyContext) -> bool:
         return any(item.matches(route.prefix) for item in self.ranges)
 
+    def describe(self) -> str:
+        rendered = ", ".join(str(item) for item in self.ranges)
+        return f"route-filter [{rendered}]"
+
 
 @dataclass(frozen=True)
 class MatchCommunityList(MatchCondition):
@@ -252,6 +256,9 @@ class MatchProtocol(MatchCondition):
 
     def matches(self, route: Route, context: PolicyContext) -> bool:
         return route.protocol == self.protocol
+
+    def describe(self) -> str:
+        return f"protocol {self.protocol.value}"
 
 
 @dataclass(frozen=True)

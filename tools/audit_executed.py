@@ -24,7 +24,6 @@ shrink.
 
 ``--records DIR`` keeps the per-process records in ``DIR``;
 ``--diff-only`` skips the runs and re-checks the records already there.
-``--list`` prints every never-run function with its line count.
 """
 
 from __future__ import annotations
@@ -54,7 +53,6 @@ CATEGORIES = {
     "contract": "abstract methods, Protocol stubs and immutability dunders",
     "input-only": "feature paths that only inputs the workloads lack reach",
     "test-seam": "substitutes and knobs the tests drive the loop through",
-    "frozen-bench": "names perfbench imports or patches",
     "roadmap": "kept for an open ROADMAP item that will run it",
 }
 
@@ -324,8 +322,7 @@ class Runner:
                 path.write_bytes(data)
 
 
-def check(executed: Set[Tuple[str, int]], allowlist: Dict[str, str],
-          show_all: bool) -> int:
+def check(executed: Set[Tuple[str, int]], allowlist: Dict[str, str]) -> int:
     defs = list(iter_defs())
     unrun = [d for d in defs if (d.path, d.first) not in executed]
     names = {d.name for d in defs}
@@ -336,10 +333,6 @@ def check(executed: Set[Tuple[str, int]], allowlist: Dict[str, str],
     print(f"{len(defs)} functions, {len(defs) - len(unrun)} executed, "
           f"{len(unrun)} never run ({sum(d.lines for d in unrun)} lines), "
           f"{len(allowlist)} allowlisted")
-    if show_all:
-        for d in unrun:
-            print(f"  {d.lines:4d}  {d.name}  "
-                  f"{allowlist.get(d.name, 'UNLISTED')}")
     for d in unlisted:
         print(f"never run and not allowlisted: {d.name} "
               f"({Path(d.path).relative_to(ROOT)}:{d.first})")
@@ -356,8 +349,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="keep the per-process call records here")
     parser.add_argument("--diff-only", action="store_true",
                         help="check the records in --records without running")
-    parser.add_argument("--list", action="store_true",
-                        help="print every never-run function")
     args = parser.parse_args(argv)
     if args.diff_only and args.records is None:
         parser.error("--diff-only needs --records")
@@ -373,7 +364,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 for failure in runner.failures:
                     print(f"entry point failed: {failure}", file=sys.stderr)
                 return 1
-        code = check(read_records(records), allowlist, args.list)
+        code = check(read_records(records), allowlist)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     return code
