@@ -28,7 +28,7 @@ Each worker process keeps warm per-topology simulation states (see
 family × size re-converge only the routers whose final configs differ
 from the previous scenario's; the engine reports full vs incremental
 convergence counts alongside the symbolic-cache hit rate.
-:func:`summary_from_journal` rebuilds a summary offline from any
+:func:`summary_from_journals` rebuilds a summary offline from any
 journal (the ``repro campaign --report`` mode) — with a v2 journal the
 artifacts are byte-identical to the live run's.
 """
@@ -280,8 +280,7 @@ def build_grid(
     hand-shaped families have a fixed layout, and silently ignoring an
     axis would fake coverage.
     """
-    from ..topology.families import MAX_SIZE, MIN_SIZE, SEEDED_FAMILIES
-    from ..topology.generator import MAX_ROUTERS
+    from ..topology.families import SEEDED_FAMILIES, check_size
     from ..topology.randomnet import (
         _check_knobs,
         coerce_placement,
@@ -298,14 +297,8 @@ def build_grid(
             known = ", ".join(sorted(PROFILES))
             raise ValueError(f"unknown profile {profile!r} (known: {known})")
     for family in families:
-        # The star keeps its own, wider generator bound.
-        top = MAX_ROUTERS if family == "star" else MAX_SIZE
         for size in sizes:
-            if not MIN_SIZE <= size <= top:
-                raise ValueError(
-                    f"{family} size must be in [{MIN_SIZE}, {top}], "
-                    f"got {size}"
-                )
+            check_size(family, size)
     unseeded = sorted(set(families) - SEEDED_FAMILIES)
     for spec in roles:
         parsed = RoleSpec.coerce(spec)

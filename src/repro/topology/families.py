@@ -41,6 +41,7 @@ from ..netmodel.ip import Ipv4Address, Prefix
 from .generator import (
     CUSTOMER_ASN,
     CUSTOMER_SUBNET,
+    MAX_ROUTERS,
     generate_star_network,
 )
 from .model import (
@@ -58,6 +59,7 @@ __all__ = [
     "GeneratedNetwork",
     "SEEDED_FAMILIES",
     "attachment_index",
+    "check_size",
     "generate_chain_network",
     "generate_dumbbell_network",
     "generate_mesh_network",
@@ -278,10 +280,15 @@ class _Builder:
         )
 
 
-def _check_size(size: int, family: str) -> None:
-    if not MIN_SIZE <= size <= MAX_SIZE:
+def check_size(family: str, size: int) -> None:
+    """Raise ``ValueError`` unless ``family`` builds at ``size`` routers.
+
+    The star keeps its generator's wider upper bound.
+    """
+    top = MAX_ROUTERS if family == "star" else MAX_SIZE
+    if not MIN_SIZE <= size <= top:
         raise ValueError(
-            f"{family} size must be in [{MIN_SIZE}, {MAX_SIZE}], got {size}"
+            f"{family} size must be in [{MIN_SIZE}, {top}], got {size}"
         )
 
 
@@ -290,7 +297,7 @@ def _check_size(size: int, family: str) -> None:
 
 def generate_chain_network(size: int) -> GeneratedNetwork:
     """``R1 - R2 - ... - Rn``; CUSTOMER at R1, ISPs at R2..Rn."""
-    _check_size(size, "chain")
+    check_size("chain", size)
     builder = _Builder(f"chain-{size}", size)
     for index in range(1, size):
         builder.link(index, index + 1)
@@ -302,7 +309,7 @@ def generate_chain_network(size: int) -> GeneratedNetwork:
 
 def generate_ring_network(size: int) -> GeneratedNetwork:
     """A chain closed into a cycle; CUSTOMER at R1, ISPs at R2..Rn."""
-    _check_size(size, "ring")
+    check_size("ring", size)
     builder = _Builder(f"ring-{size}", size)
     for index in range(1, size):
         builder.link(index, index + 1)
@@ -316,7 +323,7 @@ def generate_ring_network(size: int) -> GeneratedNetwork:
 def generate_mesh_network(size: int) -> GeneratedNetwork:
     """Every router pair directly linked; CUSTOMER at R1, ISPs at
     R2..Rn."""
-    _check_size(size, "mesh")
+    check_size("mesh", size)
     builder = _Builder(f"mesh-{size}", size)
     for a in range(1, size + 1):
         for b in range(a + 1, size + 1):
@@ -331,7 +338,7 @@ def generate_dumbbell_network(size: int) -> GeneratedNetwork:
     """Two cores (R1, R2) joined by one bottleneck link; the remaining
     routers hang off the cores alternately.  CUSTOMER at R1; ISPs on the
     leaves only — the cores stay policy-free transit routers."""
-    _check_size(size, "dumbbell")
+    check_size("dumbbell", size)
     builder = _Builder(f"dumbbell-{size}", size)
     builder.link(1, 2)
     for index in range(3, size + 1):
@@ -343,6 +350,7 @@ def generate_dumbbell_network(size: int) -> GeneratedNetwork:
 
 
 def _generate_star(size: int) -> GeneratedNetwork:
+    check_size("star", size)
     star = generate_star_network(size)
     return GeneratedNetwork(
         topology=star.topology, description=star.description, family="star"

@@ -241,9 +241,9 @@ def generate_random_network(
     place: "str | None" = None,
 ):
     """A connected seeded Erdős–Rényi network with placed roles."""
-    from .families import _check_size
+    from .families import check_size
 
-    _check_size(size, "random")
+    check_size("random", size)
     knobs = parse_topo_params(params)
     _check_knobs("random", knobs)
     p = knobs.get("p", DEFAULT_EDGE_PROBABILITY)
@@ -271,9 +271,9 @@ def generate_waxman_network(
     place: "str | None" = None,
 ):
     """A connected seeded Waxman network with placed roles."""
-    from .families import _check_size
+    from .families import check_size
 
-    _check_size(size, "waxman")
+    check_size("waxman", size)
     knobs = parse_topo_params(params)
     _check_knobs("waxman", knobs)
     alpha = knobs.get("alpha", DEFAULT_WAXMAN_ALPHA)

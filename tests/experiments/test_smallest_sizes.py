@@ -40,6 +40,12 @@ def test_build_grid_rejects_out_of_range_sizes(family, size):
         build_grid([family], [size], seeds=1)
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_generators_apply_the_grid_bound(family):
+    with pytest.raises(ValueError, match=f"{family} size must be in"):
+        generate_network(family, 3)
+
+
 def test_cli_rejects_size_3_before_running(tmp_path, capsys):
     journal = tmp_path / "journal.jsonl"
     summary = tmp_path / "summary.json"
