@@ -17,9 +17,11 @@ Each edit is re-converged twice, from scratch and incrementally, the
 resulting RIBs are asserted identical, and the wall-clock plus
 route-evaluation counts are compared.
 
-Emits a ``BENCH_incremental_sim.json`` baseline at the repo root (the
-perf trajectory's first data point).  Also runnable standalone for the
-CI smoke job::
+Run as a script it writes the ``BENCH_incremental_sim.json`` baseline
+at the repo root (the perf trajectory's first data point), or wherever
+``--json`` says; the pytest bench writes its report to a temporary
+directory and leaves the checked-in baseline alone.  The CI smoke job
+runs::
 
     python benchmarks/bench_incremental_sim.py --small --json out.json
 """
@@ -192,17 +194,18 @@ def _write_baseline(report, path):
     return target
 
 
-def _bench(grid=GRID, json_path=BASELINE_PATH):
+def _bench(json_path, grid=GRID):
     report = run_grid(grid)
     _write_baseline(report, json_path)
     return render(report)
 
 
-def test_incremental_sim_speedup(benchmark, capsys):
+def test_incremental_sim_speedup(benchmark, capsys, tmp_path):
     from conftest import run_and_print
 
-    text = run_and_print(benchmark, capsys, _bench)
-    report = json.loads(BASELINE_PATH.read_text())
+    json_path = tmp_path / "bench_incremental_sim.json"
+    text = run_and_print(benchmark, capsys, _bench, json_path)
+    report = json.loads(json_path.read_text())
     assert all(row["identical"] for row in report["rows"])
     # The acceptance bar: ≥2x wall-clock for single-router deltas on
     # the largest mesh (measured ~5-10x; 2x absorbs CI noise).

@@ -26,9 +26,10 @@ into four groups:
   internal spoke sessions — where the paper's Figure 4 policy lives —
   not the policy-free spoke externals.
 
-* **Conformance rules** compare a config against its
-  :class:`~repro.topology.model.RouterSpec`: interface addresses,
-  local AS, router id, the BGP neighbor set, and announced networks.
+* **Conformance rules** report the issues of the paper's topology
+  verifier (:func:`~repro.topology.verifier.verify_topology`, Table 3):
+  interfaces, local AS, router id, (address, remote AS) neighbor pairs,
+  and announced networks, each with the verifier's message.
 
 :func:`analyze_text` adds the rendered-text rules the IR cannot see
 (CLI mode keywords, ``ip routing``, unindented ``neighbor`` lines —
@@ -63,15 +64,16 @@ from ..obs import counter, span
 from ..symbolic.candidates import CandidateUniverse
 from ..topology.families import is_hub_star
 from ..topology.generator import ingress_community
-from ..topology.model import Topology
+from ..topology.model import RouterSpec, Topology
 from ..topology.roles import RoleAssignment
+from ..topology.verifier import TopologyIssueKind, verify_topology
 from .findings import Finding, LintReport, Severity
 
 __all__ = ["PolicyAnalyzer", "RULES", "analyze_configs", "analyze_text"]
 
 
-#: rule id -> (severity, one-line description); the README table and
-#: ``repro lint --rules`` render from this.
+#: rule id -> (severity, one-line description); the README's Rules
+#: table repeats these word for word.
 RULES: Dict[str, Tuple[Severity, str]] = {
     "undefined-ref": (
         Severity.HIGH,
@@ -133,11 +135,11 @@ RULES: Dict[str, Tuple[Severity, str]] = {
     ),
     "missing-neighbor": (
         Severity.HIGH,
-        "a BGP session the topology requires is not configured",
+        "a topology session (neighbor address, remote AS) is not configured",
     ),
     "extra-neighbor": (
         Severity.HIGH,
-        "a configured BGP session has no peer in the topology",
+        "no topology session has the neighbor's address and remote AS",
     ),
     "missing-network": (
         Severity.HIGH,
@@ -145,7 +147,7 @@ RULES: Dict[str, Tuple[Severity, str]] = {
     ),
     "extra-network": (
         Severity.HIGH,
-        "an announced network does not exist in the topology",
+        "an announced network is not directly connected to the router",
     ),
     "cli-keywords": (
         Severity.HIGH,
@@ -169,6 +171,19 @@ _NAMED_MATCHES = (
     (MatchAsPathList, "as-path list", "get_as_path_list"),
     (MatchAcl, "access-list", "get_access_list"),
 )
+
+#: Topology verifier issue kind -> the lint rule that reports it.
+_CONFORMANCE_RULES: Dict[TopologyIssueKind, str] = {
+    TopologyIssueKind.MISSING_INTERFACE: "ifc-ip-mismatch",
+    TopologyIssueKind.INTERFACE_ADDRESS_MISMATCH: "ifc-ip-mismatch",
+    TopologyIssueKind.MISSING_BGP: "local-as-mismatch",
+    TopologyIssueKind.LOCAL_AS_MISMATCH: "local-as-mismatch",
+    TopologyIssueKind.ROUTER_ID_MISMATCH: "router-id-mismatch",
+    TopologyIssueKind.MISSING_NEIGHBOR: "missing-neighbor",
+    TopologyIssueKind.INCORRECT_NEIGHBOR: "extra-neighbor",
+    TopologyIssueKind.MISSING_NETWORK: "missing-network",
+    TopologyIssueKind.INCORRECT_NETWORK: "extra-network",
+}
 
 #: Exec-mode keywords the cli_keywords fault wraps configs in.
 _CLI_KEYWORDS = frozenset({"configure terminal", "conf t", "end", "exit", "write"})
@@ -535,131 +550,16 @@ class PolicyAnalyzer:
     # -- conformance rules (config vs topology) --------------------------------
 
     def _check_conformance(
-        self, report: LintReport, config: RouterConfig, spec
+        self, report: LintReport, config: RouterConfig, spec: RouterSpec
     ) -> None:
-        router = config.hostname
-        for interface_spec in spec.interfaces:
-            interface = config.get_interface(interface_spec.name)
-            if interface is None:
-                report.add(
-                    Finding(
-                        rule="ifc-ip-mismatch",
-                        severity=Severity.HIGH,
-                        router=router,
-                        ref=f"interface {interface_spec.name}",
-                        message="interface missing from the config",
-                        fix_hint=f"configure {interface_spec.cidr()}",
-                    )
-                )
-            elif interface.address != interface_spec.address:
-                report.add(
-                    Finding(
-                        rule="ifc-ip-mismatch",
-                        severity=Severity.HIGH,
-                        router=router,
-                        ref=f"interface {interface_spec.name}",
-                        message=(
-                            f"address {interface.address} does not match "
-                            f"the topology's {interface_spec.address}"
-                        ),
-                        fix_hint=f"set address {interface_spec.cidr()}",
-                    )
-                )
-        if config.bgp is None:
+        for issue in verify_topology(config, spec):
             report.add(
                 Finding(
-                    rule="local-as-mismatch",
+                    rule=_CONFORMANCE_RULES[issue.kind],
                     severity=Severity.HIGH,
-                    router=router,
-                    ref="bgp",
-                    message="no BGP process configured",
-                    fix_hint=f"configure router bgp {spec.asn}",
-                )
-            )
-            return
-        if config.bgp.asn != spec.asn:
-            report.add(
-                Finding(
-                    rule="local-as-mismatch",
-                    severity=Severity.HIGH,
-                    router=router,
-                    ref="bgp",
-                    message=(
-                        f"local AS {config.bgp.asn} does not match the "
-                        f"topology's AS {spec.asn}"
-                    ),
-                    fix_hint=f"use router bgp {spec.asn}",
-                )
-            )
-        if (
-            config.bgp.router_id is not None
-            and config.bgp.router_id != spec.router_id
-        ):
-            report.add(
-                Finding(
-                    rule="router-id-mismatch",
-                    severity=Severity.HIGH,
-                    router=router,
-                    ref="bgp",
-                    message=(
-                        f"router-id {config.bgp.router_id} does not match "
-                        f"the topology's {spec.router_id}"
-                    ),
-                    fix_hint=f"set bgp router-id {spec.router_id}",
-                )
-            )
-        spec_ips = {str(item.ip): item for item in spec.neighbors}
-        config_ips = set(config.bgp.neighbors)
-        for ip in sorted(set(spec_ips) - config_ips):
-            peer = spec_ips[ip].peer_name or "peer"
-            report.add(
-                Finding(
-                    rule="missing-neighbor",
-                    severity=Severity.HIGH,
-                    router=router,
-                    ref=f"session {ip}",
-                    message=f"session to {peer} ({ip}) is not configured",
-                    fix_hint=(
-                        f"add neighbor {ip} remote-as {spec_ips[ip].asn}"
-                    ),
-                )
-            )
-        for ip in sorted(config_ips - set(spec_ips)):
-            report.add(
-                Finding(
-                    rule="extra-neighbor",
-                    severity=Severity.HIGH,
-                    router=router,
-                    ref=f"session {ip}",
-                    message=f"neighbor {ip} has no peer in the topology",
-                    fix_hint="remove the neighbor",
-                )
-            )
-        spec_networks = {str(prefix) for prefix in spec.networks}
-        config_networks = {str(prefix) for prefix in config.bgp.networks}
-        for network in sorted(spec_networks - config_networks):
-            report.add(
-                Finding(
-                    rule="missing-network",
-                    severity=Severity.HIGH,
-                    router=router,
-                    ref=f"network {network}",
-                    message=f"network {network} is not announced",
-                    fix_hint=f"add network {network}",
-                )
-            )
-        for network in sorted(config_networks - spec_networks):
-            report.add(
-                Finding(
-                    rule="extra-network",
-                    severity=Severity.HIGH,
-                    router=router,
-                    ref=f"network {network}",
-                    message=(
-                        f"announced network {network} does not exist in "
-                        f"the topology"
-                    ),
-                    fix_hint="remove the network statement",
+                    router=config.hostname,
+                    ref="topology",
+                    message=issue.message,
                 )
             )
 

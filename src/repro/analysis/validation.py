@@ -20,7 +20,8 @@ validated against:
   map) is recorded as not applicable rather than silently passing.
 
 The per-rule table this produces is checked in under ``reports/`` and
-gated in CI: clean HIGH findings or sub-100% recall fail the build.
+gated in CI: clean HIGH findings, sub-100% recall, or any byte of drift
+from the checked-in report fail the build.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from ..llm import synthesis_fault_catalog  # noqa: F401
 from ..obs import span
 from ..symbolic.memo import MemoCache
 from ..topology import StarNetwork, generate_network, generate_star_network
-from ..topology.families import SEEDED_FAMILIES
+from ..topology.families import SEEDED_FAMILIES, check_fixed_layout, check_size
 
 __all__ = [
     "NoTransitExperiment",
@@ -110,28 +110,10 @@ def materialize_network(
 
 def _generate(family, router_count, roles, topo, topology_seed, place):
     if family == "star":
-        # The star keeps its dedicated generator (hub-policy layout),
-        # but honours the same contract as the other fixed-layout
-        # families: role/knob/placement axes are rejected, never
-        # silently ignored as if a roled scenario had actually run.
-        from ..topology.randomnet import coerce_placement, parse_topo_params
-        from ..topology.roles import RoleSpec
-
-        if RoleSpec.coerce(roles) is not None:
-            raise ValueError(
-                "family 'star' has a fixed role layout; role specs apply "
-                "to the seeded families (random, waxman)"
-            )
-        if parse_topo_params(topo):
-            raise ValueError(
-                "family 'star' takes no topology knobs; knobs apply to "
-                "the seeded families (random, waxman)"
-            )
-        if coerce_placement(place) != "seeded":
-            raise ValueError(
-                "family 'star' has a fixed role layout; placement "
-                "strategies apply to the seeded families (random, waxman)"
-            )
+        # The star keeps its dedicated generator (hub-policy layout) but
+        # honours the same contract as the other fixed-layout families.
+        check_fixed_layout("star", roles, topo, place)
+        check_size("star", router_count)
         return generate_star_network(router_count)
     return generate_network(
         family,

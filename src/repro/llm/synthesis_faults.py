@@ -44,7 +44,7 @@ from ..netmodel.routing_policy import (
     RouteMapClause,
     SetCommunity,
 )
-from ..topology.families import is_hub_star, isp_attachments
+from ..topology.families import attachment_index, is_hub_star, isp_attachments
 from ..topology.generator import ingress_community
 from ..topology.model import Topology
 from ..topology.roles import RoleAssignment, egress_map_of, ingress_map_of
@@ -130,7 +130,8 @@ def border_fault_assignment(topology: Topology) -> Dict[str, List[str]]:
     count = len(names)
     if count < 4:
         raise ValueError("the default assignment needs at least 4 routers")
-    isp_routers = {peer.router for peer in isp_attachments(topology)}
+    attachments = isp_attachments(topology)
+    isp_routers = {peer.router for peer in attachments}
     assignment: Dict[str, List[str]] = {name: [] for name in names}
 
     def put(router: str, *keys: str) -> None:
@@ -150,7 +151,10 @@ def border_fault_assignment(topology: Topology) -> Dict[str, List[str]]:
     if count >= 5 and "R5" in isp_routers:
         put("R5", "missing_ingress_tag")
     inline_owner = f"R{min(6, count)}"
-    if inline_owner in isp_routers:
+    # At four routers R4 also carries egress_permits_tagged, which drops
+    # a two-slot egress map's only deny clause: nothing left to corrupt.
+    slots = {attachment_index(peer) for peer in attachments}
+    if inline_owner in isp_routers and not (count == 4 and len(slots) < 3):
         put(inline_owner, "inline_match_community")
     last = f"R{count}"
     if last in isp_routers and last != inline_owner:

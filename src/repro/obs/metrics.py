@@ -120,7 +120,7 @@ class MetricsRegistry:
     """Get-or-create home for every instrument in the process.
 
     Instruments live in flat dot-separated namespaces
-    (``route.routes_built``, ``memo.universe-policy.hits``,
+    (``route.routes_built``, ``memo.universe-routes.hits``,
     ``phase.converge``).  A name is bound to exactly one instrument kind;
     asking for it as a different kind raises.
     """

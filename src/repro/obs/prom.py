@@ -3,8 +3,8 @@
 The service's ``GET /metrics`` endpoint serves version 0.0.4 of the text
 format: one ``# TYPE`` line per metric family, then one sample per line,
 optionally labeled.  Metric names come from the registry's dot-separated
-namespaces; dots and dashes become underscores (``memo.universe-policy.hits``
-→ ``memo_universe_policy_hits``).
+namespaces; dots and dashes become underscores (``memo.universe-routes.hits``
+→ ``memo_universe_routes_hits``).
 """
 
 from __future__ import annotations

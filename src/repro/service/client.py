@@ -13,6 +13,7 @@ import time
 import urllib.error
 import urllib.request
 from typing import Any, Dict, Optional
+from urllib.parse import quote
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -82,10 +83,12 @@ class ServiceClient:
         return self._request("GET", "/campaigns")
 
     def status(self, campaign_id: str) -> Dict[str, Any]:
-        return self._request("GET", f"/campaigns/{campaign_id}")
+        path = "/campaigns/" + quote(campaign_id, safe="")
+        return self._request("GET", path)
 
     def result(self, campaign_id: str) -> Dict[str, Any]:
-        return self._request("GET", f"/campaigns/{campaign_id}/result")
+        path = "/campaigns/" + quote(campaign_id, safe="")
+        return self._request("GET", path + "/result")
 
     def shutdown(self) -> Dict[str, Any]:
         return self._request("POST", "/shutdown")

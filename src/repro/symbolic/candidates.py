@@ -58,11 +58,6 @@ _CANONICAL_OUTSIDE = Prefix.parse("203.0.113.0/24")
 
 MAX_COMMUNITY_SUBSET = 2
 
-# (canonical route-map key) -> the (ranges, communities, protocols)
-# structure extracted from that policy.  Two policies with the same
-# canonicalized structure share one extraction.
-_POLICY_CACHE = MemoCache("universe-policy")
-
 # (universe fingerprint, constraint) -> materialized candidate routes.
 _ROUTES_CACHE = MemoCache("universe-routes")
 
@@ -191,34 +186,9 @@ class CandidateUniverse:
     def for_policy(
         cls, config: RouterConfig, route_map: RouteMap
     ) -> "CandidateUniverse":
-        """A universe seeded from one policy, memoized per canonicalized
-        route-map structure.
-
-        Repeated route-map shapes — the common case across a campaign
-        grid's seeds, profiles, and correction rounds — reuse one
-        extraction instead of re-walking the clauses.  The returned
-        universe is a fresh object; callers may keep calling
-        :meth:`add_constraint` / :meth:`add_prefix` on it.
-        """
-        key = canonical_route_map_key(config, route_map)
-        if key is None:
-            universe = cls()
-            universe.add_policy(config, route_map)
-            return universe
-        hit, structure = _POLICY_CACHE.lookup(key)
-        if not hit:
-            universe = cls()
-            universe.add_policy(config, route_map)
-            structure = (
-                tuple(universe._ranges),
-                tuple(universe._communities),
-                tuple(universe._protocols),
-            )
-            _POLICY_CACHE.store(key, structure)
+        """A universe seeded from one policy."""
         universe = cls()
-        universe._ranges = list(structure[0])
-        universe._communities = list(structure[1])
-        universe._protocols = list(structure[2])
+        universe.add_policy(config, route_map)
         return universe
 
     def fingerprint(self) -> tuple:

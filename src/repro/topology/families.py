@@ -59,6 +59,7 @@ __all__ = [
     "GeneratedNetwork",
     "SEEDED_FAMILIES",
     "attachment_index",
+    "check_fixed_layout",
     "check_size",
     "generate_chain_network",
     "generate_dumbbell_network",
@@ -377,6 +378,35 @@ FAMILIES: Dict[str, Callable[..., GeneratedNetwork]] = {
 SEEDED_FAMILIES = frozenset({"random", "waxman"})
 
 
+def check_fixed_layout(
+    family: str,
+    roles: "object | str | None",
+    params: "Dict[str, float] | str | None",
+    place: "str | None",
+) -> None:
+    """Reject a role spec, topology knobs, or a placement strategy for a
+    hand-shaped family rather than silently ignore them."""
+    from .randomnet import coerce_placement, parse_topo_params
+    from .roles import RoleSpec
+
+    seeded = ", ".join(sorted(SEEDED_FAMILIES))
+    if RoleSpec.coerce(roles) is not None:
+        raise ValueError(
+            f"family {family!r} has a fixed role layout; role specs "
+            f"apply to the seeded families ({seeded})"
+        )
+    if parse_topo_params(params):
+        raise ValueError(
+            f"family {family!r} takes no topology knobs; knobs apply to "
+            f"the seeded families ({seeded})"
+        )
+    if coerce_placement(place) != "seeded":
+        raise ValueError(
+            f"family {family!r} has a fixed role layout; placement "
+            f"strategies apply to the seeded families ({seeded})"
+        )
+
+
 def generate_network(
     family: str,
     size: int,
@@ -402,23 +432,5 @@ def generate_network(
         raise ValueError(f"unknown family {family!r} (known: {known})") from None
     if family in SEEDED_FAMILIES:
         return generator(size, seed=seed, roles=roles, params=params, place=place)
-    from .randomnet import coerce_placement, parse_topo_params
-    from .roles import RoleSpec
-
-    if RoleSpec.coerce(roles) is not None:
-        raise ValueError(
-            f"family {family!r} has a fixed role layout; role specs "
-            f"apply to the seeded families ({', '.join(sorted(SEEDED_FAMILIES))})"
-        )
-    if parse_topo_params(params):
-        raise ValueError(
-            f"family {family!r} takes no topology knobs; knobs apply to "
-            f"the seeded families ({', '.join(sorted(SEEDED_FAMILIES))})"
-        )
-    if coerce_placement(place) != "seeded":
-        raise ValueError(
-            f"family {family!r} has a fixed role layout; placement "
-            f"strategies apply to the seeded families "
-            f"({', '.join(sorted(SEEDED_FAMILIES))})"
-        )
+    check_fixed_layout(family, roles, params, place)
     return generator(size)

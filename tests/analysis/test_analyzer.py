@@ -1,6 +1,12 @@
 """Analyzer rules against hand-built configs and reference cells."""
 
+import re
+from pathlib import Path
+
+import pytest
+
 from repro.analysis import PolicyAnalyzer, RULES, analyze_configs, analyze_text
+from repro.analysis.validation import CELLS, cell_id
 from repro.cisco.generator import generate_cisco
 from repro.netmodel.communities import Community
 from repro.netmodel.device import RouterConfig
@@ -14,8 +20,12 @@ from repro.netmodel.routing_policy import (
     RouteMapClause,
     SetMed,
 )
+from repro.experiments.no_transit import run_no_transit_experiment
+from repro.llm import fault_designations, synthesis_fault_catalog
+from repro.llm.faults import DraftState, FaultTargetError
 from repro.topology.families import generate_network
 from repro.topology.reference import build_reference_configs
+from repro.topology.verifier import verify_topology
 
 
 def _cell_reports(family, size, **extra):
@@ -173,6 +183,28 @@ class TestRoleRules:
         )
 
 
+#: Topology verifier issue kind (by value) -> the lint rule reporting it.
+_ISSUE_RULES = {
+    "missing_interface": "ifc-ip-mismatch",
+    "interface_address_mismatch": "ifc-ip-mismatch",
+    "missing_bgp": "local-as-mismatch",
+    "local_as_mismatch": "local-as-mismatch",
+    "router_id_mismatch": "router-id-mismatch",
+    "missing_neighbor": "missing-neighbor",
+    "incorrect_neighbor": "extra-neighbor",
+    "missing_network": "missing-network",
+    "incorrect_network": "extra-network",
+}
+
+
+def _conformance(report, router):
+    return sorted(
+        (f.rule, f.message)
+        for f in report.for_router(router)
+        if f.rule in _ISSUE_RULES.values()
+    )
+
+
 class TestConformance:
     def test_wrong_local_as_is_flagged(self):
         topology, configs, texts = _cell_reports("star", 7)
@@ -189,6 +221,63 @@ class TestConformance:
         del configs["R2"]
         report = analyze_configs(configs, topology=topology)
         assert len(report) == 0
+
+    @pytest.mark.parametrize(
+        "family, size, extra", CELLS, ids=[cell_id(*cell) for cell in CELLS]
+    )
+    def test_catalog_faults_lint_as_the_verifier_reports(
+        self, family, size, extra
+    ):
+        topology, configs, _texts = _cell_reports(family, size, **extra)
+        catalog = synthesis_fault_catalog(topology)
+        checked = 0
+        for key, router in sorted(fault_designations(topology).items()):
+            if key not in catalog:
+                continue
+            state = DraftState(configs[router], generate_cisco)
+            state.inject(catalog[key])
+            try:
+                faulted = state.current_config()
+            except FaultTargetError:
+                continue
+            issues = verify_topology(faulted, topology.router(router))
+            if not issues:
+                continue  # the fault does not touch conformance
+            report = analyze_configs(
+                dict(configs, **{router: faulted}), topology=topology
+            )
+            assert _conformance(report, router) == sorted(
+                (_ISSUE_RULES[issue.kind.value], issue.message)
+                for issue in issues
+            ), key
+            checked += 1
+        assert checked >= 6
+
+    def test_wrong_remote_as_is_missing_plus_extra_neighbor(self):
+        topology, configs, _texts = _cell_reports("chain", 5)
+        neighbor = configs["R2"].bgp.sorted_neighbors()[0]
+        neighbor.remote_as += 100
+        report = analyze_configs(configs, topology=topology)
+        assert [rule for rule, _ in _conformance(report, "R2")] == [
+            "extra-neighbor",
+            "missing-neighbor",
+        ]
+
+    def test_own_connected_link_subnet_is_no_extra_network(self):
+        topology, configs, _texts = _cell_reports("chain", 5)
+        spec = topology.router("R2")
+        (link,) = [
+            prefix
+            for prefix in spec.connected_prefixes()
+            if prefix not in spec.networks
+        ]
+        configs["R2"].bgp.networks.append(link)
+        report = analyze_configs(configs, topology=topology)
+        assert _conformance(report, "R2") == []
+
+    def test_star_below_four_routers_is_rejected(self):
+        with pytest.raises(ValueError, match=r"star size must be in \[4, 50\]"):
+            run_no_transit_experiment(router_count=3)
 
 
 class TestTextRules:
@@ -219,3 +308,17 @@ class TestRulesTable:
             assert rule == rule.lower()
             assert severity.value in ("high", "medium", "low")
             assert description
+
+    def test_readme_table_matches(self):
+        # The README's Rules table renders RULES; backticks and quotes
+        # are markup there, so both sides drop them before comparing.
+        readme = (Path(__file__).parents[2] / "README.md").read_text()
+        rows = re.findall(r"^\| `([a-z-]+)` \| (\w+) \| (.*) \|$", readme, re.M)
+
+        def plain(text):
+            return text.replace("`", "").replace("'", "")
+
+        assert {rule: (severity, plain(text)) for rule, severity, text in rows} == {
+            rule: (severity.value, plain(description))
+            for rule, (severity, description) in RULES.items()
+        }

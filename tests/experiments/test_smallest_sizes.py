@@ -13,10 +13,13 @@ SWEEP_PROFILES = ("default", "sloppy")
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_smallest_sizes_run_without_errors(family):
-    # 7 families x sizes 4, 5 x seeds 0-2 x 2 profiles: 84 scenarios.
-    grid = build_grid([family], [4, 5], seeds=3, profiles=SWEEP_PROFILES)
+    # 7 families x sizes 4, 5 x seeds 0-2 x 2 profiles x IIPs on/off:
+    # 168 scenarios.
+    grid = build_grid(
+        [family], [4, 5], seeds=3, profiles=SWEEP_PROFILES, iip_ablation=True
+    )
     summary = run_campaign(grid, workers=1)
-    assert len(summary.rows) == 12
+    assert len(summary.rows) == 24
     assert [row.error for row in summary.errors] == []
 
 

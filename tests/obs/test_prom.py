@@ -7,8 +7,8 @@ from repro.obs import render_prometheus, sanitize_metric_name
 
 class TestSanitize:
     def test_dots_and_dashes_become_underscores(self):
-        assert sanitize_metric_name("memo.universe-policy.hits") == (
-            "memo_universe_policy_hits"
+        assert sanitize_metric_name("memo.universe-routes.hits") == (
+            "memo_universe_routes_hits"
         )
 
     def test_leading_digit_gets_guard(self):

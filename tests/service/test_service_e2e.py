@@ -254,6 +254,15 @@ class TestResultCli:
             out = capsys.readouterr().out
             assert "complete" in out
 
+    @pytest.mark.parametrize("command", ["status", "result"])
+    def test_id_is_one_path_segment(self, tmp_path, capsys, command):
+        # Unquoted, '?' would request /campaigns/ (another route's
+        # payload) and end in a traceback instead of a clean error.
+        with _RunningService(tmp_path / "state", workers=1) as running:
+            code = main([command, "?", "--url", running.url])
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
     def test_status_cli_renders_units(self, tmp_path, capsys):
         with _RunningService(tmp_path / "state") as running:
             accepted = running.client.submit(dict(SPEC, shard_size=2))

@@ -19,7 +19,7 @@ from repro.symbolic import (
     reset_caches,
     set_memoization,
 )
-from repro.symbolic.candidates import _POLICY_CACHE, _ROUTES_CACHE
+from repro.symbolic.candidates import _ROUTES_CACHE
 from repro.topology.families import generate_network
 from repro.topology.reference import build_reference_configs
 
@@ -69,13 +69,6 @@ class TestCanonicalKey:
 
 
 class TestAccounting:
-    def test_policy_cache_hits_on_repeat(self):
-        config, route_map = _policy()
-        CandidateUniverse.for_policy(config, route_map)
-        assert (_POLICY_CACHE.hits, _POLICY_CACHE.misses) == (0, 1)
-        CandidateUniverse.for_policy(config, route_map)
-        assert (_POLICY_CACHE.hits, _POLICY_CACHE.misses) == (1, 1)
-
     def test_routes_cache_hits_on_repeat(self):
         config, route_map = _policy()
         universe = CandidateUniverse.for_policy(config, route_map)
@@ -97,8 +90,8 @@ class TestAccounting:
 
     def test_cache_totals_sums_hits_and_misses(self):
         config, route_map = _policy()
-        CandidateUniverse.for_policy(config, route_map)
-        CandidateUniverse.for_policy(config, route_map)
+        CandidateUniverse.for_policy(config, route_map).cached_routes()
+        CandidateUniverse.for_policy(config, route_map).cached_routes()
         hits, misses = cache_totals()
         assert hits >= 1 and misses >= 1
 
@@ -106,10 +99,10 @@ class TestAccounting:
         set_memoization(False)
         assert not memoization_enabled()
         config, route_map = _policy()
-        CandidateUniverse.for_policy(config, route_map)
-        CandidateUniverse.for_policy(config, route_map)
-        assert _POLICY_CACHE.hits == 0
-        assert len(_POLICY_CACHE) == 0
+        CandidateUniverse.for_policy(config, route_map).cached_routes()
+        CandidateUniverse.for_policy(config, route_map).cached_routes()
+        assert _ROUTES_CACHE.hits == 0
+        assert len(_ROUTES_CACHE) == 0
 
 
 class TestCachedEqualsUncached:
