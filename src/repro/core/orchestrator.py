@@ -19,7 +19,7 @@ The orchestrator sees the LLM only through the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..batfish.snapshot import Snapshot
 from ..campion import (
@@ -60,10 +60,19 @@ __all__ = [
     "TranslationRunResult",
 ]
 
-# Campion reports keyed on the ids of (source, parsed draft): a re-sent
-# draft parses to the same shared config, so its compare is a lookup.
-# Each entry holds both configs, so their ids cannot be reused meanwhile.
-_COMPARE_MEMO = MemoCache("campion-compare", max_entries=128)
+# One finding per distinct draft, for both loops: a declined correction
+# re-sends the same text, so most checks repeat one already made.  The
+# key is (id(topology), router, text), or (id(source), "", text) for a
+# translation, and it is complete: ``Modularizer(topology)`` takes
+# nothing else, ``_non_additive_finding`` reads only the config, and the
+# loop limits, IIPs and pair programming never reach ``_next_finding``.
+# ``Finding`` and its details (``ParseWarning``, ``TopologyIssue``,
+# ``InvariantViolation``, Campion's findings) are frozen, and a
+# non-additive finding's route map belongs to a shared, read-only parse
+# result, so a hit returns the stored finding itself.  Each entry is
+# (owner, finding): holding the topology or source keeps its id from
+# being reused while the entry lives.
+_FINDING_MEMO = MemoCache("draft-finding", max_entries=128)
 
 DEFAULT_TRANSLATION_PROMPT = (
     "Translate the configuration into an equivalent Juniper configuration."
@@ -176,7 +185,7 @@ class _CorrectionLoop:
 
 class TranslationOrchestrator:
     """Use case 1 (§3): translate one Cisco config to Juniper.  ``source``
-    is read-only: Campion reports are memoized on its identity."""
+    is read-only: findings are memoized on its identity."""
 
     def __init__(
         self,
@@ -235,23 +244,27 @@ class TranslationOrchestrator:
         )
 
     def _next_finding(self, draft_text: str) -> Optional[Finding]:
+        return _memoized_finding(
+            self._source,
+            "",
+            draft_text,
+            lambda: self._next_finding_uncached(draft_text),
+        )
+
+    def _next_finding_uncached(self, draft_text: str) -> Optional[Finding]:
         """Syntax first, then Campion's masked-ordering classes."""
         parsed = parse_juniper(draft_text, filename="translation.conf")
         if parsed.warnings:
             return finding_from_warning(parsed.warnings[0])
-        source, draft = self._source, parsed.config
-        hit, entry = _COMPARE_MEMO.lookup((id(source), id(draft)))
-        if not hit:
-            entry = (source, draft, compare_configs(source, draft))
-            _COMPARE_MEMO.store((id(source), id(draft)), entry)
-        raw = entry[2].first_finding()
+        raw = compare_configs(self._source, parsed.config).first_finding()
         if raw is None:
             return None
         return _wrap_campion_finding(raw)
 
 
 class SynthesisOrchestrator:
-    """Use case 2 (§4): synthesize no-transit configs per router."""
+    """Use case 2 (§4): synthesize no-transit configs per router.
+    ``topology`` is read-only: findings are memoized on its identity."""
 
     def __init__(
         self,
@@ -343,6 +356,16 @@ class SynthesisOrchestrator:
         return text
 
     def _next_finding(self, router_name: str, text: str) -> Optional[Finding]:
+        return _memoized_finding(
+            self._topology,
+            router_name,
+            text,
+            lambda: self._next_finding_uncached(router_name, text),
+        )
+
+    def _next_finding_uncached(
+        self, router_name: str, text: str
+    ) -> Optional[Finding]:
         """Syntax, then topology, then semantic — §4.1's three classes."""
         parsed = parse_cisco(
             text, filename=f"{router_name}.cfg", default_hostname=router_name
@@ -398,6 +421,21 @@ class SynthesisOrchestrator:
             message,
         )
         return result
+
+
+def _memoized_finding(
+    owner: object,
+    router_name: str,
+    text: str,
+    check: Callable[[], Optional[Finding]],
+) -> Optional[Finding]:
+    """``check()``'s finding on ``text``, run once per distinct key."""
+    key = (id(owner), router_name, text)
+    hit, entry = _FINDING_MEMO.lookup(key)
+    if not hit:
+        entry = (owner, check())
+        _FINDING_MEMO.store(key, entry)
+    return entry[1]
 
 
 def _wrap_campion_finding(raw: object) -> Finding:

@@ -10,13 +10,13 @@ Each checker binds its route map to the config once
 memoized candidate grid through the prepared evaluator, so the per-route
 cost is pure evaluation — no repeated name resolution.
 
-Checks are memoized per (invariant, canonicalized route-map structure):
-the synthesis loop re-verifies every router after each correction
-round, and campaign grids repeat the same reference shapes across
-seeds and profiles, so most checks are repeats of a question already
-answered.  The canonical key resolves named lists through the config
-(see :func:`repro.symbolic.canonical_route_map_key`), so a cache hit is
-guaranteed to denote a semantically identical check.
+Checks are memoized per (invariant, canonicalized route-map structure).
+The synthesis loop checks each distinct draft once, but drafts that
+differ elsewhere keep the same policy, and campaign grids repeat the
+same reference shapes across seeds and profiles, so this verdict memo
+serves repeats across drafts.  The canonical key resolves named lists
+through the config (see :func:`repro.symbolic.canonical_route_map_key`),
+so a cache hit is guaranteed to denote a semantically identical check.
 """
 
 from __future__ import annotations

@@ -2,10 +2,11 @@
 
 Large campaign grids re-verify the same route-map *shapes* thousands of
 times: every scenario of a family × size cell builds the same reference
-policies, and within one scenario the synthesis loop re-checks every
-router's invariants after each correction round even though most drafts
-did not change.  The caches here let those repeated questions hit a
-dictionary instead of re-enumerating a candidate-route universe.
+policies, and different drafts of one router keep the same policy
+shape while other stanzas change.  (An unchanged draft is not checked
+again: the loops' ``draft-finding`` memo answers it.)  The caches here
+let those repeated questions hit a dictionary instead of re-enumerating
+a candidate-route universe.
 
 Each cache is a :class:`MemoCache`: a FIFO-bounded mapping with hit/miss
 accounting, registered in a module-level registry so campaign tooling

@@ -1,8 +1,11 @@
 """Tests for the VPP orchestrators."""
 
 import math
+from collections import Counter
 
+import pytest
 
+from repro.cisco import generate_cisco
 from repro.core import (
     DEFAULT_IIP_IDS,
     LoopLimits,
@@ -10,7 +13,9 @@ from repro.core import (
     SynthesisOrchestrator,
     TranslationOrchestrator,
 )
+from repro.core import orchestrator, toggles
 from repro.core.leverage import PromptKind
+from repro.experiments.campaign import build_grid, run_campaign, set_campaign_lint
 from repro.llm import (
     BehaviorProfile,
     make_synthesis_models,
@@ -19,6 +24,9 @@ from repro.llm import (
     translation_fault_catalog,
 )
 from repro.sampleconfigs import load_translation_source
+from repro.symbolic.memo import reset_caches
+from repro.topology.families import generate_network
+from repro.topology.reference import build_reference_configs
 
 
 def _translation_run(seed=0, profile=None, limits=None, faults=None, human=True):
@@ -188,3 +196,91 @@ class TestSynthesisOrchestrator:
             "and_or_semantics",
             "misplaced_neighbor_command",
         ]
+
+
+class TestFindingMemo:
+    """One ``draft-finding`` memo answers repeated checks in both loops."""
+
+    @pytest.fixture(autouse=True)
+    def _cold_memos(self):
+        reset_caches()
+        yield
+        reset_caches()
+
+    def test_same_router_and_text_under_two_topologies(self):
+        chain = generate_network("chain", 4).topology
+        ring = generate_network("ring", 4).topology
+        # chain-4's R1 has one link; ring-4's R1 has two, so the same
+        # text is clean under one topology and wrong under the other.
+        text = generate_cisco(build_reference_configs(chain)["R1"])
+
+        def findings():
+            return [
+                SynthesisOrchestrator(topology, {})._next_finding("R1", text)
+                for topology in (chain, ring, chain, ring)
+            ]
+
+        with toggles.scoped(memoization=False):
+            expected = findings()
+        assert expected[0] is None
+        assert expected[1] is not None
+        assert findings() == expected
+        assert orchestrator._FINDING_MEMO.hits == 2
+
+    def test_linted_grid_verifies_each_distinct_draft_once(self, monkeypatch):
+        current = []
+        owners = []
+        topology_checks = Counter()
+        next_finding = SynthesisOrchestrator._next_finding
+        verify_topology = orchestrator.verify_topology
+
+        def tracking(self, router_name, text):
+            # Holding every topology keeps its id from being reused.
+            owners.append(self._topology)
+            current.append((id(self._topology), router_name, text))
+            try:
+                return next_finding(self, router_name, text)
+            finally:
+                current.pop()
+
+        def counting(config, spec):
+            topology_checks[current[-1]] += 1
+            return verify_topology(config, spec)
+
+        monkeypatch.setattr(SynthesisOrchestrator, "_next_finding", tracking)
+        monkeypatch.setattr(orchestrator, "verify_topology", counting)
+        grid = build_grid(
+            ("star", "chain"), (4, 6), 1, profiles=("default", "sloppy")
+        )
+        set_campaign_lint(True)
+        try:
+            summary = run_campaign(grid, workers=1)
+        finally:
+            set_campaign_lint(False)
+        assert all(row.error is None for row in summary.rows)
+        assert topology_checks
+        assert max(topology_checks.values()) == 1
+        assert len(owners) > len(topology_checks)
+
+    def test_synthesis_run_is_identical_without_memoization(self, star7):
+        runs = {}
+        for enabled in (False, True):
+            models = make_synthesis_models(star7.topology, seed=0)
+            human = ScriptedHuman(synthesis_fault_catalog(star7.topology))
+            with toggles.scoped(memoization=enabled):
+                result = SynthesisOrchestrator(
+                    star7.topology, models, human=human,
+                    iip_ids=DEFAULT_IIP_IDS,
+                ).run()
+            runs[enabled] = (result.prompt_log, result.transcript)
+        assert runs[True] == runs[False]
+        assert orchestrator._FINDING_MEMO.hits > 0
+
+    def test_translation_run_is_identical_without_memoization(self):
+        runs = {}
+        for enabled in (False, True):
+            with toggles.scoped(memoization=enabled):
+                result, _ = _translation_run()
+            runs[enabled] = (result.prompt_log, result.transcript)
+        assert runs[True] == runs[False]
+        assert orchestrator._FINDING_MEMO.hits > 0

@@ -120,7 +120,7 @@ class TestProfileRendering:
         assert "scenario" in profile and "converge" in profile
         assert "slowest 1 scenario(s):" in profile
         assert "cache hit rates:" in profile
-        assert "invariant-verdict" in profile
+        assert "draft-finding" in profile
 
     def test_cache_and_phase_breakdowns(self):
         summary = run_campaign(_grid(), workers=1)
@@ -128,7 +128,7 @@ class TestProfileRendering:
             (name, (hits, misses))
             for name, hits, misses in summary.cache_breakdown()
         )
-        assert "invariant-verdict" in caches
+        assert "draft-finding" in caches
         phases = {name for name, *_ in summary.phase_breakdown()}
         assert {"scenario", "synthesize", "converge"} <= phases
 

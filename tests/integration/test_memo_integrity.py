@@ -1,12 +1,12 @@
 """Shared memo entries stay equal to a fresh recompute of their key.
 
-Parse results, Campion reports, rendered drafts and per-network set-up
+Parse results, loop findings, rendered drafts and per-network set-up
 are shared: a memo hit hands every caller the stored object itself, so
 the program must never edit one.  This test drives the real users of
 those memos — the translation loop, a small linted synthesis campaign,
 and snapshots of both dialects — then recomputes every
 ``cisco-parse``, ``cisco-stanza``, ``juniper-parse``,
-``campion-compare`` and ``draft-render`` entry with memoization off,
+``draft-finding`` and ``draft-render`` entry with memoization off,
 and rebuilds every shared network's reference configs and fault catalog
 from scratch.  Code that mutated a shared object leaves an entry that
 no longer matches its key.  A linted campaign hands clean drafts'
@@ -25,12 +25,15 @@ import pytest
 
 from repro.batfish import Snapshot
 from repro.batfish.bgpsim import BgpSimulation
-from repro.campion import compare_configs
 from repro.cisco import generate_cisco, parse_cisco
 from repro.cisco.parser import _PARSE_MEMO as CISCO_MEMO
 from repro.cisco.parser import _STANZA_MEMO, _CiscoParser
 from repro.core import toggles
-from repro.core.orchestrator import _COMPARE_MEMO
+from repro.core.orchestrator import (
+    _FINDING_MEMO,
+    SynthesisOrchestrator,
+    TranslationOrchestrator,
+)
 from repro.experiments.campaign import (
     PROFILES,
     build_grid,
@@ -56,12 +59,12 @@ from repro.topology.reference import build_reference_configs
 
 
 def _assert_entries_match_recompute(*required):
-    """Every entry of the four shared memos equals its key recomputed
+    """Every entry of the five shared memos equals its key recomputed
     from scratch; each memo named in ``required`` holds entries."""
     entries = {
         memo.name: dict(memo._entries)
         for memo in (
-            CISCO_MEMO, _STANZA_MEMO, JUNIPER_MEMO, _COMPARE_MEMO, _RENDER_MEMO
+            CISCO_MEMO, _STANZA_MEMO, JUNIPER_MEMO, _FINDING_MEMO, _RENDER_MEMO
         )
     }
     for name in required:
@@ -76,8 +79,15 @@ def _assert_entries_match_recompute(*required):
             assert (config, list(warnings)) == (fresh.config, fresh.warnings)
         for key, stored in entries["juniper-parse"].items():
             assert stored == parse_juniper(*key), key[1:]
-        for original, translated, report in entries["campion-compare"].values():
-            assert report == compare_configs(original, translated)
+        for (_id, router, text), (owner, finding) in entries[
+            "draft-finding"
+        ].items():
+            if router:
+                loop = SynthesisOrchestrator(owner, {})
+                assert finding == loop._next_finding(router, text), router
+            else:
+                loop = TranslationOrchestrator(owner, llm=None)
+                assert finding == loop._next_finding(text)
         for (renderer, _id, faults), (pristine, text) in entries[
             "draft-render"
         ].items():
@@ -123,7 +133,7 @@ def test_translation_loop_leaves_shared_entries_intact():
         for profile in ("default", "sloppy"):
             run_translation_experiment(seed=seed, profile=PROFILES[profile])
     _assert_entries_match_recompute(
-        "cisco-parse", "juniper-parse", "campion-compare", "draft-render"
+        "cisco-parse", "juniper-parse", "draft-finding", "draft-render"
     )
 
 
@@ -138,7 +148,7 @@ def test_linted_campaign_leaves_shared_entries_intact():
         set_campaign_lint(False)
     assert all(row.error is None for row in summary.rows)
     _assert_entries_match_recompute(
-        "cisco-parse", "cisco-stanza", "draft-render"
+        "cisco-parse", "cisco-stanza", "draft-finding", "draft-render"
     )
     _assert_shared_setup_matches_fresh_build()
 
