@@ -62,7 +62,7 @@ from ..netmodel.routing_policy import (
 )
 from ..obs import counter, span
 from ..symbolic.candidates import CandidateUniverse
-from ..topology.families import is_hub_star
+from ..topology.context import topology_context
 from ..topology.generator import ingress_community
 from ..topology.model import RouterSpec, Topology
 from ..topology.roles import RoleAssignment
@@ -262,8 +262,9 @@ class PolicyAnalyzer:
         self.roles: Optional[RoleAssignment] = None
         self.hub = False
         if topology is not None and topology.externals:
-            self.roles = RoleAssignment.from_topology(topology)
-            self.hub = is_hub_star(topology)
+            context = topology_context(topology)
+            self.roles = context.roles
+            self.hub = context.hub_star
 
     # -- entry point -----------------------------------------------------------
 

@@ -45,7 +45,7 @@ from ..netmodel.routing_policy import (
     SetNextHop,
 )
 from ..obs import counter
-from ..symbolic.memo import MemoCache, ParseMemo, memoization_enabled
+from ..symbolic.memo import MemoCache, memoization_enabled
 from .lexer import ConfigLine, tokenize
 
 __all__ = ["parse_cisco"]
@@ -217,7 +217,9 @@ def _assemble(
     return ParseResult(config, diagnostics)
 
 
-_PARSE_MEMO = ParseMemo("cisco-parse", _parse_text)
+# (text, filename, default_hostname) -> the shared, read-only result.
+# 128 entries hold the drafts of a few recent scenarios.
+_PARSE_MEMO = MemoCache("cisco-parse", max_entries=128)
 
 
 def parse_cisco(
@@ -248,7 +250,14 @@ def parse_cisco(
     ``cisco.parse.fallback`` counter counts it.  With memoization off
     every text is parsed whole.
     """
-    return _PARSE_MEMO.parse(text, filename, default_hostname)
+    key = (text, filename, default_hostname)
+    hit, result = _PARSE_MEMO.lookup(key)
+    if not hit:
+        result = _parse_text(text, filename)
+        if not result.config.hostname:
+            result.config.hostname = default_hostname
+        _PARSE_MEMO.store(key, result)
+    return result
 
 
 class _CiscoParser:

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..lightyear.invariants import no_transit_invariants
-from ..topology.families import is_hub_star
+from ..topology.context import topology_context
 from ..topology.generator import ingress_community
 from ..topology.model import Topology
-from ..topology.roles import RoleAssignment
 
 __all__ = ["Modularizer"]
 
@@ -32,19 +30,17 @@ _GLOBAL_POLICY = (
 class Modularizer:
     """Decomposes the network-wide task into per-router prompts/specs.
 
-    The topology's role assignment and no-transit invariants are derived
-    once, here; every per-router prompt and spec slices them.
+    It slices the topology's context
+    (:func:`~repro.topology.context.topology_context`), where the role
+    assignment, the hub flag and the no-transit invariants are derived
+    once per topology per process.  The context also holds the
+    topology's one Modularizer and the prompts it rendered, which the
+    synthesis loop reads.
     """
 
     def __init__(self, topology: Topology) -> None:
         self._topology = topology
-        self._hub_star = is_hub_star(topology)
-        # The star's hub policy is positional; only border families
-        # resolve roles.
-        self._roles: Optional[RoleAssignment] = (
-            None if self._hub_star else RoleAssignment.from_topology(topology)
-        )
-        self._invariants = no_transit_invariants(topology)
+        self._context = topology_context(topology)
 
     # -- prompts ------------------------------------------------------------
 
@@ -85,7 +81,7 @@ class Modularizer:
         return " ".join(sentences)
 
     def _local_policy_text(self, router_name: str) -> str:
-        if self._hub_star:
+        if self._context.hub_star:
             if router_name != "R1":
                 return ""
             clauses = []
@@ -107,8 +103,7 @@ class Modularizer:
                 "Local policy for R1: " + "; ".join(clauses) + "; and "
                 + filters + "."
             )
-        roles = self._roles
-        assert roles is not None
+        roles = self._context.roles
         mine = roles.attachments_of(router_name)
         if not mine:
             return ""
@@ -145,5 +140,5 @@ class Modularizer:
         verifier (on the hub R1 for the star; on each ISP-attached
         border router for the other families)."""
         if router_name is None:
-            return list(self._invariants)
-        return [item for item in self._invariants if item.router == router_name]
+            return list(self._context.invariants)
+        return list(self._context.invariants_of.get(router_name, ()))

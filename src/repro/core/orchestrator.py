@@ -42,6 +42,7 @@ from ..llm.client import LLMClient
 from ..netmodel.device import RouterConfig
 from ..netmodel.routing_policy import SetCommunity
 from ..symbolic.memo import MemoCache
+from ..topology.context import topology_context
 from ..topology.model import Topology
 from ..topology.verifier import verify_topology
 from .composer import Composer
@@ -49,7 +50,6 @@ from .human import HumanAgent
 from .humanizer import Humanizer, finding_from_warning
 from .iip import IIPDatabase
 from .leverage import PromptKind, PromptLog
-from .modularizer import Modularizer
 from .transcript import SessionTranscript
 
 __all__ = [
@@ -63,9 +63,10 @@ __all__ = [
 # One finding per distinct draft, for both loops: a declined correction
 # re-sends the same text, so most checks repeat one already made.  The
 # key is (id(topology), router, text), or (id(source), "", text) for a
-# translation, and it is complete: ``Modularizer(topology)`` takes
-# nothing else, ``_non_additive_finding`` reads only the config, and the
-# loop limits, IIPs and pair programming never reach ``_next_finding``.
+# translation, and it is complete: the topology's context (and so its
+# local invariants) derives from the topology alone,
+# ``_non_additive_finding`` reads only the config, and the loop limits,
+# IIPs and pair programming never reach ``_next_finding``.
 # ``Finding`` and its details (``ParseWarning``, ``TopologyIssue``,
 # ``InvariantViolation``, Campion's findings) are frozen, and a
 # non-additive finding's route map belongs to a shared, read-only parse
@@ -284,7 +285,7 @@ class SynthesisOrchestrator:
         self._humanizer = Humanizer()
         self._iip_database = iip_database or IIPDatabase()
         self._iip_ids = list(iip_ids)
-        self._modularizer = Modularizer(topology)
+        self._context = topology_context(topology)
         self._pair_programming = pair_programming
         # An owned checker turns repeated runs over the same topology
         # into incremental re-simulations of what changed between runs.
@@ -348,7 +349,7 @@ class SynthesisOrchestrator:
         transcript: SessionTranscript,
     ) -> str:
         preamble = self._iip_database.compose_preamble(self._iip_ids)
-        task = self._modularizer.router_task_prompt(router_name)
+        task = self._context.prompts[router_name]
         prompt = f"{preamble}\n\n{task}" if preamble else task
         log.add(PromptKind.INITIAL, "task", prompt, router_name)
         text = llm.send(prompt)
@@ -383,7 +384,7 @@ class SynthesisOrchestrator:
                 router=router_name,
                 detail=issue,
             )
-        invariants = self._modularizer.local_invariants(router_name)
+        invariants = self._context.modularizer.local_invariants(router_name)
         violations = verify_invariants({router_name: config}, invariants)
         if violations:
             violation = violations[0]

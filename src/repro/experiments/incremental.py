@@ -32,7 +32,6 @@ from ..errors import ErrorCategory, Finding
 from ..lightyear import (
     EgressPrependInvariant,
     IncrementalGlobalChecker,
-    no_transit_invariants,
     verify_invariants,
 )
 from ..lightyear.compose import GlobalCheckResult, check_global_no_transit
@@ -41,6 +40,7 @@ from ..llm.faults import Fault
 from ..netmodel.ip import Ipv4Address
 from ..netmodel.routing_policy import Action, RouteMap, RouteMapClause, SetAsPathPrepend
 from ..topology import StarNetwork, generate_star_network
+from ..topology.context import topology_context
 from ..topology.reference import build_reference_configs, egress_map_name
 
 __all__ = ["IncrementalResult", "run_incremental_policy_experiment"]
@@ -167,11 +167,7 @@ def run_incremental_policy_experiment(
         seed=seed,
         profile=profile or BehaviorProfile.always_fix(),
     )
-    old_invariants = [
-        invariant
-        for invariant in no_transit_invariants(star.topology)
-        if invariant.router == "R1"
-    ]
+    old_invariants = topology_context(star.topology).invariants_of["R1"]
     hub_neighbor_ip = Ipv4Address.parse(f"{TARGET_SPOKE - 1}.0.0.2")
     new_invariant = EgressPrependInvariant(
         router="R1",

@@ -107,9 +107,9 @@ def observe(scenario: FuzzScenario, combo: Dict[str, Any]) -> dict:
     """
     from ..batfish.bgpsim import SimulationState
     from ..experiments.no_transit import materialize_network
-    from ..lightyear import no_transit_invariants
     from ..lightyear.compose import reset_simulation_states
     from ..symbolic.memo import reset_caches
+    from ..topology.context import topology_context
     from ..topology.reference import build_reference_configs
 
     with toggles.scoped(**combo):
@@ -125,7 +125,7 @@ def observe(scenario: FuzzScenario, combo: Dict[str, Any]) -> dict:
         )
         topology = network.topology
         configs = build_reference_configs(topology)
-        invariants = no_transit_invariants(topology)
+        invariants = topology_context(topology).invariants
         state = SimulationState()
         state.converge(copy.deepcopy(configs))
         steps = [

@@ -43,7 +43,6 @@ from ..netmodel.routing_policy import (
     SetMed,
     SetNextHop,
 )
-from ..symbolic.memo import ParseMemo
 from .lexer import LexError, Statement, lex_juniper
 
 __all__ = ["parse_juniper"]
@@ -52,17 +51,19 @@ _LENGTH_RANGE_RE = re.compile(r"^/(\d+)-/(\d+)$")
 _BAD_RANGE_RE = re.compile(r"^(\d+\.\d+\.\d+\.\d+)/(\d+)-(\d+)$")
 
 
-_PARSE_MEMO = ParseMemo(
-    "juniper-parse", lambda text, filename: _JuniperParser(filename).parse(text)
-)
-
-
 def parse_juniper(
     text: str, filename: str = "<juniper>", default_hostname: str = ""
 ) -> ParseResult:
-    """Parse Junos config text into a :class:`RouterConfig`; memoized
-    and shared like :func:`~repro.cisco.parse_cisco`, so read-only."""
-    return _PARSE_MEMO.parse(text, filename, default_hostname)
+    """Parse Junos config text into a :class:`RouterConfig`.
+
+    ``default_hostname`` names the router when the text has no
+    ``host-name``.  Every call parses: the translation loop's
+    ``draft-finding`` memo already answers a repeated draft.
+    """
+    result = _JuniperParser(filename).parse(text)
+    if not result.config.hostname:
+        result.config.hostname = default_hostname
+    return result
 
 
 class _JuniperParser:

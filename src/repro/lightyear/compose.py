@@ -29,7 +29,9 @@ from ..netmodel.routing_policy import (
     SetCommunity,
 )
 from ..obs import counter
+from ..topology.context import TopologyContext, topology_context
 from ..topology.model import Topology
+from ..topology.roles import RoleKind
 from .invariants import EgressFilterInvariant, IngressTagInvariant
 
 __all__ = [
@@ -92,14 +94,10 @@ def check_composition(
     star's spoke addresses each form their own group, preserving the
     classic every-pair reading).
     """
-    from ..topology.roles import RoleAssignment
-
     result = CompositionResult()
     groups = {
         str(attachment.peer.peer_ip): f"isp-{attachment.index}"
-        for attachment in RoleAssignment.from_topology(
-            topology
-        ).transit_forbidden()
+        for attachment in topology_context(topology).roles.transit_forbidden()
     }
     tags = {
         str(invariant.neighbor_ip): invariant.community
@@ -221,26 +219,9 @@ def last_global_sim_stats() -> Optional[ResimStats]:
     return _LAST_SIM_STATS
 
 
-def _topology_key(topology: Topology) -> Tuple:
-    return (
-        topology.name,
-        tuple(topology.router_names()),
-        tuple(
-            (link.router_a, link.interface_a, link.router_b, link.interface_b,
-             str(link.subnet))
-            for link in topology.links
-        ),
-        tuple(
-            (peer.router, peer.interface, peer.peer_name, str(peer.peer_ip),
-             peer.peer_asn)
-            for peer in topology.externals
-        ),
-    )
-
-
 def _global_simulation(
     configs: Dict[str, RouterConfig],
-    topology: Topology,
+    context: TopologyContext,
     checker: Optional[IncrementalGlobalChecker],
 ) -> BgpSimulation:
     """The converged simulation behind one global check."""
@@ -250,7 +231,7 @@ def _global_simulation(
             state = SimulationState(configs)
             _LAST_SIM_STATS = state.last_stats
             return state.simulation
-        key = _topology_key(topology)
+        key = context.key
         checker = _CHECKERS.get(key)
         if checker is None:
             checker = IncrementalGlobalChecker()
@@ -289,11 +270,10 @@ def check_global_no_transit(
     themselves.  ``changed_routers`` is accepted for older callers and
     ignored: no caller-named delta can steer the simulation.
     """
-    from ..topology.families import is_hub_star
-
-    simulation = _global_simulation(configs, topology, checker)
-    if not is_hub_star(topology):
-        return _check_global_border(configs, topology, simulation)
+    context = topology_context(topology)
+    simulation = _global_simulation(configs, context, checker)
+    if not context.hub_star:
+        return _check_global_border(configs, context, simulation)
     result = GlobalCheckResult()
     hub = topology.router("R1")
     customer_prefixes = list(hub.networks)
@@ -371,7 +351,7 @@ def _exported_prefixes(
 
 def _check_global_border(
     configs: Dict[str, RouterConfig],
-    topology: Topology,
+    context: TopologyContext,
     simulation: BgpSimulation,
 ) -> GlobalCheckResult:
     """Export-based global check for role-assigned (border) topologies.
@@ -394,9 +374,7 @@ def _check_global_border(
     export set is computed over their union alone: it is exact over
     those prefixes and says nothing about any other RIB entry.
     """
-    from ..topology.roles import RoleAssignment, RoleKind
-
-    roles = RoleAssignment.from_topology(topology)
+    roles = context.roles
     result = GlobalCheckResult(
         role_verdicts={name: True for name in roles.role_names()}
     )
@@ -405,30 +383,7 @@ def _check_global_border(
         for name in role_names:
             result.role_verdicts[name] = False
 
-    forbidden = roles.transit_forbidden()
-    prefixes_of: Dict[int, List[Tuple[str, Prefix]]] = {}
-    for attachment in forbidden:
-        interface = topology.router(attachment.router).interface(
-            attachment.peer.interface
-        )
-        if interface is not None:
-            prefixes_of.setdefault(attachment.index, []).append(
-                (attachment.role_name, interface.prefix)
-            )
-    customer_prefixes: List[Tuple[str, Prefix]] = []
-    for customer in roles.customers:
-        interface = topology.router(customer.router).interface(
-            customer.peer.interface
-        )
-        if interface is not None:
-            customer_prefixes.append((customer.role_name, interface.prefix))
-    wanted = {
-        prefix
-        for named_prefixes in prefixes_of.values()
-        for _, prefix in named_prefixes
-    }
-    wanted.update(prefix for _, prefix in customer_prefixes)
-    for attachment in forbidden:
+    for attachment in roles.transit_forbidden():
         config = configs.get(attachment.router)
         if config is None:
             result.customer_unreachable.append(
@@ -439,9 +394,9 @@ def _check_global_border(
             continue
         exported = _exported_prefixes(
             simulation, attachment.router, config, attachment.peer.peer_ip,
-            wanted,
+            context.wanted,
         )
-        for other_index, named_prefixes in sorted(prefixes_of.items()):
+        for other_index, named_prefixes in sorted(context.prefixes_of.items()):
             if other_index == attachment.index:
                 continue
             for other_name, prefix in named_prefixes:
@@ -455,7 +410,7 @@ def _check_global_border(
                     blame(attachment.role_name, other_name)
         if attachment.kind is not RoleKind.PROVIDER:
             continue
-        for customer_name, prefix in customer_prefixes:
+        for customer_name, prefix in context.customer_prefixes:
             if prefix not in exported:
                 result.customer_unreachable.append(
                     f"{attachment.role_name} would not receive "
@@ -468,7 +423,7 @@ def _check_global_border(
         exported = (
             _exported_prefixes(
                 simulation, customer.router, config, customer.peer.peer_ip,
-                wanted,
+                context.wanted,
             )
             if config is not None
             else set()
@@ -476,7 +431,7 @@ def _check_global_border(
         for index in roles.indices():
             if roles.groups[index][0].kind is not RoleKind.PROVIDER:
                 continue  # peers owe the customers nothing
-            for owner_name, prefix in prefixes_of.get(index, []):
+            for owner_name, prefix in context.prefixes_of.get(index, ()):
                 if prefix not in exported:
                     result.isp_prefixes_missing_at_hub.append(
                         f"{customer.router} would not advertise "

@@ -11,18 +11,17 @@ routers and specific route maps within those routers").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, List
 
 from ..netmodel.communities import Community
 from ..netmodel.ip import Ipv4Address
-from ..topology.generator import ingress_community
+from ..topology.context import topology_context
 from ..topology.model import Topology
 
 __all__ = [
     "EgressFilterInvariant",
     "EgressPrependInvariant",
     "IngressTagInvariant",
-    "LocalInvariant",
     "no_transit_invariants",
 ]
 
@@ -79,100 +78,16 @@ class EgressPrependInvariant:
         return "export"
 
 
-LocalInvariant = (
-    "IngressTagInvariant | EgressFilterInvariant | EgressPrependInvariant"
-)
-
-
 def no_transit_invariants(topology: Topology) -> List[object]:
-    """Derive the no-transit local invariants for any topology family.
+    """The no-transit local invariants for any topology family.
 
-    **Hub-shaped (star) topologies** concentrate the policy on R1: for
-    each spoke ``Ri`` (i ≥ 2) with hub-side address ``a_i`` and ingress
-    tag ``t_i``:
-
-    * R1 must tag routes learned from ``a_i`` with ``t_i``;
-    * R1 must drop routes carrying ``t_j`` (for every j ≠ i) at the
-      egress toward ``a_i``.
-
-    **Every other family** places the same obligations on the border:
-    each ISP-attached router must tag routes arriving from its ISP with
-    that ISP's community and drop routes carrying any other ISP's
-    community at the egress back to its ISP.
-
-    Either way the set implies the global policy: an ISP route is tagged
-    on entry, tags are never removed, and tagged routes never exit
-    toward a different ISP — while untagged customer routes flow
-    everywhere.
+    Each guarded session tags what it admits with its ISP's community
+    and filters every other ISP's community on export: the hub's session
+    toward each spoke on a star (§4.1), each ISP attachment's own
+    session on every other family (a multi-homed ISP's homes share one
+    community).  An ISP route is tagged on entry, tags are never
+    removed, and tagged routes never exit toward a different ISP, so
+    the set implies the global policy.  It is derived once per topology,
+    in its :func:`~repro.topology.context.topology_context`.
     """
-    from ..topology.families import is_hub_star
-    from ..topology.roles import RoleAssignment
-
-    if not is_hub_star(topology):
-        return _border_invariants(RoleAssignment.from_topology(topology))
-    hub = topology.router("R1")
-    spokes: List[Tuple[int, Ipv4Address]] = []
-    for index, name in enumerate(topology.router_names(), start=1):
-        if name == "R1":
-            continue
-        hub_neighbor = next(
-            (spec for spec in hub.neighbors if spec.peer_name == name), None
-        )
-        if hub_neighbor is None:
-            continue
-        spokes.append((index, hub_neighbor.ip))
-    invariants: List[object] = []
-    tags = {address: ingress_community(index) for index, address in spokes}
-    for index, address in spokes:
-        invariants.append(
-            IngressTagInvariant(
-                router="R1", neighbor_ip=address, community=tags[address]
-            )
-        )
-        forbidden = frozenset(
-            tag for other, tag in tags.items() if other != address
-        )
-        if forbidden:
-            invariants.append(
-                EgressFilterInvariant(
-                    router="R1", neighbor_ip=address, forbidden=forbidden
-                )
-            )
-    return invariants
-
-
-def _border_invariants(roles) -> List[object]:
-    """Border placement: obligations live on each transit-forbidden
-    attachment's own external session.
-
-    Tags are per *ISP*, not per attachment: every home of a multi-homed
-    ISP tags with (and is identified by) the same community, and its
-    egress filters forbid every *other* ISP's tag — an ISP's own routes
-    may legitimately come back out of its other home.
-    """
-    invariants: List[object] = []
-    tags = {
-        index: ingress_community(index) for index in roles.indices()
-    }
-    for attachment in roles.transit_forbidden():
-        invariants.append(
-            IngressTagInvariant(
-                router=attachment.router,
-                neighbor_ip=attachment.peer.peer_ip,
-                community=tags[attachment.index],
-            )
-        )
-        forbidden = frozenset(
-            tag
-            for index, tag in tags.items()
-            if index != attachment.index
-        )
-        if forbidden:
-            invariants.append(
-                EgressFilterInvariant(
-                    router=attachment.router,
-                    neighbor_ip=attachment.peer.peer_ip,
-                    forbidden=forbidden,
-                )
-            )
-    return invariants
+    return list(topology_context(topology).invariants)

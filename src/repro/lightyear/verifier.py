@@ -22,7 +22,7 @@ so a cache hit is guaranteed to denote a semantically identical check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from ..netmodel.device import RouterConfig
 from ..netmodel.route import Route
@@ -53,7 +53,7 @@ class InvariantViolation:
 
 
 def verify_invariants(
-    configs: "dict[str, RouterConfig]", invariants: List[object]
+    configs: "dict[str, RouterConfig]", invariants: Sequence[object]
 ) -> List[InvariantViolation]:
     """Check every invariant, returning all violations found."""
     violations: List[InvariantViolation] = []

@@ -44,10 +44,11 @@ from ..netmodel.routing_policy import (
     RouteMapClause,
     SetCommunity,
 )
-from ..topology.families import attachment_index, is_hub_star, isp_attachments
+from ..topology.context import topology_context
+from ..topology.families import isp_attachments
 from ..topology.generator import ingress_community
 from ..topology.model import Topology
-from ..topology.roles import RoleAssignment, egress_map_of, ingress_map_of
+from ..topology.roles import attachment_isp_index
 from .faults import Fault, FaultTargetError
 
 __all__ = [
@@ -153,7 +154,7 @@ def border_fault_assignment(topology: Topology) -> Dict[str, List[str]]:
     inline_owner = f"R{min(6, count)}"
     # At four routers R4 also carries egress_permits_tagged, which drops
     # a two-slot egress map's only deny clause: nothing left to corrupt.
-    slots = {attachment_index(peer) for peer in attachments}
+    slots = {attachment_isp_index(peer) for peer in attachments}
     if inline_owner in isp_routers and not (count == 4 and len(slots) < 3):
         put(inline_owner, "inline_match_community")
     last = f"R{count}"
@@ -174,7 +175,7 @@ def fault_assignment(topology: Topology) -> Dict[str, List[str]]:
     """
     assignment = (
         default_fault_assignment(len(topology.routers))
-        if is_hub_star(topology)
+        if topology_context(topology).hub_star
         else border_fault_assignment(topology)
     )
     for key, targets_of in (
@@ -223,9 +224,10 @@ def multihome_fault_target(
     """
     from ..topology.reference import ingress_map_name
 
-    if is_hub_star(topology):
+    context = topology_context(topology)
+    if context.hub_star:
         return None  # hub policy: no role assignment, never multi-homed
-    roles = RoleAssignment.from_topology(topology)
+    roles = context.roles
     for index in roles.indices():
         group = roles.groups[index]
         if len(group) > 1:
@@ -275,7 +277,7 @@ def _interface_targets(topology: Topology) -> Dict[str, str]:
     families: each ISP-attached router's external interface — the one
     artifact guaranteed to exist wherever the fault is assigned.
     """
-    if is_hub_star(topology):
+    if topology_context(topology).hub_star:
         hub = topology.router("R1")
         if hub.interface("eth0/2") is not None:
             return {"R1": "eth0/2"}
@@ -296,7 +298,8 @@ def _and_or_owner(topology: Topology) -> Tuple[str, str]:
     attachment's community slot, which under multi-homing need not
     equal the router index.
     """
-    if is_hub_star(topology):
+    context = topology_context(topology)
+    if context.hub_star:
         return "R1", "FILTER_COMM_OUT_R2"
     isp_routers = [peer.router for peer in isp_attachments(topology)]
     if "R2" in isp_routers:
@@ -305,7 +308,7 @@ def _and_or_owner(topology: Topology) -> Tuple[str, str]:
         owner = isp_routers[0]
     else:
         owner = "R2"
-    return owner, egress_map_of(topology, owner) or "FILTER_COMM_OUT_R2"
+    return owner, context.egress_maps.get(owner, "FILTER_COMM_OUT_R2")
 
 
 def _resolve_map(
@@ -318,10 +321,11 @@ def _resolve_map(
     serves both placements; routers without an attachment keep the
     historical literal — their faults are never assigned there anyway.
     """
-    resolver = ingress_map_of if direction == "ingress" else egress_map_of
-    if is_hub_star(topology):
+    context = topology_context(topology)
+    if context.hub_star:
         return fallback
-    return resolver(topology, router) or fallback
+    maps = context.ingress_maps if direction == "ingress" else context.egress_maps
+    return maps.get(router, fallback)
 
 
 def synthesis_fault_catalog(topology: Topology) -> Dict[str, Fault]:
@@ -336,7 +340,7 @@ def synthesis_fault_catalog(topology: Topology) -> Dict[str, Fault]:
     # addressed fault is derived from the designated carrier's target.
     neighbor_ip = neighbor_targets.get("R2", "1.0.0.1")
     link_network = network_targets.get("R2", Prefix.parse("1.0.0.0/24"))
-    interface_owner = "R1" if is_hub_star(topology) else "R3"
+    interface_owner = "R1" if topology_context(topology).hub_star else "R3"
     interface_name = interface_targets.get(interface_owner, "eth0/2")
     faults: List[Fault] = []
 

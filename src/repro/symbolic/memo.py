@@ -20,14 +20,12 @@ their own, which keeps the engine fork-safe with zero coordination.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, List, Tuple
+from typing import Any, Dict, Hashable, List, Tuple
 
-from ..netmodel.diagnostics import ParseResult
 from ..obs import counter
 
 __all__ = [
     "MemoCache",
-    "ParseMemo",
     "cache_totals",
     "memo_totals",
     "memoization_enabled",
@@ -99,31 +97,6 @@ class MemoCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-
-class ParseMemo(MemoCache):
-    """One config dialect's parse memo over ``parser(text, filename)``,
-    keyed on ``(text, filename, default_hostname)``; a config whose text
-    names no host is named ``default_hostname``.  A hit returns the
-    stored result itself: results are shared and read-only, so a caller
-    that edits one edits an :func:`~repro.netmodel.value.ir_copy`.  128
-    entries hold the drafts of a few recent scenarios (a declined
-    correction re-sends an unchanged draft).  The Cisco parser puts a
-    stanza memo behind this one (see ``parse_cisco``)."""
-
-    def __init__(self, name: str, parser: Callable[[str, str], ParseResult]) -> None:
-        super().__init__(name, max_entries=128)
-        self._parser = parser
-
-    def parse(self, text: str, filename: str, default_hostname: str) -> ParseResult:
-        key = (text, filename, default_hostname)
-        hit, result = self.lookup(key)
-        if not hit:
-            result = self._parser(text, filename)
-            if not result.config.hostname:
-                result.config.hostname = default_hostname
-            self.store(key, result)
-        return result
 
 
 def set_memoization(enabled: bool) -> None:

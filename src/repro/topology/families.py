@@ -52,13 +52,11 @@ from .model import (
     RouterSpec,
     Topology,
 )
-from .roles import attachment_isp_index
 
 __all__ = [
     "FAMILIES",
     "GeneratedNetwork",
     "SEEDED_FAMILIES",
-    "attachment_index",
     "check_fixed_layout",
     "check_size",
     "generate_chain_network",
@@ -105,11 +103,6 @@ def isp_attachments(topology: Topology) -> List[ExternalPeer]:
     ]
     order = {name: rank for rank, name in enumerate(topology.router_names())}
     return sorted(peers, key=lambda peer: (order[peer.router], peer.peer_name))
-
-
-# Single implementation of the community-slot derivation; re-exported
-# here under its historical name for existing callers.
-attachment_index = attachment_isp_index
 
 
 def is_hub_star(topology: Topology) -> bool:

@@ -27,9 +27,9 @@ through which all transit flows, so the same mechanism moves to the
 
 Communities are never stripped in between (all sets are additive), so
 the local obligations compose into the global no-transit property on
-any internal graph.  :func:`build_reference_configs` dispatches on
-:func:`~repro.topology.families.is_hub_star`; the border path follows
-the topology's :class:`~repro.topology.roles.RoleAssignment`, so map
+any internal graph.  :func:`build_reference_configs` dispatches on the hub flag of the
+topology's :func:`~repro.topology.context.topology_context`; the border
+path follows its :class:`~repro.topology.roles.RoleAssignment`, so map
 names key on the attachment's *community slot* (both homes of a
 multi-homed ISP share one tag) and a router may host several
 attachments, each with its own tag/filter pair, under one multi-clause
@@ -54,7 +54,7 @@ from ..netmodel.routing_policy import (
     RouteMapClause,
     SetCommunity,
 )
-from .families import is_hub_star
+from .context import topology_context
 from .generator import ingress_community
 from .model import RouterSpec, Topology
 from .roles import RoleAssignment, RoleAttachment
@@ -101,8 +101,9 @@ def build_reference_configs(topology: Topology) -> Dict[str, RouterConfig]:
     Hub-shaped (star) topologies keep the paper's hub-concentrated
     policy; all other families get border-placed policy.
     """
+    context = topology_context(topology)
     configs: Dict[str, RouterConfig] = {}
-    if is_hub_star(topology):
+    if context.hub_star:
         spoke_indices = _spoke_indices(topology)
         for name in topology.router_names():
             spec = topology.router(name)
@@ -111,7 +112,7 @@ def build_reference_configs(topology: Topology) -> Dict[str, RouterConfig]:
             else:
                 configs[name] = build_spoke_config(spec)
         return configs
-    roles = RoleAssignment.from_topology(topology)
+    roles = context.roles
     for name in topology.router_names():
         spec = topology.router(name)
         configs[name] = build_border_config(

@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .model import ExternalPeer, Topology
 
@@ -50,8 +51,6 @@ __all__ = [
     "RoleSpec",
     "attachment_isp_index",
     "customer_ordinal",
-    "egress_map_of",
-    "ingress_map_of",
 ]
 
 CUSTOMER_BASE_ASN = 65000  # customer c gets AS 65000 + c (c=1 -> 65001)
@@ -178,37 +177,30 @@ class RoleAttachment:
         return self.peer.peer_name
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoleAssignment:
-    """The concrete role placement of one topology.
+    """The concrete role placement of one topology, read-only.
 
     ``groups`` maps each transit-forbidden index to its attachments —
     more than one entry means a multi-homed ISP sharing one community
-    slot across all its borders.
+    slot across all its borders.  Stages read a topology's assignment
+    from its :func:`~repro.topology.context.topology_context`.
     """
 
-    customers: List[RoleAttachment] = field(default_factory=list)
-    groups: Dict[int, List[RoleAttachment]] = field(default_factory=dict)
+    customers: Tuple[RoleAttachment, ...]
+    groups: Mapping[int, Tuple[RoleAttachment, ...]]
 
     @classmethod
     def from_topology(cls, topology: Topology) -> "RoleAssignment":
-        assignment = cls()
         order = {
             name: rank for rank, name in enumerate(topology.router_names())
         }
-        customers: List[Tuple[int, RoleAttachment]] = []
+        customers: List[RoleAttachment] = []
         forbidden: List[RoleAttachment] = []
         for peer in topology.externals:
             ordinal = customer_ordinal(peer.peer_name)
             if ordinal is not None:
-                customers.append(
-                    (
-                        ordinal,
-                        RoleAttachment(
-                            peer=peer, kind=RoleKind.CUSTOMER, index=ordinal
-                        ),
-                    )
-                )
+                customers.append(RoleAttachment(peer, RoleKind.CUSTOMER, ordinal))
                 continue
             kind = (
                 RoleKind.PEER
@@ -216,22 +208,19 @@ class RoleAssignment:
                 else RoleKind.PROVIDER
             )
             forbidden.append(
-                RoleAttachment(
-                    peer=peer, kind=kind, index=attachment_isp_index(peer)
-                )
+                RoleAttachment(peer, kind, attachment_isp_index(peer))
             )
-        for _ordinal, attachment in sorted(
-            customers, key=lambda item: (item[0], order[item[1].router])
-        ):
-            assignment.customers.append(attachment)
+        customers.sort(key=lambda item: (item.index, order[item.router]))
         forbidden.sort(
             key=lambda item: (item.index, order[item.router], item.role_name)
         )
+        groups: Dict[int, List[RoleAttachment]] = {}
         for attachment in forbidden:
-            assignment.groups.setdefault(attachment.index, []).append(
-                attachment
-            )
-        return assignment
+            groups.setdefault(attachment.index, []).append(attachment)
+        return cls(
+            tuple(customers),
+            MappingProxyType({index: tuple(group) for index, group in groups.items()}),
+        )
 
     # -- queries ---------------------------------------------------------------
 
@@ -265,24 +254,3 @@ class RoleAssignment:
                 names.append(attachment.role_name)
         return names
 
-
-def ingress_map_of(topology: Topology, router: str) -> Optional[str]:
-    """The ingress-tag route-map name on ``router``'s first
-    transit-forbidden attachment, or None when it has no attachment."""
-    from .reference import ingress_map_name
-
-    attachments = RoleAssignment.from_topology(topology).attachments_of(router)
-    if not attachments:
-        return None
-    return ingress_map_name(attachments[0].index)
-
-
-def egress_map_of(topology: Topology, router: str) -> Optional[str]:
-    """The egress-filter route-map name on ``router``'s first
-    transit-forbidden attachment, or None when it has no attachment."""
-    from .reference import egress_map_name
-
-    attachments = RoleAssignment.from_topology(topology).attachments_of(router)
-    if not attachments:
-        return None
-    return egress_map_name(attachments[0].index)

@@ -1,5 +1,7 @@
-"""The memo behind :func:`parse_cisco` and :func:`parse_juniper`: keyed,
-bounded, and shared — a hit returns the stored result itself."""
+"""The memo behind :func:`parse_cisco`: keyed, bounded, and shared — a
+hit returns the stored result itself.  :func:`parse_juniper` has no memo
+(the translation loop's ``draft-finding`` memo answers repeated drafts),
+so every call returns a fresh result."""
 
 import copy
 
@@ -9,7 +11,6 @@ from repro.cisco import parse_cisco
 from repro.cisco.parser import _PARSE_MEMO as CISCO_MEMO
 from repro.core import toggles
 from repro.juniper import parse_juniper
-from repro.juniper.parser import _PARSE_MEMO as JUNIPER_MEMO
 from repro.netmodel import Prefix
 
 CISCO_TEXT = """\
@@ -49,17 +50,16 @@ JUNIPER_NAMELESS = (
 )
 
 DIALECTS = {
-    "cisco": (parse_cisco, CISCO_MEMO, CISCO_TEXT, CISCO_NAMELESS),
-    "juniper": (parse_juniper, JUNIPER_MEMO, JUNIPER_TEXT, JUNIPER_NAMELESS),
+    "cisco": (parse_cisco, CISCO_TEXT, CISCO_NAMELESS),
+    "juniper": (parse_juniper, JUNIPER_TEXT, JUNIPER_NAMELESS),
 }
 
 
-@pytest.fixture(params=sorted(DIALECTS))
-def dialect(request):
-    parse, memo, text, nameless = DIALECTS[request.param]
-    memo.clear()
-    yield parse, memo, text, nameless
-    memo.clear()
+@pytest.fixture
+def cisco():
+    CISCO_MEMO.clear()
+    yield parse_cisco, CISCO_MEMO, CISCO_TEXT, CISCO_NAMELESS
+    CISCO_MEMO.clear()
 
 
 def _uncached(parse, text, **kwargs):
@@ -68,8 +68,8 @@ def _uncached(parse, text, **kwargs):
 
 
 class TestSharedResult:
-    def test_repeat_parse_hits_and_returns_the_same_object(self, dialect):
-        parse, memo, text, _ = dialect
+    def test_repeat_parse_hits_and_returns_the_same_object(self, cisco):
+        parse, memo, text, _ = cisco
         first = parse(text)
         second = parse(text)
         assert (memo.misses, memo.hits) == (1, 1)
@@ -78,8 +78,8 @@ class TestSharedResult:
         assert first.config.hostname == "r7"
         assert len(first.warnings) == 1
 
-    def test_an_edited_copy_leaves_the_memo_intact(self, dialect):
-        parse, memo, text, _ = dialect
+    def test_an_edited_copy_leaves_the_memo_intact(self, cisco):
+        parse, memo, text, _ = cisco
         edited = copy.deepcopy(parse(text))
         edited.config.hostname = "mutated"
         edited.config.bgp.neighbors.clear()
@@ -93,18 +93,9 @@ class TestSharedResult:
         assert again.config.hostname == "r7"
         assert len(again.warnings) == 1
 
-    def test_the_two_dialects_keep_separate_memos(self):
-        CISCO_MEMO.clear()
-        JUNIPER_MEMO.clear()
-        parse_cisco(CISCO_TEXT, filename="r.cfg")
-        parse_juniper(CISCO_TEXT, filename="r.cfg")
-        assert (CISCO_MEMO.misses, JUNIPER_MEMO.misses) == (1, 1)
-        assert len(CISCO_MEMO) == len(JUNIPER_MEMO) == 1
-
-
 class TestKey:
-    def test_filename_is_part_of_the_key(self, dialect):
-        parse, memo, text, _ = dialect
+    def test_filename_is_part_of_the_key(self, cisco):
+        parse, memo, text, _ = cisco
         first = parse(text, filename="a.cfg")
         second = parse(text, filename="b.cfg")
         assert memo.misses == 2
@@ -112,24 +103,25 @@ class TestKey:
         assert first.warnings[0].filename == "a.cfg"
         assert second.warnings[0].filename == "b.cfg"
 
-    def test_default_hostname_is_part_of_the_key(self, dialect):
-        parse, memo, _, nameless = dialect
+    def test_default_hostname_is_part_of_the_key(self, cisco):
+        parse, memo, _, nameless = cisco
         first = parse(nameless, default_hostname="R1")
         second = parse(nameless, default_hostname="R2")
         assert memo.misses == 2
         assert first.config.hostname == "R1"
         assert second.config.hostname == "R2"
 
-    def test_default_hostname_only_names_a_nameless_config(self, dialect):
-        parse, _, text, nameless = dialect
+    @pytest.mark.parametrize("name", sorted(DIALECTS))
+    def test_default_hostname_only_names_a_nameless_config(self, name):
+        parse, text, nameless = DIALECTS[name]
         assert parse(text, default_hostname="R1").config.hostname == "r7"
         assert parse(nameless, default_hostname="R1").config.hostname == "R1"
         assert parse(nameless).config.hostname == ""
 
 
 class TestBound:
-    def test_oldest_entry_is_evicted_past_the_bound(self, dialect):
-        parse, memo, _, nameless = dialect
+    def test_oldest_entry_is_evicted_past_the_bound(self, cisco):
+        parse, memo, _, nameless = cisco
         texts = [f"{nameless}# {index}\n" for index in range(memo.max_entries + 1)]
         for text in texts:
             parse(text)
@@ -142,9 +134,9 @@ class TestBound:
 
 class TestMemoizationOff:
     def test_every_call_returns_a_fresh_result_and_nothing_is_stored(
-        self, dialect
+        self, cisco
     ):
-        parse, memo, text, _ = dialect
+        parse, memo, text, _ = cisco
         expected = parse(text, filename="r7.cfg", default_hostname="R7")
         memo.clear()
         with toggles.scoped(memoization=False):
@@ -157,3 +149,28 @@ class TestMemoizationOff:
         assert all(result == expected for result in results)
         assert len({id(result) for result in results}) == 3
         assert all(result is not expected for result in results)
+
+
+class TestJuniperUnmemoized:
+    def test_every_call_parses_afresh(self):
+        first = parse_juniper(JUNIPER_TEXT, filename="a.conf")
+        second = parse_juniper(JUNIPER_TEXT, filename="a.conf")
+        assert second is not first
+        assert second == first
+        assert first.config.hostname == "r7"
+        assert len(first.warnings) == 1
+
+    def test_editing_a_result_leaves_the_next_parse_intact(self):
+        edited = parse_juniper(JUNIPER_TEXT)
+        edited.config.hostname = "mutated"
+        edited.config.bgp.neighbors.clear()
+        edited.diagnostics.warnings.clear()
+        again = parse_juniper(JUNIPER_TEXT)
+        assert again.config.hostname == "r7"
+        assert again.config.bgp.neighbors
+        assert len(again.warnings) == 1
+
+    def test_warnings_carry_the_filename(self):
+        for filename in ("a.conf", "b.conf"):
+            result = parse_juniper(JUNIPER_TEXT, filename=filename)
+            assert result.warnings[0].filename == filename

@@ -5,10 +5,10 @@ are shared: a memo hit hands every caller the stored object itself, so
 the program must never edit one.  This test drives the real users of
 those memos — the translation loop, a small linted synthesis campaign,
 and snapshots of both dialects — then recomputes every
-``cisco-parse``, ``cisco-stanza``, ``juniper-parse``,
-``draft-finding`` and ``draft-render`` entry with memoization off,
-and rebuilds every shared network's reference configs and fault catalog
-from scratch.  Code that mutated a shared object leaves an entry that
+``cisco-parse``, ``cisco-stanza``, ``draft-finding`` and
+``draft-render`` entry with memoization off, and rebuilds every shared
+network's reference configs, fault catalog and topology context from
+scratch.  Code that mutated a shared object leaves an entry that
 no longer matches its key.  A linted campaign hands clean drafts'
 pristines to the analyzer itself, so every shared pristine must render
 exactly as it did before the run.  Assembled Cisco parses share stanza
@@ -43,8 +43,7 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.no_transit import _NETWORK_MEMO, materialize_network
 from repro.experiments.translation import run_translation_experiment
-from repro.juniper import generate_juniper, parse_juniper
-from repro.juniper.parser import _PARSE_MEMO as JUNIPER_MEMO
+from repro.juniper import generate_juniper
 from repro.llm import (
     BehaviorProfile,
     reference_translation,
@@ -54,18 +53,17 @@ from repro.llm.faults import _RENDER_MEMO, DraftState
 from repro.llm.synthesis_model import _SETUP_MEMO, _setup
 from repro.sampleconfigs import BATFISH_EXAMPLE_CISCO, BATFISH_EXAMPLE_CISCO_2
 from repro.symbolic.memo import reset_caches
+from repro.topology.context import _CONTEXT_MEMO, topology_context
 from repro.topology.families import generate_network
 from repro.topology.reference import build_reference_configs
 
 
 def _assert_entries_match_recompute(*required):
-    """Every entry of the five shared memos equals its key recomputed
+    """Every entry of the four shared memos equals its key recomputed
     from scratch; each memo named in ``required`` holds entries."""
     entries = {
         memo.name: dict(memo._entries)
-        for memo in (
-            CISCO_MEMO, _STANZA_MEMO, JUNIPER_MEMO, _FINDING_MEMO, _RENDER_MEMO
-        )
+        for memo in (CISCO_MEMO, _STANZA_MEMO, _FINDING_MEMO, _RENDER_MEMO)
     }
     for name in required:
         assert entries[name], f"{name} memo is empty: nothing was checked"
@@ -77,8 +75,6 @@ def _assert_entries_match_recompute(*required):
         ].items():
             fresh = _CiscoParser("").parse(stanza)
             assert (config, list(warnings)) == (fresh.config, fresh.warnings)
-        for key, stored in entries["juniper-parse"].items():
-            assert stored == parse_juniper(*key), key[1:]
         for (_id, router, text), (owner, finding) in entries[
             "draft-finding"
         ].items():
@@ -102,11 +98,12 @@ def _texts(configs):
 
 
 def _assert_shared_setup_matches_fresh_build():
-    """Every shared network, and the reference configs and fault
-    catalog shared on its topology, equal a build from scratch."""
+    """Every shared network, and the reference configs, fault catalog
+    and context shared on its topology, equal a build from scratch."""
     networks = dict(_NETWORK_MEMO._entries)
     setups = dict(_SETUP_MEMO._entries)
-    assert networks and setups, "nothing was shared: nothing was checked"
+    contexts = dict(_CONTEXT_MEMO._entries)
+    assert networks and setups and contexts, "nothing was shared: nothing was checked"
     for key, network in networks.items():
         with toggles.scoped(memoization=False):
             fresh = materialize_network(*key)
@@ -119,6 +116,15 @@ def _assert_shared_setup_matches_fresh_build():
         assert {name: fault.label for name, fault in catalog.items()} == {
             name: fault.label for name, fault in expected_catalog.items()
         }, key
+        context = contexts[id(network.topology)]
+        with toggles.scoped(memoization=False):
+            expected_context = topology_context(fresh.topology)
+        for field in ("hub_star", "roles", "invariants", "customer_prefixes",
+                      "wanted", "key", "prompts", "invariants_of",
+                      "prefixes_of", "ingress_maps", "egress_maps"):
+            assert getattr(context, field) == getattr(expected_context, field), (
+                key, field,
+            )
 
 
 @pytest.fixture(autouse=True)
@@ -133,7 +139,7 @@ def test_translation_loop_leaves_shared_entries_intact():
         for profile in ("default", "sloppy"):
             run_translation_experiment(seed=seed, profile=PROFILES[profile])
     _assert_entries_match_recompute(
-        "cisco-parse", "juniper-parse", "draft-finding", "draft-render"
+        "cisco-parse", "draft-finding", "draft-render"
     )
 
 
@@ -165,7 +171,7 @@ def test_snapshots_of_both_dialects_leave_shared_entries_intact():
     second = Snapshot.from_texts(texts)
     assert second.configs == first.configs
     assert first.configs["nameless-j.conf"].hostname == "nameless-j"
-    _assert_entries_match_recompute("cisco-parse", "juniper-parse")
+    _assert_entries_match_recompute("cisco-parse")
 
 
 def test_linted_campaign_leaves_shared_pristines_unchanged(monkeypatch):

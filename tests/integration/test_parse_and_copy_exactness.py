@@ -109,8 +109,7 @@ def nt_grid_texts():
         NT_ROLED[0], NT_ROLED[1], 4, profiles=("default", "sloppy"), roles=NT_ROLED[2]
     )
     texts = {}
-    memo = cisco_parser._PARSE_MEMO
-    original = memo._parser
+    original = cisco_parser._parse_text
 
     def recording(text, filename):
         texts[(text, filename)] = None
@@ -118,13 +117,13 @@ def nt_grid_texts():
 
     reset_caches()
     before = FALLBACKS.value
-    memo._parser = recording
+    cisco_parser._parse_text = recording
     set_campaign_lint(True)
     try:
         summary = run_campaign(grid, workers=1)
     finally:
         set_campaign_lint(False)
-        memo._parser = original
+        cisco_parser._parse_text = original
     assert all(row.error is None for row in summary.rows)
     assert FALLBACKS.value == before, "an nt-grid draft fell back to a whole parse"
     assert len(texts) > 500

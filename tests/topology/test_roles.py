@@ -22,14 +22,10 @@ from repro.topology import (
     RoleKind,
     generate_network,
 )
+from repro.topology.context import topology_context
 from repro.topology.model import ExternalPeer
 from repro.topology.reference import build_reference_configs
-from repro.topology.roles import (
-    attachment_isp_index,
-    customer_ordinal,
-    egress_map_of,
-    ingress_map_of,
-)
+from repro.topology.roles import attachment_isp_index, customer_ordinal
 from repro.topology.verifier import verify_topology
 
 ROLED = "c2i2h2p1"  # 2 customers, 2 dual-homed ISPs, 1 peer -> 7 attachments
@@ -73,16 +69,16 @@ class TestRoleAssignmentRecovery:
             "CUSTOMER", "CUSTOMER_2", "ISP_2", "ISP_3", "PEER_4",
         ]
 
-    def test_map_name_helpers_follow_the_slot(self):
+    def test_map_names_follow_the_slot(self):
         topology = generate_network("random", 8, seed=1, roles="c1i1h2").topology
-        roles = RoleAssignment.from_topology(topology)
-        home_a, home_b = roles.groups[2]
+        context = topology_context(topology)
+        home_a, home_b = context.roles.groups[2]
         for home in (home_a, home_b):
-            assert ingress_map_of(topology, home.router) == "ADD_COMM_R2"
-            assert egress_map_of(topology, home.router) == "FILTER_COMM_OUT_R2"
-        customer_router = roles.customers[0].router
+            assert context.ingress_maps[home.router] == "ADD_COMM_R2"
+            assert context.egress_maps[home.router] == "FILTER_COMM_OUT_R2"
+        customer_router = context.roles.customers[0].router
         if customer_router not in {home_a.router, home_b.router}:
-            assert ingress_map_of(topology, customer_router) is None
+            assert customer_router not in context.ingress_maps
 
 
 class TestRoledPipeline:
