@@ -16,15 +16,15 @@ into four groups:
   does: a clause no grid route can reach is shadowed by earlier clauses
   (``shadowed-clause``).
 
-* **Role rules** key on the PR 4 :class:`~repro.topology.roles.
-  RoleAssignment`: export policies on transit-forbidden sessions are
-  probed with routes carrying every *other* role slot's shared
-  community (``transit-leak``), import policies with untagged routes
-  that must come out tagged (``untagged-ingress``), and attachment
-  sessions with only one policy direction (``asymmetric-session``).
-  For hub-shaped topologies the guarded sessions are the hub's
-  internal spoke sessions — where the paper's Figure 4 policy lives —
-  not the policy-free spoke externals.
+* **Role rules** are the Lightyear local invariants of the topology
+  context, checked by :func:`~repro.lightyear.verifier.verify_invariant`:
+  one finding per violated invariant, with the verifier's message, at
+  the clause its witness route hits (``transit-leak`` for an egress
+  filter, ``untagged-ingress`` for an ingress tag).  On hub-shaped
+  topologies the guarded sessions are the hub's internal spoke sessions
+  — where the paper's Figure 4 policy lives — not the policy-free spoke
+  externals.  Attachment sessions with only one policy direction are
+  ``asymmetric-session``.
 
 * **Conformance rules** report the issues of the paper's topology
   verifier (:func:`~repro.topology.verifier.verify_topology`, Table 3):
@@ -42,12 +42,12 @@ family cells, and 100% recall over the fault catalog.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from ..lightyear.invariants import EgressFilterInvariant, IngressTagInvariant
+from ..lightyear.verifier import verify_invariant
 from ..netmodel.communities import Community
 from ..netmodel.device import RouterConfig
-from ..netmodel.route import Route
-from ..netmodel.routebuilder import RouteBuilder
 from ..netmodel.routing_policy import (
     Action,
     MatchAcl,
@@ -63,7 +63,6 @@ from ..netmodel.routing_policy import (
 from ..obs import counter, span
 from ..symbolic.candidates import CandidateUniverse
 from ..topology.context import topology_context
-from ..topology.generator import ingress_community
 from ..topology.model import RouterSpec, Topology
 from ..topology.roles import RoleAssignment
 from ..topology.verifier import TopologyIssueKind, verify_topology
@@ -185,6 +184,12 @@ _CONFORMANCE_RULES: Dict[TopologyIssueKind, str] = {
     TopologyIssueKind.INCORRECT_NETWORK: "extra-network",
 }
 
+#: No-transit invariant type -> the lint rule that reports its violations.
+_INVARIANT_RULES = {
+    IngressTagInvariant: "untagged-ingress",
+    EgressFilterInvariant: "transit-leak",
+}
+
 #: Exec-mode keywords the cli_keywords fault wraps configs in.
 _CLI_KEYWORDS = frozenset({"configure terminal", "conf t", "end", "exit", "write"})
 
@@ -244,10 +249,11 @@ def analyze_text(router: str, text: str) -> List[Finding]:
 class PolicyAnalyzer:
     """One analysis pass over a set of router configs.
 
-    ``topology`` unlocks the conformance rules and, via its role
-    assignment, the transit-leak / untagged-ingress / asymmetric-session
-    probes; without it only the per-config rules run.  ``texts`` maps
-    router names to rendered config text for the text rules.
+    ``topology`` unlocks the conformance rules and, via its context,
+    the no-transit invariants behind transit-leak / untagged-ingress and
+    the role assignment behind asymmetric-session; without it only the
+    per-config rules run.  ``texts`` maps router names to rendered
+    config text for the text rules.
     """
 
     def __init__(
@@ -261,10 +267,12 @@ class PolicyAnalyzer:
         self.texts = texts or {}
         self.roles: Optional[RoleAssignment] = None
         self.hub = False
+        self.invariants: Tuple[object, ...] = ()
         if topology is not None and topology.externals:
             context = topology_context(topology)
             self.roles = context.roles
             self.hub = context.hub_star
+            self.invariants = context.invariants
 
     # -- entry point -----------------------------------------------------------
 
@@ -566,188 +574,38 @@ class PolicyAnalyzer:
 
     # -- role rules (transit-leak, untagged-ingress, asymmetry) ----------------
 
-    def _guarded_sessions(self) -> List[Tuple[str, str, int, str]]:
-        """``(router, neighbor_ip, slot, peer_label)`` for every session
-        whose policies enforce a transit-forbidden role slot.
-
-        Border topologies guard the external attachment session itself;
-        hub-shaped ones guard the hub's internal session toward each
-        attached spoke (the spoke's external session is policy-free by
-        design).
-        """
-        if self.roles is None or self.topology is None:
-            return []
-        sessions: List[Tuple[str, str, int, str]] = []
-        for attachment in self.roles.transit_forbidden():
-            if not self.hub:
-                sessions.append(
-                    (
-                        attachment.router,
-                        str(attachment.peer.peer_ip),
-                        attachment.index,
-                        attachment.role_name,
-                    )
-                )
-                continue
-            hub_spec = self.topology.router("R1")
-            for neighbor in hub_spec.neighbors:
-                if neighbor.peer_name == attachment.router:
-                    sessions.append(
-                        (
-                            "R1",
-                            str(neighbor.ip),
-                            attachment.index,
-                            attachment.role_name,
-                        )
-                    )
-        return sessions
-
-    def _forbidden_tags(self, slot: int) -> List[Tuple[int, Community]]:
-        """Every *other* transit-forbidden slot's shared community."""
-        assert self.roles is not None
-        tags = []
-        for index in self.roles.indices():
-            if index == slot:
-                continue
-            try:
-                tags.append((index, ingress_community(index)))
-            except ValueError:
-                continue  # slot below the community numbering floor
-        return tags
-
     def _check_sessions(self, report: LintReport) -> None:
-        if self.roles is None:
-            return
-        for router, ip, slot, label in self._guarded_sessions():
-            config = self.configs.get(router)
+        """One finding per violated no-transit invariant, with the
+        verifier's message, at the clause its witness route hits."""
+        for invariant in self.invariants:
+            config = self.configs.get(invariant.router)
             if config is None or config.bgp is None:
                 continue  # conformance rules already flag missing BGP
-            neighbor = config.bgp.neighbors.get(ip)
-            if neighbor is None:
+            if config.bgp.get_neighbor(invariant.neighbor_ip) is None:
                 continue  # missing-neighbor already flags the session
-            self._check_transit_leak(report, config, neighbor, slot, label)
-            self._check_untagged_ingress(report, config, neighbor, slot, label)
-        if not self.hub:
-            self._check_session_symmetry(report)
-
-    def _probe_routes(
-        self, config: RouterConfig, route_map: RouteMap, communities: Iterable[Community]
-    ) -> Iterable[Route]:
-        """Grid prefixes carrying exactly ``communities`` — explicit
-        probes, because a faulted map may no longer *mention* the tag
-        it ought to filter (the grid alone would miss the leak)."""
-        universe = CandidateUniverse.for_policy(config, route_map)
-        carried = frozenset(communities)
-        for prefix in universe.candidate_prefixes():
-            base = Route(prefix=prefix)
-            if not carried:
-                yield base
+            violation = verify_invariant(config, invariant)
+            if violation is None:
                 continue
-            builder = RouteBuilder(base)
-            builder.set_communities(carried)
-            yield builder.freeze()
-
-    def _check_transit_leak(
-        self, report: LintReport, config, neighbor, slot: int, label: str
-    ) -> None:
-        if neighbor.export_policy is None:
+            ref, clause_seq = f"session {invariant.neighbor_ip}", None
+            if violation.policy_name:  # a map is attached
+                route_map = config.route_maps.get(violation.policy_name)
+                if route_map is None or self._map_undefined(config, route_map):
+                    continue  # undefined-ref already flags the map
+                ref = f"route-map {route_map.name}"
+                clause = route_map.prepare(config).find_clause(violation.witness)
+                clause_seq = clause.seq
             report.add(
                 Finding(
-                    rule="transit-leak",
+                    rule=_INVARIANT_RULES[type(invariant)],
                     severity=Severity.HIGH,
                     router=config.hostname,
-                    ref=f"session {neighbor.key()}",
-                    message=(
-                        f"transit-forbidden session to {label} has no "
-                        f"export filter"
-                    ),
-                    fix_hint="attach the role's egress filter map",
+                    ref=ref,
+                    clause_seq=clause_seq,
+                    message=violation.message,
                 )
             )
-            return
-        route_map = config.route_maps.get(neighbor.export_policy)
-        if route_map is None:
-            return  # undefined-ref already flags the attachment
-        prepared = route_map.prepare(config)
-        for index, tag in self._forbidden_tags(slot):
-            try:
-                for route in self._probe_routes(config, route_map, (tag,)):
-                    # Permitting the probe at all is the leak: even a
-                    # clause that strips the tag still transits the
-                    # route, it just hides the evidence.
-                    result = prepared.evaluate(route)
-                    if result.permitted:
-                        report.add(
-                            Finding(
-                                rule="transit-leak",
-                                severity=Severity.HIGH,
-                                router=config.hostname,
-                                ref=f"route-map {route_map.name}",
-                                clause_seq=result.clause_seq,
-                                message=(
-                                    f"exports routes tagged {tag} "
-                                    f"(role slot {index}) to {label} — "
-                                    f"transit"
-                                ),
-                                fix_hint=(
-                                    f"deny community {tag} before the "
-                                    f"final permit"
-                                ),
-                            )
-                        )
-                        break
-            except PolicyEvaluationError:
-                return  # undefined-ref already reported
-
-    def _check_untagged_ingress(
-        self, report: LintReport, config, neighbor, slot: int, label: str
-    ) -> None:
-        try:
-            tag = ingress_community(slot)
-        except ValueError:
-            return
-        session_ref = f"session {neighbor.key()}"
-        if neighbor.import_policy is None:
-            report.add(
-                Finding(
-                    rule="untagged-ingress",
-                    severity=Severity.HIGH,
-                    router=config.hostname,
-                    ref=session_ref,
-                    message=(
-                        f"transit-forbidden session to {label} has no "
-                        f"import policy tagging {tag}"
-                    ),
-                    fix_hint="attach the role's ingress tagging map",
-                )
-            )
-            return
-        route_map = config.route_maps.get(neighbor.import_policy)
-        if route_map is None:
-            return  # undefined-ref already flags the attachment
-        try:
-            prepared = route_map.prepare(config)
-            for route in self._probe_routes(config, route_map, ()):
-                result = prepared.evaluate(route)
-                if result.permitted and tag not in result.route.communities:
-                    report.add(
-                        Finding(
-                            rule="untagged-ingress",
-                            severity=Severity.HIGH,
-                            router=config.hostname,
-                            ref=f"route-map {route_map.name}",
-                            clause_seq=result.clause_seq,
-                            message=(
-                                f"imports routes from {label} without "
-                                f"tagging {tag} — egress filters cannot "
-                                f"recognize them"
-                            ),
-                            fix_hint=f"set community {tag} additive",
-                        )
-                    )
-                    return
-        except PolicyEvaluationError:
-            return  # undefined-ref already reported
+        if self.roles is not None and not self.hub:
+            self._check_session_symmetry(report)
 
     def _check_session_symmetry(self, report: LintReport) -> None:
         assert self.roles is not None

@@ -55,8 +55,10 @@ baseline, shrinks any divergence to a minimal repro under ``--corpus``
 (default ``tests/fuzz_corpus``), and journals progress for
 ``--resume``; ``--workers N`` runs the indices on the campaign
 scheduler and exits 3 (resumably) once a unit exhausts its retries;
-``fuzz --replay`` re-checks every corpus file and reports a file it
-cannot replay (e.g. one naming a retired toggle) as a failure.
+``fuzz --replay`` re-checks every corpus file (by default the
+repository's ``tests/fuzz_corpus``, wherever it is run from), reports a
+file it cannot replay (e.g. one naming a retired toggle) as a failure,
+and fails when there is no corpus file to replay.
 ``lint`` builds the reference configs for one topology cell
 (``--family``/``--routers`` plus the seeded-family knobs), runs every
 static-analysis rule over them, and exits 1 on any HIGH finding;
@@ -77,6 +79,7 @@ __all__ = ["build_parser", "main"]
 
 DEFAULT_JOURNAL = "campaign_journal.jsonl"
 DEFAULT_FUZZ_JOURNAL = "fuzz_journal.jsonl"
+DEFAULT_FUZZ_CORPUS = "tests/fuzz_corpus"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,8 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--corpus",
-        default="tests/fuzz_corpus",
-        help="directory where shrunk repros are written (and replayed from)",
+        default=None,
+        help=f"directory where shrunk repros are written and replayed from "
+        f"(default {DEFAULT_FUZZ_CORPUS}; --replay reads the repository's)",
     )
     fuzz.add_argument(
         "--journal",
@@ -1046,15 +1050,20 @@ def _parse_budget(text: str) -> float:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from .experiments.campaign import CampaignInterrupted
     from .fuzz import FuzzConfig, run_fuzz
     from .fuzz.corpus import corpus_files, replay_file
 
     if args.replay:
-        files = corpus_files(args.corpus)
+        # The checked-in corpus, found from the package, not the cwd.
+        repository = Path(__file__).resolve().parents[2]
+        corpus = args.corpus or repository / DEFAULT_FUZZ_CORPUS
+        files = corpus_files(corpus)
         if not files:
-            print(f"fuzz: no corpus files under {args.corpus}")
-            return 0
+            print(f"fuzz: no corpus files under {corpus}", file=sys.stderr)
+            return 1
         failures = 0
         for path in files:
             try:
@@ -1110,7 +1119,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         budget_s=budget_s,
         workers=args.workers,
-        corpus_dir=args.corpus,
+        corpus_dir=args.corpus or DEFAULT_FUZZ_CORPUS,
         planted=tuple(args.plant or ()),
     )
     try:

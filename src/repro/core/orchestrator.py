@@ -35,7 +35,6 @@ from ..lightyear.compose import (
     GlobalCheckResult,
     IncrementalGlobalChecker,
     check_global_no_transit,
-    last_global_sim_stats,
 )
 from ..lightyear.verifier import verify_invariants
 from ..llm.client import LLMClient
@@ -408,7 +407,7 @@ class SynthesisOrchestrator:
         result = check_global_no_transit(
             configs, self._topology, checker=self._global_checker
         )
-        sim_stats = last_global_sim_stats()
+        sim_stats = result.sim_stats
         message = result.describe()
         if sim_stats is not None and sim_stats.incremental:
             message += (

@@ -7,7 +7,6 @@ from .compose import (
     IncrementalGlobalChecker,
     check_composition,
     check_global_no_transit,
-    last_global_sim_stats,
     reset_simulation_states,
 )
 from .invariants import (
@@ -28,7 +27,6 @@ __all__ = [
     "InvariantViolation",
     "check_composition",
     "check_global_no_transit",
-    "last_global_sim_stats",
     "no_transit_invariants",
     "reset_simulation_states",
     "verify_invariant",

@@ -40,7 +40,6 @@ __all__ = [
     "IncrementalGlobalChecker",
     "check_composition",
     "check_global_no_transit",
-    "last_global_sim_stats",
     "reset_simulation_states",
 ]
 
@@ -142,13 +141,16 @@ class GlobalCheckResult:
     ``role_verdicts`` maps each role label (``CUSTOMER``, ``ISP_3``,
     ``PEER_7``, ...) to whether *that role's* obligations held — the
     per-role reading of the same violations, populated by the
-    role-assigned (border) checker.
+    role-assigned (border) checker.  ``sim_stats`` says how the
+    simulation behind the verdict converged; it takes no part in
+    equality, so an incremental verdict equals its full reference.
     """
 
     transit_violations: List[str] = field(default_factory=list)
     customer_unreachable: List[str] = field(default_factory=list)
     isp_prefixes_missing_at_hub: List[str] = field(default_factory=list)
     role_verdicts: Dict[str, bool] = field(default_factory=dict)
+    sim_stats: Optional[ResimStats] = field(default=None, compare=False)
 
     @property
     def holds(self) -> bool:
@@ -204,33 +206,23 @@ _CHECKER_LIMIT = 8
 # caches, so campaign workers stay fork-safe with zero coordination.
 _CHECKERS: "OrderedDict[Tuple, IncrementalGlobalChecker]" = OrderedDict()
 
-_LAST_SIM_STATS: Optional[ResimStats] = None
-
 
 def reset_simulation_states() -> None:
     """Drop every warm simulation state (tests and benchmarks)."""
-    global _LAST_SIM_STATS
     _CHECKERS.clear()
-    _LAST_SIM_STATS = None
-
-
-def last_global_sim_stats() -> Optional[ResimStats]:
-    """How the most recent :func:`check_global_no_transit` converged."""
-    return _LAST_SIM_STATS
 
 
 def _global_simulation(
     configs: Dict[str, RouterConfig],
     context: TopologyContext,
     checker: Optional[IncrementalGlobalChecker],
-) -> BgpSimulation:
-    """The converged simulation behind one global check."""
-    global _LAST_SIM_STATS
+) -> Tuple[BgpSimulation, Optional[ResimStats]]:
+    """The converged simulation behind one global check, and how it
+    converged."""
     if checker is None:
         if not incremental_simulation_enabled():
             state = SimulationState(configs)
-            _LAST_SIM_STATS = state.last_stats
-            return state.simulation
+            return state.simulation, state.last_stats
         key = context.key
         checker = _CHECKERS.get(key)
         if checker is None:
@@ -241,8 +233,7 @@ def _global_simulation(
         else:
             _CHECKERS.move_to_end(key)
     simulation = checker.simulate(configs)
-    _LAST_SIM_STATS = checker.last_stats
-    return simulation
+    return simulation, checker.last_stats
 
 
 def check_global_no_transit(
@@ -271,10 +262,10 @@ def check_global_no_transit(
     ignored: no caller-named delta can steer the simulation.
     """
     context = topology_context(topology)
-    simulation = _global_simulation(configs, context, checker)
+    simulation, sim_stats = _global_simulation(configs, context, checker)
     if not context.hub_star:
-        return _check_global_border(configs, context, simulation)
-    result = GlobalCheckResult()
+        return _check_global_border(configs, context, simulation, sim_stats)
+    result = GlobalCheckResult(sim_stats=sim_stats)
     hub = topology.router("R1")
     customer_prefixes = list(hub.networks)
     spoke_names = [name for name in topology.router_names() if name != "R1"]
@@ -353,6 +344,7 @@ def _check_global_border(
     configs: Dict[str, RouterConfig],
     context: TopologyContext,
     simulation: BgpSimulation,
+    sim_stats: Optional[ResimStats],
 ) -> GlobalCheckResult:
     """Export-based global check for role-assigned (border) topologies.
 
@@ -376,7 +368,8 @@ def _check_global_border(
     """
     roles = context.roles
     result = GlobalCheckResult(
-        role_verdicts={name: True for name in roles.role_names()}
+        role_verdicts={name: True for name in roles.role_names()},
+        sim_stats=sim_stats,
     )
 
     def blame(*role_names: str) -> None:

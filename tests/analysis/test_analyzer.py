@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import PolicyAnalyzer, RULES, analyze_configs, analyze_text
+from repro.analysis import RULES, analyze_configs, analyze_text
 from repro.analysis.validation import CELLS, cell_id
 from repro.cisco.generator import generate_cisco
 from repro.netmodel.communities import Community
@@ -19,11 +19,15 @@ from repro.netmodel.routing_policy import (
     RouteMap,
     RouteMapClause,
     SetMed,
+    permit_all,
 )
 from repro.experiments.no_transit import run_no_transit_experiment
+from repro.lightyear.invariants import EgressFilterInvariant, IngressTagInvariant
+from repro.lightyear.verifier import verify_invariant
 from repro.llm import fault_designations, synthesis_fault_catalog
 from repro.llm.faults import DraftState, FaultTargetError
 from repro.topology.families import generate_network
+from repro.topology.context import topology_context
 from repro.topology.reference import build_reference_configs
 from repro.topology.verifier import verify_topology
 
@@ -150,37 +154,103 @@ class TestShadowing:
         assert "shadowed-clause" not in report.by_rule()
 
 
+def _guarded(topology, kind):
+    """The first no-transit invariant of ``kind`` and its session."""
+    invariant = next(
+        item
+        for item in topology_context(topology).invariants
+        if isinstance(item, kind)
+    )
+    return invariant, invariant.router, str(invariant.neighbor_ip)
+
+
 class TestRoleRules:
     def test_permissive_egress_leaks_transit(self):
         topology, configs, texts = _cell_reports(
             "random", 8, seed=1, roles="c2i2h2"
         )
-        analyzer = PolicyAnalyzer(configs, topology=topology)
-        (router, ip, slot, label) = analyzer._guarded_sessions()[0]
+        _, router, ip = _guarded(topology, EgressFilterInvariant)
         config = configs[router]
         neighbor = config.bgp.neighbors[ip]
         # Replace the egress filter with blanket permit: every other
         # slot's tagged routes now transit this session.
-        from repro.netmodel.routing_policy import permit_all
-
         map_name = neighbor.export_policy
         config.route_maps[map_name] = permit_all(map_name)
         report = analyze_configs(configs, topology=topology)
         leaks = [f for f in report if f.rule == "transit-leak"]
         assert any(f.router == router for f in leaks)
 
-    def test_missing_export_policy_is_flagged(self):
+    def _missing_policy_finding(self, kind, attribute, rule):
+        """Detach the first ``kind`` session's map: one finding on the
+        session, with the verifier's missing-policy message."""
         topology, configs, texts = _cell_reports(
             "random", 8, seed=1, roles="c2i2h2"
         )
-        analyzer = PolicyAnalyzer(configs, topology=topology)
-        (router, ip, slot, label) = analyzer._guarded_sessions()[0]
-        neighbor = configs[router].bgp.neighbors[ip]
-        neighbor.export_policy = None
+        invariant, router, ip = _guarded(topology, kind)
+        setattr(configs[router].bgp.neighbors[ip], attribute, None)
         report = analyze_configs(configs, topology=topology)
-        assert any(
-            f.rule == "transit-leak" and f.router == router for f in report
+        (finding,) = [
+            f for f in report if f.rule == rule and f.router == router
+        ]
+        assert finding.ref == f"session {ip}"
+        assert finding.clause_seq is None
+        assert finding.message == (
+            verify_invariant(configs[router], invariant).message
         )
+
+    def test_missing_export_policy_is_flagged(self):
+        self._missing_policy_finding(
+            EgressFilterInvariant, "export_policy", "transit-leak"
+        )
+
+    def test_missing_import_policy_is_flagged(self):
+        self._missing_policy_finding(
+            IngressTagInvariant, "import_policy", "untagged-ingress"
+        )
+
+    def test_one_transit_leak_per_violated_egress_invariant(self):
+        # Star-7's hub guards six spoke sessions, each filtering five
+        # other slots' tags: a blanket permit violates each egress
+        # invariant once, however many tags it leaks.
+        topology, configs, texts = _cell_reports("star", 7)
+        hub = configs["R1"]
+        egress = [
+            invariant
+            for invariant in topology_context(topology).invariants_of["R1"]
+            if isinstance(invariant, EgressFilterInvariant)
+        ]
+        for invariant in egress:
+            name = hub.bgp.get_neighbor(invariant.neighbor_ip).export_policy
+            hub.route_maps[name] = permit_all(name)
+        report = analyze_configs(configs, topology=topology)
+        leaks = [f for f in report if f.rule == "transit-leak"]
+        expected = []
+        for invariant in egress:
+            violation = verify_invariant(hub, invariant)
+            assert violation is not None
+            route_map = hub.route_maps[violation.policy_name]
+            clause = route_map.prepare(hub).find_clause(violation.witness)
+            assert clause.action is Action.PERMIT
+            expected.append(
+                ("R1", f"route-map {route_map.name}", clause.seq, violation.message)
+            )
+        assert len(leaks) == len(egress) == 6
+        assert sorted(
+            (f.router, f.ref, f.clause_seq, f.message) for f in leaks
+        ) == sorted(expected)
+        assert all(f.severity.value == "high" and not f.fix_hint for f in leaks)
+
+    def test_undefined_export_map_is_only_an_undefined_ref(self):
+        topology, configs, texts = _cell_reports(
+            "random", 8, seed=1, roles="c2i2h2"
+        )
+        _, router, ip = _guarded(topology, EgressFilterInvariant)
+        neighbor = configs[router].bgp.neighbors[ip]
+        del configs[router].route_maps[neighbor.export_policy]
+        report = analyze_configs(configs, topology=topology)
+        rules = [f.rule for f in report.for_router(router)]
+        assert "undefined-ref" in rules
+        assert "transit-leak" not in rules
 
 
 #: Topology verifier issue kind (by value) -> the lint rule reporting it.

@@ -4,8 +4,12 @@ The full nine-cell run is the CI gate (``repro lint --validate``);
 here a two-cell subset — one hand-shaped, one seeded border cell —
 keeps the same invariants under tier 1: clean references produce zero
 findings, and every applicable catalog fault is detected at its
-injection site.
+injection site.  The full run must also serialize to the checked-in
+report byte for byte, as the CI gate compares it.
 """
+
+import json
+from pathlib import Path
 
 from repro.analysis.validation import (
     CELLS,
@@ -61,3 +65,15 @@ class TestHarnessWiring:
     def test_cell_grid_is_the_canonical_nine(self):
         assert len(CELLS) == 9
         assert len({cell_id(*cell) for cell in CELLS}) == 9
+
+
+class TestCheckedInReport:
+    def test_full_run_matches_the_checked_in_report(self):
+        report = run_validation()
+        checked_in = (
+            Path(__file__).resolve().parents[2] / "reports" / "lint_validation.json"
+        )
+        assert len(report.cells) == 9
+        assert json.dumps(report.to_dict(), indent=2) + "\n" == (
+            checked_in.read_text()
+        )

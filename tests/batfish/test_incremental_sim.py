@@ -33,7 +33,6 @@ from repro.fuzz.edits import (
 from repro.lightyear.compose import (
     IncrementalGlobalChecker,
     check_global_no_transit,
-    last_global_sim_stats,
     reset_simulation_states,
 )
 from repro.netmodel.ip import Prefix
@@ -331,10 +330,9 @@ class TestDerivedDeltas:
         _announce_extra_network(edited["R2"], rng)
         # Lie about the delta: claim nothing changed.  The registry
         # derives the delta anyway and still finds R2.
-        check_global_no_transit(
+        stats = check_global_no_transit(
             copy.deepcopy(edited), topology, changed_routers=set()
-        )
-        stats = last_global_sim_stats()
+        ).sim_stats
         assert stats.incremental
         assert stats.dirty_routers == 1
 
@@ -512,12 +510,12 @@ class TestWarmGlobalCheck:
     def test_repeat_check_goes_incremental_with_same_verdict(self, family):
         topology, configs = _network(family)
         first = check_global_no_transit(copy.deepcopy(configs), topology)
-        assert last_global_sim_stats().mode == "full"
+        assert first.sim_stats.mode == "full"
         second = check_global_no_transit(copy.deepcopy(configs), topology)
-        assert last_global_sim_stats().incremental
-        assert last_global_sim_stats().dirty_routers == 0
-        assert second.holds == first.holds
-        assert second.describe() == first.describe()
+        assert second.sim_stats.incremental
+        assert second.sim_stats.dirty_routers == 0
+        # How a verdict converged is not part of the verdict.
+        assert second == first
 
     def test_changed_router_is_detected_from_the_configs(self):
         topology, configs = _network("mesh")
@@ -527,7 +525,7 @@ class TestWarmGlobalCheck:
         broken = copy.deepcopy(configs)
         assert _replace_filter_with_permit_all(broken["R3"], rng)
         verdict = check_global_no_transit(broken, topology)
-        stats = last_global_sim_stats()
+        stats = verdict.sim_stats
         assert stats.incremental
         assert stats.dirty_routers == 1
         assert not verdict.holds
@@ -541,7 +539,7 @@ class TestWarmGlobalCheck:
         set_incremental_simulation(False)
         try:
             cold = check_global_no_transit(copy.deepcopy(configs), topology)
-            assert last_global_sim_stats().mode == "full"
+            assert cold.sim_stats.mode == "full"
         finally:
             set_incremental_simulation(True)
         assert cold.holds == warm.holds

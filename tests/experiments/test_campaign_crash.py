@@ -13,6 +13,7 @@ SIGKILLs (or hangs) that process — deterministic under any
 multiprocessing start method, no signal/timing races.
 """
 
+import functools
 import os
 import signal
 import time
@@ -20,6 +21,7 @@ import time
 import pytest
 
 import repro.experiments.campaign as campaign_module
+import repro.service.scheduler as scheduler_module
 from repro.experiments.campaign import (
     CampaignInterrupted,
     CampaignStalled,
@@ -125,6 +127,17 @@ class TestBrokenPool:
 
 
 class TestStalledPool:
+    @pytest.fixture(autouse=True)
+    def _no_stall_retries(self, monkeypatch):
+        """One stall ends the run: the hung bomb hangs on every retry,
+        so retries would only repeat the timeout (stall retries are
+        covered by the service tests)."""
+        monkeypatch.setattr(
+            scheduler_module,
+            "CampaignService",
+            functools.partial(scheduler_module.CampaignService, retry_limit=0),
+        )
+
     def test_hung_worker_raises_stalled_instead_of_hanging(self, tmp_path):
         """One sleeping worker must not stall the grid forever: the
         per-wait timeout raises CampaignStalled (a CampaignInterrupted,

@@ -82,3 +82,25 @@ def test_cli_replay_reports_a_retired_toggle_per_file(tmp_path, capsys):
     assert "FAIL stale.json" in out
     assert "route_model" in out
     assert "1 failure(s)" in out
+
+
+def test_cli_replay_reads_the_repository_corpus_from_any_directory(
+    tmp_path, monkeypatch, capsys
+):
+    """With no ``--corpus``, the replay finds the checked-in corpus from
+    the package, not the working directory."""
+    from repro.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["fuzz", "--replay"]) == 0
+    out = capsys.readouterr().out
+    assert f"{len(FILES)} corpus file(s), 0 failure(s)" in out
+    assert all(f"ok   {path.name}" in out for path in FILES)
+
+
+def test_cli_replay_of_an_empty_corpus_fails(tmp_path, capsys):
+    """A replay that checked nothing must not pass."""
+    from repro.cli import main
+
+    assert main(["fuzz", "--replay", "--corpus", str(tmp_path)]) != 0
+    assert "no corpus files" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from repro.lightyear import check_global_no_transit, no_transit_invariants
 from repro.lightyear import compose
 from repro.lightyear.compose import (
     check_composition,
-    last_global_sim_stats,
     reset_simulation_states,
 )
 from repro.llm.synthesis_faults import fault_assignment, multihome_fault_target
@@ -83,11 +82,10 @@ def test_equal_topologies_get_their_own_context_but_share_a_warm_state():
     assert twin.topology is second
     assert twin.key == context.key
     configs = build_reference_configs(first)
-    check_global_no_transit(configs, first)
-    assert not last_global_sim_stats().incremental
-    check_global_no_transit(build_reference_configs(second), second)
+    assert not check_global_no_transit(configs, first).sim_stats.incremental
+    verdict = check_global_no_transit(build_reference_configs(second), second)
     assert len(compose._CHECKERS) == 1
-    assert last_global_sim_stats().incremental
+    assert verdict.sim_stats.incremental
 
 
 def test_the_views_are_read_only():
